@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import __version__
 from . import cochains as cc
 from . import embedding as em
 from . import gfp
@@ -33,14 +34,13 @@ EXIT_USAGE = 3
 @dataclass
 class RunConfig:
     budget: int = 10 ** 7
-    jobs: int = 1
     fmt: str = "text"
     seed: int = 0
     no_cache: bool = False
 
     def __post_init__(self):
-        if self.budget <= 0 or self.jobs < 1:
-            raise MasseyLabError("budget must be > 0 and jobs >= 1")
+        if self.budget <= 0:
+            raise MasseyLabError("budget must be > 0")
 
 
 # -- fixtures ------------------------------------------------------------------
@@ -149,15 +149,20 @@ def _cache_dir() -> str:
                                        ".cache", "masseylab"))
 
 
-def _cache_key(parts) -> str:
+def _cache_key(command: str, ref: str, G: gr.FiniteGroup, params) -> str:
+    """Everything a command's records depend on: the command, the
+    `--group` string (records echo it), the group's table, the other
+    parameters, and the program and record-schema versions."""
+    parts = [command, ref, G.fingerprint(), params, __version__,
+             SCHEMA_VERSION]
     blob = json.dumps(parts, sort_keys=True, default=_jsonable)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def cache_get(parts, cfg: RunConfig):
+def cache_get(key: str, cfg: RunConfig):
     if cfg.no_cache:
         return None
-    path = os.path.join(_cache_dir(), _cache_key(parts) + ".json")
+    path = os.path.join(_cache_dir(), key + ".json")
     if not os.path.exists(path):
         return None
     try:
@@ -167,12 +172,12 @@ def cache_get(parts, cfg: RunConfig):
         return None
 
 
-def cache_put(parts, records, cfg: RunConfig):
+def cache_put(key: str, records, cfg: RunConfig):
     if cfg.no_cache:
         return
     d = _cache_dir()
     os.makedirs(d, exist_ok=True)
-    path = os.path.join(d, _cache_key(parts) + ".json")
+    path = os.path.join(d, key + ".json")
     tmp = path + f".tmp{os.getpid()}"
     with open(tmp, "w") as fh:
         json.dump(records, fh, sort_keys=True, default=_jsonable)
@@ -207,7 +212,7 @@ def cmd_cohomology(args, cfg: RunConfig) -> Report:
     G = get_group(args.group)
     p = args.p
     rep = Report(f"cohomology {args.group} p={p}")
-    key = ["cohomology", G.fingerprint(), p]
+    key = _cache_key("cohomology", args.group, G, [p])
     hit = cache_get(key, cfg)
     if hit is not None:
         rep.records = hit
@@ -293,8 +298,7 @@ def cmd_massey(args, cfg: RunConfig) -> Report:
 
 # -- verify suites -------------------------------------------------------------
 
-def _suite_dwyer(args, cfg) -> list[dict]:
-    G = get_group(args.group)
+def _suite_dwyer(args, cfg, G) -> list[dict]:
     out = []
     for chars in ms.h1_tuples(G, args.p, args.n):
         q = ms.MasseyQuery(G, args.p, chars)
@@ -311,16 +315,14 @@ def _suite_dwyer(args, cfg) -> list[dict]:
     return out
 
 
-def _suite_twisting(args, cfg) -> list[dict]:
-    G = get_group(args.group)
+def _suite_twisting(args, cfg, G) -> list[dict]:
     recs = em.verify_twisting(G, args.p, args.n, args.k,
                               sample=args.sample, seed=cfg.seed)
     return [{"psi": list(r["psi"]), "chi": list(r["chi"]),
              "verdict": "holds" if r["holds"] else "fails"} for r in recs]
 
 
-def _suite_strong_vanishing(args, cfg) -> list[dict]:
-    G = get_group(args.group)
+def _suite_strong_vanishing(args, cfg, G) -> list[dict]:
     reports = ms.strong_massey_vanishing(G, args.p,
                                          range(3, args.n + 1),
                                          budget=args.tuple_budget)
@@ -329,26 +331,25 @@ def _suite_strong_vanishing(args, cfg) -> list[dict]:
              "verdict": r["verdict"]} for r in reports]
 
 
-def _suite_easy_vanishing(args, cfg) -> list[dict]:
-    G = get_group(args.group)
+def _suite_easy_vanishing(args, cfg, G) -> list[dict]:
     rec = vf.easy_vanishing_drill(G, args.p, args.n)
     rec["verdict"] = "holds" if rec["verified"] else "fails"
     return [rec]
 
 
-def _suite_case_by_case(args, cfg) -> list[dict]:
+def _suite_case_by_case(args, cfg, G) -> list[dict]:
     audit = vf.case_by_case_audit()
     out = []
     for key in ((1, 1), (0, 0)):
         rec = audit[key]
-        ok = key != (1, 1) or all(o > 2 for o in rec["orders"])
+        ok = key != (1, 1) or audit["verdict"]
         out.append({"superdiagonal": list(key), "count": rec["count"],
                     "orders": rec["orders"],
                     "verdict": "holds" if ok else "fails"})
     return out
 
 
-def _suite_fiber_quotient(args, cfg) -> list[dict]:
+def _suite_fiber_quotient(args, cfg, G) -> list[dict]:
     m = args.n if args.n else 4
     recs = vf.structure_audit(m, args.p)
     return [dict(r, verdict="holds" if r["holds"] else "fails")
@@ -367,13 +368,15 @@ SUITES = {
 
 def cmd_verify(args, cfg: RunConfig) -> Report:
     rep = Report(f"verify {args.suite}")
-    key = ["verify", args.suite, args.group, args.p, args.n, args.k,
-           args.sample, args.tuple_budget, cfg.seed]
+    G = get_group(args.group)
+    key = _cache_key(f"verify {args.suite}", args.group, G,
+                     [args.p, args.n, args.k, args.sample, args.tuple_budget,
+                      cfg.seed])
     hit = cache_get(key, cfg)
     if hit is not None:
         rep.records = hit
         return rep
-    rep.records = SUITES[args.suite](args, cfg)
+    rep.records = SUITES[args.suite](args, cfg, G)
     cache_put(key, rep.records, cfg)
     return rep
 
@@ -385,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "records"),
                         default="text")
     common.add_argument("--budget", type=int, default=10 ** 7)
-    common.add_argument("--jobs", type=int, default=1)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--no-cache", action="store_true")
 
@@ -422,8 +424,8 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code else EXIT_OK
-    cfg = RunConfig(budget=args.budget, jobs=args.jobs, fmt=args.format,
-                    seed=args.seed, no_cache=args.no_cache)
+    cfg = RunConfig(budget=args.budget, fmt=args.format, seed=args.seed,
+                    no_cache=args.no_cache)
     try:
         if args.cmd == "group":
             if args.action in ("show", "check") and not args.target:

@@ -9,8 +9,9 @@ element-index order.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -133,7 +134,8 @@ def cup(a: Cochain, b: Cochain) -> Cochain:
 # -- linear algebra over the normalized complex --------------------------------
 
 class ComplexData:
-    """Cached coboundary matrices and reduced spaces for one (G, p)."""
+    """Cached coboundary matrices and reduced spaces for one (G, p);
+    obtain it through `complex_data`, which builds one instance per (G, p)."""
 
     def __init__(self, G: FiniteGroup, p: int):
         if G.order > MAX_COHOMOLOGY_ORDER:
@@ -141,11 +143,6 @@ class ComplexData:
                 f"|G| = {G.order} > {MAX_COHOMOLOGY_ORDER} for cohomology")
         self.G = G
         self.p = p
-        self._d1: Optional[np.ndarray] = None
-        self._d2: Optional[np.ndarray] = None
-        self._b2_rref = None
-        self._z1_basis = None
-        self._h2 = None
 
     def delta_matrix(self, d: int) -> np.ndarray:
         """Matrix of delta_d, rows indexed by (d+1)-tuples, columns by
@@ -173,52 +170,45 @@ class ComplexData:
             np.zeros((0, ncols), dtype=np.int64)
 
     @property
+    @functools.cache
     def d1(self) -> np.ndarray:
-        if self._d1 is None:
-            self._d1 = self.delta_matrix(1)
-        return self._d1
+        return self.delta_matrix(1)
 
     @property
+    @functools.cache
     def d2(self) -> np.ndarray:
-        if self._d2 is None:
-            self._d2 = self.delta_matrix(2)
-        return self._d2
+        return self.delta_matrix(2)
 
     @property
+    @functools.cache
     def b2_rref(self):
         """RREF of the space of 2-coboundaries (spanned by d1 columns)."""
-        if self._b2_rref is None:
-            self._b2_rref = gfp.rref(self.d1.T, self.p)
-        return self._b2_rref
+        return gfp.rref(self.d1.T, self.p)
 
     @property
+    @functools.cache
     def z1_basis(self) -> list[np.ndarray]:
-        if self._z1_basis is None:
-            # the trivial group pads each cochain space with one dummy slot
-            self._z1_basis = [] if self.G.order == 1 else \
-                gfp.nullspace(self.d1, self.p)
-        return self._z1_basis
+        # the trivial group pads each cochain space with one dummy slot
+        return [] if self.G.order == 1 else gfp.nullspace(self.d1, self.p)
 
+    @functools.cache
     def h2_data(self):
         """(dim H^2, representative vectors)."""
-        if self._h2 is None:
-            if self.G.order == 1:
-                self._h2 = (0, [])
-                return self._h2
-            z2 = gfp.nullspace(self.d2, self.p)
-            R, piv = self.b2_rref
-            residuals = []
-            for v in z2:
-                r = gfp.reduce_vector(v, R, piv, self.p)
-                if r.any():
-                    residuals.append(r)
-            if residuals:
-                H, _ = gfp.rref(np.array(residuals), self.p)
-                reps = [H[i] for i in range(H.shape[0])]
-            else:
-                reps = []
-            self._h2 = (len(reps), reps)
-        return self._h2
+        if self.G.order == 1:
+            return 0, []
+        z2 = gfp.nullspace(self.d2, self.p)
+        R, piv = self.b2_rref
+        residuals = []
+        for v in z2:
+            r = gfp.reduce_vector(v, R, piv, self.p)
+            if r.any():
+                residuals.append(r)
+        if residuals:
+            H, _ = gfp.rref(np.array(residuals), self.p)
+            reps = [H[i] for i in range(H.shape[0])]
+        else:
+            reps = []
+        return len(reps), reps
 
     def canonical_2cocycle(self, vec) -> np.ndarray:
         R, piv = self.b2_rref
@@ -233,14 +223,9 @@ class ComplexData:
         return x0, self.z1_basis
 
 
-_complex_cache: dict = {}
-
-
+@functools.cache
 def complex_data(G: FiniteGroup, p: int) -> ComplexData:
-    key = (G.fingerprint(), p)
-    if key not in _complex_cache:
-        _complex_cache[key] = ComplexData(G, p)
-    return _complex_cache[key]
+    return ComplexData(G, p)
 
 
 # -- cohomology classes --------------------------------------------------------
@@ -369,15 +354,3 @@ def demushkin_check(G: FiniteGroup, p: int) -> dict:
     nondeg = cup_form(G, p).is_nondegenerate()
     return {"dim_h1": dim1, "dim_h2": dim2,
             "nondegenerate": nondeg, "verdict": bool(nondeg)}
-
-
-# -- golden-file dump ----------------------------------------------------------
-
-def format_cochain(c: Cochain) -> str:
-    lines = [f"degree {c.degree}"]
-    if c.degree == 0:
-        lines.append(f": {c.values[0]}")
-    else:
-        for gs in _tuples(c.group.order, c.degree):
-            lines.append(" ".join(str(g) for g in gs) + f" : {c.value(*gs)}")
-    return "\n".join(lines) + "\n"

@@ -313,7 +313,7 @@ def verify_twisting(G: FiniteGroup, p: int, n: int, k: int,
         raise BadParameter(f"descent index k = {k} outside 2..{n - 1}")
     m = n + 1
     tgt = fiber_quotient(k, m, p)
-    chis = [a for a in _all_characters(G, p)]
+    chis = [chars[0] for chars in h1_tuples(G, p, 1)]
     if sample is None:
         pairs = [(psi, chi) for psi in enumerate_homs(G, tgt.group)
                  for chi in chis]
@@ -344,14 +344,3 @@ def verify_twisting(G: FiniteGroup, p: int, n: int, k: int,
             "holds": o_tw == expected,
         })
     return records
-
-
-def _all_characters(G: FiniteGroup, p: int):
-    import itertools
-    basis = cc.h1(G, p)
-    zero = cc.zero_cochain(G, p, 1)
-    for coeffs in itertools.product(range(p), repeat=len(basis)):
-        a = zero
-        for c, b in zip(coeffs, basis):
-            a = a + b.scale(c)
-        yield a

@@ -85,10 +85,6 @@ class KernelNotOrderP(MasseyLabError):
     pass
 
 
-class LiftImpossible(MasseyLabError):
-    pass
-
-
 class TargetMismatch(MasseyLabError):
     pass
 

@@ -9,6 +9,7 @@ up to 4096.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
@@ -238,22 +239,10 @@ def build_direct_product(G: FiniteGroup, H: FiniteGroup,
                 for yb in range(hn):
                     row[enc(ya, yb)] = ga + hrow[yb]
     gens = [enc(g, 0) for g in G.generators] + [enc(0, h) for h in H.generators]
-    meta = {"kind": "product", "orders": (G.order, H.order)}
-    return _raw_group(mul, gens, label or f"{G.label}x{H.label}", meta=meta)
+    return _raw_group(mul, gens, label or f"{G.label}x{H.label}")
 
 
-def product_decode(P: FiniteGroup, x: int) -> tuple[int, int]:
-    if not P.meta or P.meta.get("kind") != "product":
-        raise BadParameter("not a direct-product group")
-    return divmod(x, P.meta["orders"][1])
-
-
-def product_encode(P: FiniteGroup, a: int, b: int) -> int:
-    if not P.meta or P.meta.get("kind") != "product":
-        raise BadParameter("not a direct-product group")
-    return a * P.meta["orders"][1] + b
-
-
+@functools.cache
 def build_vector_group(p: int, n: int) -> FiniteGroup:
     """(Z/p)^n with index = base-p digits, first coordinate most significant."""
     order = p ** n

@@ -8,6 +8,7 @@ entries are stored packed in row-major order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -27,10 +28,12 @@ from .groups import CONTAINER_LIMIT, FiniteGroup, GroupHom, _raw_group, \
 MAX_PRIME = 13
 
 
-def _positions(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+@functools.cache
+def _positions(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
+@functools.cache
 def _pos_index(n: int) -> dict:
     return {pos: idx for idx, pos in enumerate(_positions(n))}
 
@@ -156,7 +159,8 @@ def _is_prime(p: int) -> bool:
 
 
 class UniTriGroup:
-    """U_n(p) with a lazily materialized multiplication table."""
+    """U_n(p) with a lazily materialized multiplication table; obtain it
+    through `unitri_group`, which builds one instance per (n, p)."""
 
     def __init__(self, n: int, p: int):
         if n < 1:
@@ -167,27 +171,25 @@ class UniTriGroup:
         self.p = p
         self.num_entries = n * (n - 1) // 2
         self.order = p ** self.num_entries
-        self._elements: Optional[list[UniTriMatrix]] = None
-        self._index: Optional[dict] = None
-        self._group: Optional[FiniteGroup] = None
 
     def materializable(self) -> bool:
         return self.order <= CONTAINER_LIMIT
 
-    def elements(self) -> list[UniTriMatrix]:
-        if self._elements is None:
-            if not self.materializable():
-                raise SizeLimit(
-                    f"|U_{self.n}({self.p})| = {self.order} > {CONTAINER_LIMIT}")
-            self._elements = [UniTriMatrix(self.n, self.p, e)
-                              for e in itertools.product(range(self.p),
-                                                         repeat=self.num_entries)]
-            self._index = {m.entries: i for i, m in enumerate(self._elements)}
-        return self._elements
+    @functools.cache
+    def elements(self) -> tuple[UniTriMatrix, ...]:
+        if not self.materializable():
+            raise SizeLimit(
+                f"|U_{self.n}({self.p})| = {self.order} > {CONTAINER_LIMIT}")
+        return tuple(UniTriMatrix(self.n, self.p, e)
+                     for e in itertools.product(range(self.p),
+                                                repeat=self.num_entries))
+
+    @functools.cache
+    def _index(self) -> dict:
+        return {m.entries: i for i, m in enumerate(self.elements())}
 
     def index_of(self, U: UniTriMatrix) -> int:
-        self.elements()
-        return self._index[U.entries]
+        return self._index()[U.entries]
 
     def matrix_of(self, idx: int) -> UniTriMatrix:
         return self.elements()[idx]
@@ -195,32 +197,32 @@ class UniTriGroup:
     def entry_of(self, idx: int, i: int, j: int) -> int:
         return self.matrix_of(idx).entry(i, j)
 
+    @functools.cache
     def as_finite_group(self) -> FiniteGroup:
-        if self._group is None:
-            elems = self.elements()
-            n, p, order = self.n, self.p, self.order
-            mats = np.array([m.to_rows() for m in elems], dtype=np.int64)
-            iu = np.triu_indices(n, 1)
-            index = {}
-            for i, m in enumerate(elems):
-                index[np.asarray(mats[i][iu]).tobytes()] = i
-            table = []
-            for x in range(order):
-                prod = (mats[x] @ mats) % p
-                packed = prod[:, iu[0], iu[1]]
-                table.append(tuple(index[packed[y].tobytes()]
-                                   for y in range(order)))
-            gens = tuple(self.index_of(self.elementary(i, i + 1)) + 0
-                         for i in range(1, n)) or ()
-            self._group = _raw_group(table, gens, f"U{n}({p})",
-                                     meta={"kind": "unitri", "n": n, "p": p})
-        return self._group
+        elems = self.elements()
+        n, p, order = self.n, self.p, self.order
+        mats = np.array([m.to_rows() for m in elems], dtype=np.int64)
+        iu = np.triu_indices(n, 1)
+        index = {}
+        for i, m in enumerate(elems):
+            index[np.asarray(mats[i][iu]).tobytes()] = i
+        table = []
+        for x in range(order):
+            prod = (mats[x] @ mats) % p
+            packed = prod[:, iu[0], iu[1]]
+            table.append(tuple(index[packed[y].tobytes()]
+                               for y in range(order)))
+        gens = tuple(self.index_of(self.elementary(i, i + 1)) + 0
+                     for i in range(1, n)) or ()
+        return _raw_group(table, gens, f"U{n}({p})",
+                          meta={"kind": "unitri", "n": n, "p": p})
 
     def elementary(self, i: int, j: int, v: int = 1) -> UniTriMatrix:
         vals = [0] * self.num_entries
         vals[_pos_index(self.n)[(i, j)]] = v % self.p
         return UniTriMatrix(self.n, self.p, tuple(vals))
 
+    @functools.cache
     def phi_hom(self) -> GroupHom:
         """The superdiagonal map as a hom onto (Z/p)^(n-1)."""
         target = build_vector_group(self.p, self.n - 1)
@@ -229,14 +231,9 @@ class UniTriGroup:
         return GroupHom(G, target, images)
 
 
-_unitri_cache: dict = {}
-
-
+@functools.cache
 def unitri_group(n: int, p: int) -> UniTriGroup:
-    key = (n, p)
-    if key not in _unitri_cache:
-        _unitri_cache[key] = UniTriGroup(n, p)
-    return _unitri_cache[key]
+    return UniTriGroup(n, p)
 
 
 # -- named subgroups -----------------------------------------------------------
@@ -322,6 +319,7 @@ class CosetQuotient:
         return GroupHom(self.parent, self.group, self.coset_of)
 
 
+@functools.cache
 def zeta_kappa_targets(n: int, p: int):
     """The two quotients U_{n+1}(p)/Z and U_{n+1}(p)/P with the induced
     superdiagonal maps zeta, kappa onto (Z/p)^n.
@@ -355,7 +353,8 @@ def zeta_kappa_targets(n: int, p: int):
 
 class FiberQuotient:
     """U_m(p)/M_{k,m} realized as pairs (A, B) with A in U_{m-1}(p),
-    B in U_{m+1-k}(p) agreeing on the overlapping (m-k)-block."""
+    B in U_{m+1-k}(p) agreeing on the overlapping (m-k)-block; obtain it
+    through `fiber_quotient`, which builds one instance per (k, m, p)."""
 
     def __init__(self, k: int, m: int, p: int):
         if not 1 <= k <= m - 1:
@@ -396,6 +395,7 @@ class FiberQuotient:
         return self._index[(U.block_upper_left(self.m - 1).entries,
                             U.block_lower_right(self.m + 1 - self.k).entries)]
 
+    @functools.cache
     def parent_quotient_hom(self) -> GroupHom:
         Um = unitri_group(self.m, self.p)
         G = Um.as_finite_group()
@@ -415,6 +415,7 @@ class FiberQuotient:
         raise IndexOutOfRange(
             f"entry ({i},{j}) is not constant on cosets of M_{{{self.k},{self.m}}}")
 
+    @functools.cache
     def phi_hom(self) -> GroupHom:
         """Induced superdiagonal map onto (Z/p)^(m-1)."""
         target = build_vector_group(self.p, self.m - 1)
@@ -431,6 +432,7 @@ class FiberQuotient:
             raise BadParameter(f"rho undefined for k = {self.k}, m = {self.m}")
         return fiber_quotient(self.k + 1, self.m, self.p)
 
+    @functools.cache
     def rho_hom(self) -> GroupHom:
         tgt = self.rho_target()
         images = []
@@ -474,14 +476,9 @@ class FiberQuotient:
         return tgt, GroupHom(self.group, tgt.group, tuple(images))
 
 
-_fiber_cache: dict = {}
-
-
+@functools.cache
 def fiber_quotient(k: int, m: int, p: int) -> FiberQuotient:
-    key = (k, m, p)
-    if key not in _fiber_cache:
-        _fiber_cache[key] = FiberQuotient(k, m, p)
-    return _fiber_cache[key]
+    return FiberQuotient(k, m, p)
 
 
 # -- central series of Ker(phi) ------------------------------------------------

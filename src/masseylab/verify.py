@@ -4,6 +4,7 @@ central-step obstruction audits, and the descending-induction solver."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -157,14 +158,9 @@ class _FiltrationTower:
                         tuple(q0.reps[psi0(g)] for g in psi0.domain.elements()))
 
 
-_tower_cache: dict = {}
-
-
+@functools.cache
 def _tower(n: int, p: int) -> _FiltrationTower:
-    key = (n, p)
-    if key not in _tower_cache:
-        _tower_cache[key] = _FiltrationTower(n, p)
-    return _tower_cache[key]
+    return _FiltrationTower(n, p)
 
 
 def easy_vanishing_drill(G: FiniteGroup, p: int, n: int) -> dict:

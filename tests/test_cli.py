@@ -112,3 +112,44 @@ def test_verify_fiber_quotient(capsys):
                      "--format", "records"], capsys)
     assert code == 0
     assert records(out)[-1] == {"summary": {"holds": 3}}
+
+
+def test_verify_cache_follows_the_table_behind_a_path(tmp_path, capsys):
+    from masseylab import groups as gr
+    tbl = tmp_path / "g.tbl"
+    tbl.write_text(gr.format_group_file(gr.build_cyclic(2)))
+    argv = ["verify", "dwyer", "--group", str(tbl), "--p", "2", "--n", "2",
+            "--format", "records"]
+    run(argv, capsys)
+    tbl.write_text(gr.format_group_file(gr.build_vector_group(2, 2)))
+    _, cached = run(argv, capsys)
+    _, fresh = run(argv + ["--no-cache"], capsys)
+    assert cached == fresh
+    assert records(fresh)[-1] == {"summary": {"holds": 16}}
+
+
+def test_cohomology_cache_keeps_the_group_name(tmp_path, capsys):
+    from masseylab import groups as gr
+    text = gr.format_group_file(gr.build_quaternion8())
+    a, b = tmp_path / "a.tbl", tmp_path / "b.tbl"
+    a.write_text(text)
+    b.write_text(text)
+    run(["cohomology", "--group", str(a), "--p", "2", "--format", "records"],
+        capsys)
+    argv = ["cohomology", "--group", str(b), "--p", "2", "--format", "records"]
+    _, cached = run(argv, capsys)
+    _, fresh = run(argv + ["--no-cache"], capsys)
+    assert cached == fresh
+    assert records(cached)[1]["group"] == str(b)
+
+
+def test_memoised_state_does_not_change_output(capsys):
+    dwyer = ["verify", "dwyer", "--group", "V4", "--p", "2", "--n", "2",
+             "--format", "records"]
+    _, first = run(dwyer, capsys)
+    code, _ = run(["verify", "twisting", "--group", "V4", "--p", "2",
+                   "--n", "3", "--k", "2", "--sample", "3", "--seed", "5",
+                   "--format", "records", "--no-cache"], capsys)
+    assert code == 0
+    _, again = run(dwyer + ["--no-cache"], capsys)
+    assert first == again

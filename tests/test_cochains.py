@@ -142,3 +142,15 @@ def test_cup_form_not_applicable():
 def test_cohomology_size_limit():
     with pytest.raises(SizeLimit):
         cc.complex_data(gr.build_cyclic(33), 2)
+
+
+def test_complex_data_is_memoised_on_the_group_and_prime():
+    data = cc.complex_data(gr.build_quaternion8(), 2)
+    # an equal table built again maps to the same instance
+    assert cc.complex_data(gr.build_quaternion8(), 2) is data
+    assert data.d1 is data.d1 and data.h2_data() is data.h2_data()
+    dim, reps = data.h2_data()
+    fresh_dim, fresh_reps = cc.ComplexData.h2_data.__wrapped__(
+        cc.ComplexData(gr.build_quaternion8(), 2))
+    assert dim == fresh_dim == 2
+    assert [r.tolist() for r in reps] == [r.tolist() for r in fresh_reps]

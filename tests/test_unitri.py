@@ -126,3 +126,26 @@ def test_central_series():
     assert positions[0] == (1, 4)  # largest span adjoined first
     chain4, _ = ut.central_series_ker_phi(4, 2)
     assert len(chain4) - 1 == 6
+
+
+def _same_hom(a, b):
+    return (a.domain.mul, a.codomain.mul, a.images) == \
+        (b.domain.mul, b.codomain.mul, b.images)
+
+
+def test_derived_maps_are_memoised_and_match_a_fresh_build():
+    for n, p in ((2, 2), (2, 3)):
+        cached = ut.zeta_kappa_targets(n, p)
+        assert ut.zeta_kappa_targets(n, p) is cached
+        fresh = ut.zeta_kappa_targets.__wrapped__(n, p)
+        for (quot, hom), (fresh_quot, fresh_hom) in zip(cached, fresh):
+            assert quot.group.mul == fresh_quot.group.mul
+            assert quot.coset_of == fresh_quot.coset_of
+            assert _same_hom(hom, fresh_hom)
+    fq = ut.fiber_quotient(2, 4, 2)
+    assert ut.fiber_quotient(2, 4, 2) is fq
+    assert fq.rho_hom() is fq.rho_hom()
+    assert _same_hom(fq.rho_hom(), ut.FiberQuotient.rho_hom.__wrapped__(fq))
+    U = ut.unitri_group(4, 2)
+    assert U.phi_hom() is U.phi_hom()
+    assert _same_hom(U.phi_hom(), ut.UniTriGroup.phi_hom.__wrapped__(U))
