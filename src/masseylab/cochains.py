@@ -141,6 +141,7 @@ class ComplexData:
         if G.order > MAX_COHOMOLOGY_ORDER:
             raise SizeLimit(
                 f"|G| = {G.order} > {MAX_COHOMOLOGY_ORDER} for cohomology")
+        gfp.check_prime(p)
         self.G = G
         self.p = p
 

@@ -1,13 +1,37 @@
 """Dense linear algebra over the prime field F_p.
 
-Everything is exact integer arithmetic on numpy int64 arrays; matrices stay
-small (cochain complexes of groups of order <= 32), so plain Gaussian
-elimination is fine.
+Matrices are numpy int64 arrays with entries in 0..p-1. `rref` is a blocked
+elimination: it takes the rows in blocks of max(ncols, 64), reduces each
+block against the RREF R of the rows before it with one product
+B - B[:, pivots] @ R, eliminates the nonzero residual with pivot steps that
+touch only the rows with a nonzero in the pivot column, clears the new pivot
+columns from R with one more product and merges the rows by pivot column.
+It stops once every column is a pivot. The RREF is unique, so the result
+does not depend on the blocking.
+
+The products run in float64, which reaches BLAS where numpy's int64 matmul
+does not. With both factors in 0..p-1 every partial sum of an inner
+dimension k is an integer of at most k(p-1)^2, so the product is exact
+while k(p-1)^2 < 2^53; `_matmul` raises SizeLimit before a product that
+could break this.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import BadParameter, SizeLimit
+
+MAX_PRIME = 13
+_EXACT_LIMIT = 2 ** 53
+_MIN_BLOCK = 64
+
+
+def check_prime(p: int) -> None:
+    """Raise BadParameter unless p is a prime <= MAX_PRIME."""
+    if p < 2 or p > MAX_PRIME or \
+            any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        raise BadParameter(f"modulus {p} must be a prime <= {MAX_PRIME}")
 
 
 def _as_matrix(rows) -> np.ndarray:
@@ -17,6 +41,41 @@ def _as_matrix(rows) -> np.ndarray:
     return a
 
 
+def _matmul(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """x @ y for int64 matrices with entries in 0..p-1, computed exactly in
+    float64 (not reduced mod p)."""
+    if x.shape[1] * (p - 1) ** 2 >= _EXACT_LIMIT:
+        raise SizeLimit(f"inner dimension {x.shape[1]} at p = {p} exceeds "
+                        "the exact float64 range")
+    return (x.astype(np.float64) @ y.astype(np.float64)).astype(np.int64)
+
+
+def _eliminate(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """RREF of a (entries in 0..p-1, modified in place); each pivot step
+    updates only the rows with a nonzero in its column."""
+    nrows, ncols = a.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = a[r:, c].nonzero()[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        # rows r.. are zero left of c, so the pivot row is too
+        a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
+        hit = a[:, c].nonzero()[0]
+        hit = hit[hit != r]
+        if hit.size:
+            a[hit, c:] = (a[hit, c:] - a[hit, c:c + 1] * a[r, c:]) % p
+        pivots.append(c)
+        r += 1
+    return a[:r], pivots
+
+
 def rref(rows, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form mod p. Returns (R, pivot column list);
     zero rows are dropped."""
@@ -24,24 +83,28 @@ def rref(rows, p: int) -> tuple[np.ndarray, list[int]]:
     if a.size == 0:
         return a.reshape(0, a.shape[1] if a.ndim == 2 else 0), []
     nrows, ncols = a.shape
+    block = max(ncols, _MIN_BLOCK)
+    R = a[:0]
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
+    for start in range(0, nrows, block):
+        if len(pivots) == ncols:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+        b = a[start:start + block]
+        if pivots:
+            b = (b - _matmul(b[:, pivots], R, p)) % p
+        b = b[b.any(axis=1)]
+        if not b.size:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r] = (a[r] * pow(int(a[r, c]), -1, p)) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        a = (a - np.outer(col, a[r])) % p
-        pivots.append(c)
-        r += 1
-    return a[:r], pivots
+        Rb, new = _eliminate(b, p)
+        if not pivots:
+            R, pivots = Rb, new
+            continue
+        R = (R - _matmul(R[:, new], Rb, p)) % p
+        pivots += new
+        order = np.argsort(pivots)
+        R = np.concatenate([R, Rb])[order]
+        pivots = [pivots[i] for i in order]
+    return R, pivots
 
 
 def rank(rows, p: int) -> int:

@@ -22,10 +22,9 @@ from .errors import (
     ParseError,
     SizeLimit,
 )
+from .gfp import check_prime
 from .groups import CONTAINER_LIMIT, FiniteGroup, GroupHom, _raw_group, \
     build_vector_group, vec_to_index
-
-MAX_PRIME = 13
 
 
 @functools.cache
@@ -154,10 +153,6 @@ def format_matrix_literal(U: UniTriMatrix) -> str:
 
 # -- the group U_n(p) ----------------------------------------------------------
 
-def _is_prime(p: int) -> bool:
-    return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
-
-
 class UniTriGroup:
     """U_n(p) with a lazily materialized multiplication table; obtain it
     through `unitri_group`, which builds one instance per (n, p)."""
@@ -165,8 +160,7 @@ class UniTriGroup:
     def __init__(self, n: int, p: int):
         if n < 1:
             raise BadParameter(f"size {n} must be >= 1")
-        if not _is_prime(p) or p > MAX_PRIME:
-            raise BadParameter(f"modulus {p} must be a prime <= {MAX_PRIME}")
+        check_prime(p)
         self.n = n
         self.p = p
         self.num_entries = n * (n - 1) // 2

@@ -72,6 +72,22 @@ def test_massey_query(tmp_path, capsys):
     assert rec["witness_lift"] is not None
 
 
+@pytest.mark.parametrize("p", ["0", "1", "4", "-3"])
+def test_cohomology_rejects_a_modulus_that_is_not_a_supported_prime(p, capsys):
+    assert cli.main(["cohomology", "--group", "V4", "--p", p]) == \
+        cli.EXIT_FAIL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "BadParameter" in captured.err
+
+
+def test_massey_query_rejects_a_modulus_that_is_not_prime(tmp_path, capsys):
+    q = tmp_path / "q.msq"
+    q.write_text("group Z2\np 4\nn 2\na 1\na 1\n")
+    assert cli.main(["massey", str(q)]) == cli.EXIT_FAIL
+    assert "BadParameter" in capsys.readouterr().err
+
+
 def test_massey_query_parse_error(tmp_path, capsys):
     q = tmp_path / "q.msq"
     q.write_text("group Z2\np 2\nn 2\na 1\n")

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -142,6 +143,29 @@ def test_cup_form_not_applicable():
 def test_cohomology_size_limit():
     with pytest.raises(SizeLimit):
         cc.complex_data(gr.build_cyclic(33), 2)
+
+
+@pytest.mark.parametrize("whole, left, right, dims", [
+    (lambda: gr.build_vector_group(2, 5), lambda: gr.build_vector_group(2, 3),
+     lambda: gr.build_vector_group(2, 2), (5, 15)),
+    (lambda: gr.build_direct_product(gr.build_dihedral(8), gr.build_cyclic(2)),
+     lambda: gr.build_dihedral(8), lambda: gr.build_cyclic(2), (3, 6)),
+    (lambda: gr.build_direct_product(gr.build_quaternion8(),
+                                     gr.build_vector_group(2, 2)),
+     gr.build_quaternion8, lambda: gr.build_vector_group(2, 2), (4, 9)),
+], ids=["Z2^5", "D8xZ2", "Q8xV4"])
+def test_order_32_cohomology_matches_kuenneth(whole, left, right, dims):
+    """Over a field, h1(GxH) = h1(G) + h1(H) and
+    h2(GxH) = h2(G) + h1(G) h1(H) + h2(H)."""
+    a, b = cc.demushkin_check(left(), 2), cc.demushkin_check(right(), 2)
+    kuenneth = (a["dim_h1"] + b["dim_h1"],
+                a["dim_h2"] + a["dim_h1"] * b["dim_h1"] + b["dim_h2"])
+    G = whole()
+    assert G.order == 32
+    start = time.perf_counter()
+    got = cc.demushkin_check(G, 2)
+    assert time.perf_counter() - start < 10
+    assert (got["dim_h1"], got["dim_h2"]) == kuenneth == dims
 
 
 def test_complex_data_is_memoised_on_the_group_and_prime():
