@@ -33,14 +33,9 @@ EXIT_USAGE = 3
 
 @dataclass
 class RunConfig:
-    budget: int = 10 ** 7
     fmt: str = "text"
     seed: int = 0
     no_cache: bool = False
-
-    def __post_init__(self):
-        if self.budget <= 0:
-            raise MasseyLabError("budget must be > 0")
 
 
 # -- fixtures ------------------------------------------------------------------
@@ -387,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "records"),
                         default="text")
-    common.add_argument("--budget", type=int, default=10 ** 7)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--no-cache", action="store_true")
 
@@ -424,8 +418,7 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code else EXIT_OK
-    cfg = RunConfig(budget=args.budget, fmt=args.format, seed=args.seed,
-                    no_cache=args.no_cache)
+    cfg = RunConfig(fmt=args.format, seed=args.seed, no_cache=args.no_cache)
     try:
         if args.cmd == "group":
             if args.action in ("show", "check") and not args.target:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -81,19 +80,6 @@ class Cochain:
 
 def zero_cochain(G: FiniteGroup, p: int, degree: int) -> Cochain:
     return Cochain(G, p, degree, (0,) * max(1, (G.order - 1) ** degree))
-
-
-def cochain_from_values(G: FiniteGroup, p: int, degree: int,
-                        values: Sequence[int]) -> Cochain:
-    want = max(1, (G.order - 1) ** degree)
-    if len(values) != want:
-        raise ShapeMismatch(f"expected {want} values, got {len(values)}")
-    return Cochain(G, p, degree, tuple(v % p for v in values))
-
-
-def cochain_from_hom(a: GroupHom, p: int) -> Cochain:
-    """Degree-1 cochain from a homomorphism G -> Z/p."""
-    return Cochain(a.domain, p, 1, tuple(a.images[1:]))
 
 
 def _tuples(N: int, d: int):

@@ -52,19 +52,6 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def power(self, x: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inv[x], -k)
-        r = 0
-        sq = x
-        while k:
-            if k & 1:
-                r = self.mul[r][sq]
-            k >>= 1
-            if k:
-                sq = self.mul[sq][sq]
-        return r
-
     def element_order(self, x: int) -> int:
         if not 0 <= x < self.order:
             raise IndexOutOfRange(f"element {x} not in group of order {self.order}")
@@ -76,10 +63,6 @@ class FiniteGroup:
 
     def involutions(self) -> list[int]:
         return [x for x in range(1, self.order) if self.mul[x][x] == 0]
-
-    def centralizer(self, t: int) -> list[int]:
-        return [x for x in self.elements()
-                if self.mul[x][t] == self.mul[t][x]]
 
     def is_abelian(self) -> bool:
         m = self.mul

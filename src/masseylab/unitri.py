@@ -9,9 +9,8 @@ entries are stored packed in row-major order.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .errors import (
 )
 from .gfp import check_prime
 from .groups import CONTAINER_LIMIT, FiniteGroup, GroupHom, _raw_group, \
-    build_vector_group, vec_to_index
+    build_vector_group, index_to_vec, vec_to_index
 
 
 @functools.cache
@@ -37,8 +36,42 @@ def _pos_index(n: int) -> dict:
     return {pos: idx for idx, pos in enumerate(_positions(n))}
 
 
+@functools.cache
+def _product_plan(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each packed position (i, j), the packed positions of its
+    (i, k), (k, j) factor pairs, i < k < j."""
+    pidx = _pos_index(n)
+    return tuple(tuple((pidx[(i, k)], pidx[(k, j)]) for k in range(i + 1, j))
+                 for (i, j) in _positions(n))
+
+
+def _product(a, b, plan, p: int) -> list:
+    """The product rule of U_n(p) on packed entries:
+    (AB)_ij = a_ij + b_ij + sum_k a_ik b_kj.  `a` holds ints; `b` holds
+    ints, or numpy columns to multiply `a` by a batch of elements at once."""
+    out = []
+    for t, terms in enumerate(plan):
+        v = a[t] + b[t]
+        for s, u in terms:
+            v += a[s] * b[u]
+        out.append(v % p)
+    return out
+
+
+@functools.cache
+def _block_positions(n: int, a: int, off: int) -> tuple[int, ...]:
+    """Packed positions in U_n of the a-block with top-left corner at
+    (off + 1, off + 1), in the block's own packed order."""
+    if not 1 <= a <= n:
+        raise IndexOutOfRange(f"block size {a} outside 1..{n}")
+    pidx = _pos_index(n)
+    return tuple(pidx[(off + i, off + j)] for (i, j) in _positions(a))
+
+
 @dataclass(frozen=True)
 class UniTriMatrix:
+    """One element of U_n(p) as a matrix, for parsing, printing and
+    witnesses; inside the lab an element is its index in `UniTriGroup`."""
     n: int
     p: int
     entries: tuple  # strictly-upper entries, row-major
@@ -55,45 +88,19 @@ class UniTriMatrix:
     def mul(self, other: "UniTriMatrix") -> "UniTriMatrix":
         if (self.n, self.p) != (other.n, other.p):
             raise BadParameter("matrix sizes/moduli differ")
-        n, p = self.n, self.p
-        pidx = _pos_index(n)
-        out = []
-        for (i, j) in _positions(n):
-            v = self.entries[pidx[(i, j)]] + other.entries[pidx[(i, j)]]
-            for k in range(i + 1, j):
-                v += self.entries[pidx[(i, k)]] * other.entries[pidx[(k, j)]]
-            out.append(v % p)
-        return UniTriMatrix(n, p, tuple(out))
+        return UniTriMatrix(self.n, self.p, tuple(_product(
+            self.entries, other.entries, _product_plan(self.n), self.p)))
 
     def inverse(self) -> "UniTriMatrix":
-        # Neumann series terminates: (I+N)^-1 = I - N + N^2 - ...
-        rows = np.array(self.to_rows(), dtype=np.int64)
-        n, p = self.n, self.p
-        N = rows - np.eye(n, dtype=np.int64)
-        acc = np.eye(n, dtype=np.int64)
-        term = np.eye(n, dtype=np.int64)
-        for _ in range(n - 1):
-            term = (-term @ N) % p
-            acc = (acc + term) % p
-        return from_rows(acc.tolist(), p)
+        """U^-1 = U^(k-1), where k is the order of U."""
+        prev, power = identity_matrix(self.n, self.p), self
+        while not power.is_identity():
+            prev, power = power, power.mul(self)
+        return prev
 
     def phi(self) -> tuple:
         """Superdiagonal vector (e_12, e_23, ..., e_{n-1,n})."""
-        pidx = _pos_index(self.n)
-        return tuple(self.entries[pidx[(i, i + 1)]] for i in range(1, self.n))
-
-    def block_upper_left(self, a: int) -> "UniTriMatrix":
-        if not 1 <= a <= self.n:
-            raise IndexOutOfRange(f"block size {a} outside 1..{self.n}")
-        vals = [self.entry(i, j) for (i, j) in _positions(a)]
-        return UniTriMatrix(a, self.p, tuple(vals))
-
-    def block_lower_right(self, a: int) -> "UniTriMatrix":
-        if not 1 <= a <= self.n:
-            raise IndexOutOfRange(f"block size {a} outside 1..{self.n}")
-        off = self.n - a
-        vals = [self.entry(off + i, off + j) for (i, j) in _positions(a)]
-        return UniTriMatrix(a, self.p, tuple(vals))
+        return tuple(self.entry(i, i + 1) for i in range(1, self.n))
 
     def to_rows(self) -> list[list[int]]:
         return [[self.entry(i, j) for j in range(1, self.n + 1)]
@@ -154,8 +161,10 @@ def format_matrix_literal(U: UniTriMatrix) -> str:
 # -- the group U_n(p) ----------------------------------------------------------
 
 class UniTriGroup:
-    """U_n(p) with a lazily materialized multiplication table; obtain it
-    through `unitri_group`, which builds one instance per (n, p)."""
+    """U_n(p), whose elements are indices: the index of an element is its
+    packed strictly-upper entries read as base-p digits, first digit most
+    significant, so index 0 is the identity.  Obtain it through
+    `unitri_group`, which builds one instance per (n, p)."""
 
     def __init__(self, n: int, p: int):
         if n < 1:
@@ -165,49 +174,85 @@ class UniTriGroup:
         self.p = p
         self.num_entries = n * (n - 1) // 2
         self.order = p ** self.num_entries
+        # the place value of each packed position in an index
+        self.weights = tuple(p ** (self.num_entries - 1 - t)
+                             for t in range(self.num_entries))
 
     def materializable(self) -> bool:
         return self.order <= CONTAINER_LIMIT
 
-    @functools.cache
-    def elements(self) -> tuple[UniTriMatrix, ...]:
+    def elements(self) -> range:
         if not self.materializable():
             raise SizeLimit(
                 f"|U_{self.n}({self.p})| = {self.order} > {CONTAINER_LIMIT}")
-        return tuple(UniTriMatrix(self.n, self.p, e)
-                     for e in itertools.product(range(self.p),
-                                                repeat=self.num_entries))
-
-    @functools.cache
-    def _index(self) -> dict:
-        return {m.entries: i for i, m in enumerate(self.elements())}
+        return range(self.order)
 
     def index_of(self, U: UniTriMatrix) -> int:
-        return self._index()[U.entries]
+        if (U.n, U.p) != (self.n, self.p):
+            raise BadParameter(f"matrix does not live in U_{self.n}({self.p})")
+        return vec_to_index(self.p, U.entries)
 
     def matrix_of(self, idx: int) -> UniTriMatrix:
-        return self.elements()[idx]
+        if not 0 <= idx < self.order:
+            raise IndexOutOfRange(f"element {idx} not in U_{self.n}({self.p})")
+        return UniTriMatrix(self.n, self.p,
+                            index_to_vec(self.p, self.num_entries, idx))
+
+    def index_from(self, entry: Callable[[int, int], int]) -> int:
+        """Index of the element whose (i, j) entry is entry(i, j)."""
+        return vec_to_index(self.p, [entry(i, j) for (i, j) in _positions(self.n)])
+
+    def read(self, idx: int, positions: Sequence[int]) -> int:
+        """Entries of element idx at the given packed positions, read as
+        base-p digits, first digit most significant."""
+        x, p, w = 0, self.p, self.weights
+        for t in positions:
+            x = x * p + idx // w[t] % p
+        return x
 
     def entry_of(self, idx: int, i: int, j: int) -> int:
-        return self.matrix_of(idx).entry(i, j)
+        if not (1 <= i <= self.n and 1 <= j <= self.n):
+            raise IndexOutOfRange(f"({i},{j}) outside a {self.n}x{self.n} matrix")
+        if i >= j:
+            return int(i == j)
+        return idx // self.weights[_pos_index(self.n)[(i, j)]] % self.p
+
+    def upper_left(self, idx: int, a: int) -> int:
+        """Index in U_a(p) of the upper-left a-block of element idx."""
+        return self.read(idx, _block_positions(self.n, a, 0))
+
+    def lower_right(self, idx: int, a: int) -> int:
+        """Index in U_a(p) of the lower-right a-block of element idx."""
+        return self.read(idx, _block_positions(self.n, a, self.n - a))
+
+    def vanishing_on(self, positions: Sequence[int]) -> list[int]:
+        """The elements whose entries at the given packed positions are all
+        0, ascending."""
+        return [x for x in self.elements() if self.read(x, positions) == 0]
 
     @functools.cache
     def as_finite_group(self) -> FiniteGroup:
-        elems = self.elements()
-        n, p, order = self.n, self.p, self.order
-        mats = np.array([m.to_rows() for m in elems], dtype=np.int64)
-        iu = np.triu_indices(n, 1)
-        index = {}
-        for i, m in enumerate(elems):
-            index[np.asarray(mats[i][iu]).tobytes()] = i
+        """The multiplication table, one row at a time: the product rule
+        runs on the columns of the [order, n(n-1)/2] array of every
+        element's packed entries, and the products' indices are packed
+        back arithmetically."""
+        n, p = self.n, self.p
+        digits = np.array(self.elements())[:, None] // \
+            np.array(self.weights, dtype=np.int64)
+        digits %= p
+        columns = list(digits.T)
+        plan = _product_plan(n)
+        # cells share one int object per element: fresh ints from numpy
+        # would cost 28 bytes a cell, 28 MB for U_5(2)
+        elements = list(self.elements())
         table = []
-        for x in range(order):
-            prod = (mats[x] @ mats) % p
-            packed = prod[:, iu[0], iu[1]]
-            table.append(tuple(index[packed[y].tobytes()]
-                               for y in range(order)))
-        gens = tuple(self.index_of(self.elementary(i, i + 1)) + 0
-                     for i in range(1, n)) or ()
+        for row in digits.tolist():
+            idx = np.zeros(self.order, dtype=np.int64)
+            for v in _product(row, columns, plan, p):
+                idx = idx * p + v
+            table.append(tuple(map(elements.__getitem__, idx.tolist())))
+        gens = tuple(self.index_of(self.elementary(i, i + 1))
+                     for i in range(1, n))
         return _raw_group(table, gens, f"U{n}({p})",
                           meta={"kind": "unitri", "n": n, "p": p})
 
@@ -221,7 +266,9 @@ class UniTriGroup:
         """The superdiagonal map as a hom onto (Z/p)^(n-1)."""
         target = build_vector_group(self.p, self.n - 1)
         G = self.as_finite_group()
-        images = tuple(vec_to_index(self.p, m.phi()) for m in self.elements())
+        superdiagonal = [_pos_index(self.n)[(i, i + 1)]
+                         for i in range(1, self.n)]
+        images = tuple(self.read(x, superdiagonal) for x in G.elements())
         return GroupHom(G, target, images)
 
 
@@ -238,22 +285,24 @@ class NamedSubgroup:
     kind: str           # "Z", "P" or "M"
     k: Optional[int] = None
 
-    def contains(self, U: UniTriMatrix) -> bool:
-        m = self.parent.n
+    def zero_positions(self) -> tuple[int, ...]:
+        """The packed positions where every member has entry 0."""
+        m, k = self.parent.n, self.k
         if self.kind == "Z":
-            return all(U.entry(i, j) == 0 for (i, j) in _positions(m)
-                       if (i, j) != (1, m))
-        if self.kind == "P":
-            return all(U.entry(i, j) == 0 for (i, j) in _positions(m)
-                       if j - i in (1, 2))
-        if self.kind == "M":
-            return all(U.entry(i, j) == 0 for (i, j) in _positions(m)
-                       if j <= m - 1 or (j == m and self.k <= i <= m - 1))
-        raise BadParameter(f"unknown subgroup kind {self.kind!r}")
+            zero = lambda i, j: (i, j) != (1, m)
+        elif self.kind == "P":
+            zero = lambda i, j: j - i in (1, 2)
+        elif self.kind == "M":
+            zero = lambda i, j: j < m or i >= k
+        else:
+            raise BadParameter(f"unknown subgroup kind {self.kind!r}")
+        return tuple(t for t, (i, j) in enumerate(_positions(m)) if zero(i, j))
+
+    def contains(self, idx: int) -> bool:
+        return self.parent.read(idx, self.zero_positions()) == 0
 
     def element_indices(self) -> list[int]:
-        return [i for i, mat in enumerate(self.parent.elements())
-                if self.contains(mat)]
+        return self.parent.vanishing_on(self.zero_positions())
 
     def order(self) -> int:
         return len(self.element_indices())
@@ -277,16 +326,10 @@ class CosetQuotient:
     representatives of smallest element index."""
 
     def __init__(self, parent: FiniteGroup, normal: Sequence[int],
-                 label: str = "Q", check_normal: bool = True):
+                 label: str = "Q"):
         normal = sorted(set(normal))
         if 0 not in normal:
             raise BadParameter("normal subgroup must contain the identity")
-        if check_normal:
-            for g in parent.elements():
-                for s in normal:
-                    if parent.conjugate(g, s) not in set(normal):
-                        raise BadParameter(
-                            f"subgroup not normal: conj({g},{s}) escapes")
         coset_of = [-1] * parent.order
         reps: list[int] = []
         for x in parent.elements():
@@ -327,7 +370,7 @@ def zeta_kappa_targets(n: int, p: int):
     for kind in ("Z", "P"):
         sub = named_subgroup(U, kind)
         quot = CosetQuotient(G, sub.element_indices(),
-                             label=f"U{n + 1}({p})/{kind}", check_normal=False)
+                             label=f"U{n + 1}({p})/{kind}")
         # induced map: well-defined iff phi is constant on cosets
         images = [None] * quot.group.order
         for x in G.elements():
@@ -346,9 +389,10 @@ def zeta_kappa_targets(n: int, p: int):
 # -- fiber-product quotients Q_{k,m} ------------------------------------------
 
 class FiberQuotient:
-    """U_m(p)/M_{k,m} realized as pairs (A, B) with A in U_{m-1}(p),
-    B in U_{m+1-k}(p) agreeing on the overlapping (m-k)-block; obtain it
-    through `fiber_quotient`, which builds one instance per (k, m, p)."""
+    """U_m(p)/M_{k,m} realized as pairs (a, b) of element indices, a in
+    U_{m-1}(p) and b in U_{m+1-k}(p), whose matrices agree on the
+    overlapping (m-k)-block; obtain it through `fiber_quotient`, which
+    builds one instance per (k, m, p)."""
 
     def __init__(self, k: int, m: int, p: int):
         if not 1 <= k <= m - 1:
@@ -359,53 +403,52 @@ class FiberQuotient:
         if not (self.left.materializable() and self.right.materializable()):
             raise SizeLimit(f"Q_{{{k},{m}}}({p}) factors exceed the bound")
         overlap = m - k
-        pairs = []
-        for A in self.left.elements():
-            keyA = A.block_lower_right(overlap).entries
-            for B in self.right.elements():
-                if B.block_upper_left(overlap).entries == keyA:
-                    pairs.append((A, B))
+        over_right: dict[int, list[int]] = {}
+        for b in self.right.elements():
+            over_right.setdefault(self.right.upper_left(b, overlap), []).append(b)
+        pairs = [(a, b) for a in self.left.elements()
+                 for b in over_right[self.left.lower_right(a, overlap)]]
         self.pairs = pairs
-        self._index = {(A.entries, B.entries): i
-                       for i, (A, B) in enumerate(pairs)}
+        self._index = {pair: i for i, pair in enumerate(pairs)}
         self.order = len(pairs)
         if self.order > CONTAINER_LIMIT:
             raise SizeLimit(f"|Q_{{{k},{m}}}({p})| = {self.order}")
-        table = [[self._index[((Ax.mul(Ay)).entries, (Bx.mul(By)).entries)]
-                  for (Ay, By) in pairs] for (Ax, Bx) in pairs]
+        mats = [(self.left.matrix_of(a), self.right.matrix_of(b))
+                for a, b in pairs]
+        table = [[self._index[(vec_to_index(p, Ax.mul(Ay).entries),
+                               vec_to_index(p, Bx.mul(By).entries))]
+                  for (Ay, By) in mats] for (Ax, Bx) in mats]
         # generators: images of U_m's superdiagonal elementaries
         Um = unitri_group(m, p)
-        gens = tuple(sorted({self.from_parent(Um.elementary(i, i + 1))
+        gens = tuple(sorted({self.from_parent(Um.index_of(Um.elementary(i, i + 1)))
                              for i in range(1, m)} - {0}))
         self.group = _raw_group(table, gens or ((1,) if self.order > 1 else ()),
                                 f"Q({k},{m};{p})",
                                 meta={"kind": "fiber-quotient",
                                       "k": k, "m": m, "p": p})
 
-    def from_parent(self, U: UniTriMatrix) -> int:
-        """The quotient map U_m(p) -> Q_{k,m}."""
-        if U.n != self.m or U.p != self.p:
-            raise BadParameter("matrix does not live in the parent group")
-        return self._index[(U.block_upper_left(self.m - 1).entries,
-                            U.block_lower_right(self.m + 1 - self.k).entries)]
+    def from_parent(self, idx: int) -> int:
+        """The quotient map U_m(p) -> Q_{k,m} on element indices."""
+        Um = unitri_group(self.m, self.p)
+        return self._index[(Um.upper_left(idx, self.m - 1),
+                            Um.lower_right(idx, self.m + 1 - self.k))]
 
     @functools.cache
     def parent_quotient_hom(self) -> GroupHom:
-        Um = unitri_group(self.m, self.p)
-        G = Um.as_finite_group()
+        G = unitri_group(self.m, self.p).as_finite_group()
         return GroupHom(G, self.group,
-                        tuple(self.from_parent(mat) for mat in Um.elements()))
+                        tuple(self.from_parent(x) for x in G.elements()))
 
     def entry_of(self, idx: int, i: int, j: int) -> int:
         """Entry e_{ij} of any parent-coset representative; defined exactly
         for the entries constant on M_{k,m}-cosets (all (i,j) with j < m,
         plus (i,m) for i >= k)."""
-        A, B = self.pairs[idx]
+        a, b = self.pairs[idx]
         if j <= self.m - 1:
-            return A.entry(i, j)
+            return self.left.entry_of(a, i, j)
         if i >= self.k:
             off = self.k - 1
-            return B.entry(i - off, j - off)
+            return self.right.entry_of(b, i - off, j - off)
         raise IndexOutOfRange(
             f"entry ({i},{j}) is not constant on cosets of M_{{{self.k},{self.m}}}")
 
@@ -429,25 +472,21 @@ class FiberQuotient:
     @functools.cache
     def rho_hom(self) -> GroupHom:
         tgt = self.rho_target()
-        images = []
-        for (A, B) in self.pairs:
-            images.append(tgt._index[(A.entries,
-                                      B.block_lower_right(self.m - self.k).entries)])
-        return GroupHom(self.group, tgt.group, tuple(images))
+        a_block = self.m - self.k
+        images = tuple(tgt._index[(a, self.right.lower_right(b, a_block))]
+                       for a, b in self.pairs)
+        return GroupHom(self.group, tgt.group, images)
 
     def iota(self, idx: int) -> int:
         """Identify Ker(rho_{k,m}) with Z/p via (I, B) -> e_{1,m+1-k}(B)."""
-        A, B = self.pairs[idx]
-        if not A.is_identity() or \
-                not named_subgroup(self.right, "Z").contains(B):
+        a, b = self.pairs[idx]
+        if a != 0 or not named_subgroup(self.right, "Z").contains(b):
             raise NotInKernel(f"element {idx} is not in Ker(rho)")
-        return B.entry(1, self.m + 1 - self.k)
+        return self.right.entry_of(b, 1, self.m + 1 - self.k)
 
     def iota_inv(self, c: int) -> int:
-        A = identity_matrix(self.m - 1, self.p)
-        B = self.right.elementary(1, self.m + 1 - self.k, c % self.p) \
-            if c % self.p else identity_matrix(self.m + 1 - self.k, self.p)
-        return self._index[(A.entries, B.entries)]
+        corner = self.right.elementary(1, self.m + 1 - self.k, c)
+        return self._index[(0, self.right.index_of(corner))]
 
     def kernel_of_rho(self) -> list[int]:
         rho = self.rho_hom()
@@ -463,11 +502,9 @@ class FiberQuotient:
             raise BadParameter(f"target index {k_target} must be below {self.k}")
         m2 = self.m - (self.k - k_target)
         tgt = fiber_quotient(k_target, m2, self.p)
-        images = []
-        for (A, B) in self.pairs:
-            images.append(tgt._index[(A.block_lower_right(m2 - 1).entries,
-                                      B.entries)])
-        return tgt, GroupHom(self.group, tgt.group, tuple(images))
+        images = tuple(tgt._index[(self.left.lower_right(a, m2 - 1), b)]
+                       for a, b in self.pairs)
+        return tgt, GroupHom(self.group, tgt.group, images)
 
 
 @functools.cache
@@ -486,19 +523,12 @@ def central_series_ker_phi(n: int, p: int):
     of the materialized U_{n+1}(p) and positions is the adjoin order.
     """
     U = unitri_group(n + 1, p)
-    elems = U.elements()
+    positions = _positions(n + 1)
     order = [(i, j) for span in range(n, 1, -1)
-             for (i, j) in _positions(n + 1) if j - i == span]
-    pidx = _pos_index(n + 1)
-
-    def supported(mat, allowed):
-        return all(mat.entries[pidx[pos]] == 0
-                   for pos in _positions(n + 1)
-                   if pos not in allowed)
-
+             for (i, j) in positions if j - i == span]
     chain = []
     for t in range(len(order) + 1):
         allowed = set(order[:t])
-        chain.append({i for i, mat in enumerate(elems)
-                      if supported(mat, allowed)})
+        chain.append(set(U.vanishing_on(
+            [s for s, pos in enumerate(positions) if pos not in allowed])))
     return chain, order

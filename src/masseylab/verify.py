@@ -22,7 +22,8 @@ from .errors import (
     NotApplicable,
     SizeMismatch,
 )
-from .groups import FiniteGroup, GroupHom, build_cyclic, enumerate_homs
+from .groups import FiniteGroup, GroupHom, build_cyclic, enumerate_homs, \
+    vec_to_index
 from .unitri import (
     UniTriMatrix,
     central_series_ker_phi,
@@ -77,14 +78,12 @@ def case_by_case_audit() -> dict:
     """All preimages of (1,1) and of (0,0) under the superdiagonal map in
     U_3(2), with their element orders."""
     U = unitri_group(3, 2)
-    by_phi: dict[tuple, list] = {}
-    for mat in U.elements():
-        by_phi.setdefault(mat.phi(), []).append(mat)
+    G, phi = U.as_finite_group(), U.phi_hom()
     rec = {}
     for key in ((1, 1), (0, 0)):
-        mats = by_phi[key]
-        rec[key] = {"count": len(mats),
-                    "orders": sorted(m.order() for m in mats)}
+        orders = sorted(G.element_order(x) for x in G.elements()
+                        if phi(x) == vec_to_index(2, key))
+        rec[key] = {"count": len(orders), "orders": orders}
     rec["verdict"] = all(o > 2 for o in rec[(1, 1)]["orders"])
     return rec
 
@@ -100,21 +99,15 @@ def splice_lifts(left: GroupHom, right: GroupHom) -> GroupHom:
         raise SizeMismatch("factors must share the domain and the prime")
     a, b, p = lm["n"], rm["n"], lm["p"]
     Ul, Ur, U = unitri_group(a, p), unitri_group(b, p), unitri_group(a + b, p)
-    G = U.as_finite_group()
-    images = []
-    for g in left.domain.elements():
-        A = Ul.matrix_of(left(g))
-        B = Ur.matrix_of(right(g))
-        rows = [[0] * (a + b) for _ in range(a + b)]
-        for i in range(a):
-            for j in range(a):
-                rows[i][j] = A.entry(i + 1, j + 1)
-        for i in range(b):
-            for j in range(b):
-                rows[a + i][a + j] = B.entry(i + 1, j + 1)
-        from .unitri import from_rows
-        images.append(U.index_of(from_rows(rows, p)))
-    return GroupHom(left.domain, G, tuple(images)).check()
+
+    def entry(g, i, j):
+        """Entry (i, j) of the block-diagonal image of g."""
+        if j <= a:
+            return Ul.entry_of(left(g), i, j)
+        return Ur.entry_of(right(g), i - a, j - a) if i > a else 0
+    images = tuple(U.index_from(functools.partial(entry, g))
+                   for g in left.domain.elements())
+    return GroupHom(left.domain, U.as_finite_group(), images).check()
 
 
 # -- the central filtration drill ----------------------------------------------
@@ -129,8 +122,7 @@ class _FiltrationTower:
         self.U = unitri_group(n + 1, p)
         UG = self.U.as_finite_group()
         chain, self.positions = central_series_ker_phi(n, p)
-        self.quots = [CosetQuotient(UG, sorted(nt), label=f"U/N{t}",
-                                    check_normal=False)
+        self.quots = [CosetQuotient(UG, sorted(nt), label=f"U/N{t}")
                       for t, nt in enumerate(chain)]
         self.steps = len(chain) - 1
         # alpha_t : U/N_t -> U/N_{t+1}
@@ -283,9 +275,9 @@ def structure_audit(m: int, p: int) -> list[dict]:
         normal = all(G.conjugate(g, s) in members
                      for g in G.elements() for s in members)
         # M = Ker(upper-left (m-1)-block) \cap Ker(lower-right (m+1-k)-block)
-        both_kernels = {i for i, mat in enumerate(U.elements())
-                        if mat.block_upper_left(m - 1).is_identity()
-                        and mat.block_lower_right(m + 1 - k).is_identity()}
+        both_kernels = {x for x in G.elements()
+                        if U.upper_left(x, m - 1) == 0
+                        and U.lower_right(x, m + 1 - k) == 0}
         fq = fiber_quotient(k, m, p)
         proj = fq.parent_quotient_hom()
         rec = {
@@ -389,11 +381,8 @@ def demushkin_descent(G: FiniteGroup, p: int, chars) -> GroupHom:
     m = n + 1
     left = demushkin_descent(G, p, chars[:-1])     # -> U_n(p)
     right = demushkin_descent(G, p, chars[-2:])    # -> U_3(p)
-    Un, U3 = unitri_group(n, p), unitri_group(3, p)
     fq = fiber_quotient(n - 1, m, p)
-    images = tuple(fq._index[(Un.matrix_of(left(g)).entries,
-                              U3.matrix_of(right(g)).entries)]
-                   for g in G.elements())
+    images = tuple(fq._index[(left(g), right(g))] for g in G.elements())
     psi = GroupHom(G, fq.group, images).check()
     for k in range(n - 1, 1, -1):
         o = em.rho_step_obstruction(psi, k, m, p)
@@ -408,17 +397,12 @@ def demushkin_descent(G: FiniteGroup, p: int, chars) -> GroupHom:
         psi = em.solve(E)
         if psi is None:
             raise MasseyLabError("zero obstruction but no lift found")
-    # psi now lands in Q_{1,m} ~ U_m; rebuild the matrices
-    from .unitri import from_rows
+    # psi now lands in Q_{1,m} = U_m: the right factor of a pair is the
+    # whole matrix
     Um = unitri_group(m, p)
-    UG = Um.as_finite_group()
     fq1 = fiber_quotient(1, m, p)
-    out = []
-    for g in G.elements():
-        rows = [[fq1.entry_of(psi(g), i, j) if j > i else (1 if i == j else 0)
-                 for j in range(1, m + 1)] for i in range(1, m + 1)]
-        out.append(Um.index_of(from_rows(rows, p)))
-    sol = GroupHom(G, UG, tuple(out)).check()
+    sol = GroupHom(G, Um.as_finite_group(),
+                   tuple(fq1.pairs[psi(g)][1] for g in G.elements())).check()
     forced = q.forced_hom()
     phi = Um.phi_hom()
     if any(phi(sol(g)) != forced(g) for g in G.elements()):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -169,3 +170,49 @@ def test_memoised_state_does_not_change_output(capsys):
     assert code == 0
     _, again = run(dwyer + ["--no-cache"], capsys)
     assert first == again
+
+
+def test_tuple_budget_exceeded_exits_2(capsys):
+    code, out = run(["verify", "strong-vanishing", "--group", "Z2", "--p",
+                     "2", "--n", "4", "--tuple-budget", "1", "--no-cache",
+                     "--format", "records"], capsys)
+    assert code == cli.EXIT_BUDGET == 2
+    recs = records(out)
+    assert recs[1:-1] and all(r["verdict"] == "budget-exceeded"
+                              for r in recs[1:-1])
+    assert recs[-1] == {"summary": {"budget-exceeded": len(recs) - 2}}
+
+
+def test_budget_flag_is_gone(capsys):
+    assert cli.main(["verify", "case-by-case", "--budget", "5"]) == \
+        cli.EXIT_USAGE
+    capsys.readouterr()
+
+
+# sha256 of the `--format records --no-cache` output of cheap commands: any
+# change to a record, its order or its formatting shows here, so a change
+# that means to alter records has to pin the new hashes.
+GOLDEN_RECORDS = {
+    "verify case-by-case":
+        "c78e87bd97bf4429e88dc8ddb687f8600ce1d2940a9d496c15e2771b8f31f5d4",
+    "verify fiber-quotient --n 4 --p 2":
+        "a02f4e03928848a5ad26349bcfb4a0e69dc4cf6b5a182a7e2d1b0e19a7bd90be",
+    "verify dwyer --group V4 --p 2 --n 3":
+        "333c59b0ab3ad2195af124e2d7342e5c1c360b8e19a3b0a88292183cd6ce1c42",
+    "verify dwyer --group Z3 --p 3 --n 3":
+        "fad8795659cd5c1c2689d3e038763954bb9382eef8afc931f1821d12074f6a41",
+    "verify easy-vanishing --group Z3 --p 2 --n 3":
+        "2d0308e799c484307e15d5db7608e6aa77775fbe66d9b80de476b24c1ed16cd3",
+    "verify twisting --group V4 --p 2 --n 3 --k 2 --sample 20 --seed 1":
+        "e6dae6844b8fa888b2f47cee1788c6f405e7d11603fca7093f3716d21779dd60",
+    "verify strong-vanishing --group Z2 --p 2 --n 6":
+        "f67f53fef3caec42ea54b8241296e4daaecdd2ab961fa9ba31323883821a2920",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_RECORDS))
+def test_records_match_the_pinned_hash(command, capsys):
+    code, out = run([*command.split(), "--format", "records", "--no-cache"],
+                    capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_RECORDS[command]

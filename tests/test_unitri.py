@@ -1,4 +1,8 @@
+import itertools
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from masseylab import unitri as ut
 from masseylab.errors import (
@@ -149,3 +153,184 @@ def test_derived_maps_are_memoised_and_match_a_fresh_build():
     U = ut.unitri_group(4, 2)
     assert U.phi_hom() is U.phi_hom()
     assert _same_hom(U.phi_hom(), ut.UniTriGroup.phi_hom.__wrapped__(U))
+
+
+# -- the index core against the matrix-object routes it replaced --------------
+
+def positions(n):
+    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+
+
+def old_elements(n, p):
+    """Elements as matrix objects, in index order."""
+    return [ut.UniTriMatrix(n, p, e)
+            for e in itertools.product(range(p), repeat=n * (n - 1) // 2)]
+
+
+def matmul(A, B):
+    """The product of two elements through full integer matrices."""
+    rows = (np.array(A.to_rows()) @ np.array(B.to_rows())) % A.p
+    return ut.from_rows(rows.tolist(), A.p)
+
+
+def old_table(n, p):
+    """The replaced table route: one 3-D matmul per row, products looked
+    up by the bytes of their packed entries."""
+    elems = old_elements(n, p)
+    mats = np.array([m.to_rows() for m in elems], dtype=np.int64)
+    iu = np.triu_indices(n, 1)
+    index = {mats[i][iu].tobytes(): i for i in range(len(elems))}
+    table = []
+    for x in range(len(elems)):
+        packed = ((mats[x] @ mats) % p)[:, iu[0], iu[1]]
+        table.append(tuple(index[row.tobytes()] for row in packed))
+    return tuple(table)
+
+
+@pytest.mark.parametrize("n,p", [(3, 2), (3, 3), (4, 2), (3, 5)])
+def test_table_and_indices_match_the_matrix_route(n, p):
+    U = ut.unitri_group(n, p)
+    G = U.as_finite_group()
+    assert G.mul == old_table(n, p)
+    assert all(type(c) is int for row in G.mul for c in row)
+    for i, mat in enumerate(old_elements(n, p)):
+        assert U.matrix_of(i) == mat and U.index_of(mat) == i
+        for (a, b) in positions(n):
+            e = U.entry_of(i, a, b)
+            assert type(e) is int and e == mat.entry(a, b)
+    assert G.generators == tuple(U.index_of(U.elementary(i, i + 1))
+                                 for i in range(1, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(4, 3), (5, 2)]), st.data())
+def test_table_cells_match_matrix_products(size, data):
+    n, p = size
+    U = ut.unitri_group(n, p)
+    x, y = (data.draw(st.integers(0, U.order - 1)) for _ in range(2))
+    A, B = U.matrix_of(x), U.matrix_of(y)
+    mul = U.as_finite_group().mul
+    assert mul[x][y] == U.index_of(A.mul(B)) == U.index_of(matmul(A, B))
+    # one int object per element, so a 4096-element table stays small
+    assert mul[x][y] is mul[0][mul[x][y]]
+
+
+def neumann_inverse(A):
+    """(I + N)^-1 = I - N + N^2 - ..., the replaced inverse."""
+    n, p = A.n, A.p
+    N = np.array(A.to_rows(), dtype=np.int64) - np.eye(n, dtype=np.int64)
+    acc = term = np.eye(n, dtype=np.int64)
+    for _ in range(n - 1):
+        term = (-term @ N) % p
+        acc = (acc + term) % p
+    return ut.from_rows(acc.tolist(), p)
+
+
+@pytest.mark.parametrize("n,p", [(2, 3), (3, 5), (4, 2), (4, 3)])
+def test_inverse_matches_the_neumann_series(n, p):
+    for A in old_elements(n, p):
+        assert A.inverse() == neumann_inverse(A)
+
+
+def old_contains(kind, k, mat):
+    """Entry-wise membership in Z, P and M(k)."""
+    m = mat.n
+    if kind == "Z":
+        return all(mat.entry(i, j) == 0 for (i, j) in positions(m)
+                   if (i, j) != (1, m))
+    if kind == "P":
+        return all(mat.entry(i, j) == 0 for (i, j) in positions(m)
+                   if j - i in (1, 2))
+    return all(mat.entry(i, j) == 0 for (i, j) in positions(m)
+               if j <= m - 1 or (j == m and k <= i <= m - 1))
+
+
+@pytest.mark.parametrize("n,p", [(3, 2), (4, 2), (5, 2), (4, 3)])
+def test_named_subgroups_match_entrywise_membership(n, p):
+    U = ut.unitri_group(n, p)
+    elems = old_elements(n, p)
+    subgroups = [("Z", None), ("P", None)] + [("M", k) for k in range(1, n)]
+    for kind, k in subgroups:
+        sub = ut.named_subgroup(U, kind, k)
+        want = [i for i, mat in enumerate(elems) if old_contains(kind, k, mat)]
+        assert sub.element_indices() == want
+        assert [i for i in range(U.order) if sub.contains(i)] == want
+
+
+@pytest.mark.parametrize("n,p", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)])
+def test_central_series_matches_entrywise_support(n, p):
+    chain, order = ut.central_series_ker_phi(n, p)
+    elems = old_elements(n + 1, p)
+    assert order == [(i, j) for span in range(n, 1, -1)
+                     for (i, j) in positions(n + 1) if j - i == span]
+    for t, members in enumerate(chain):
+        allowed = set(order[:t])
+        assert members == {x for x, mat in enumerate(elems)
+                           if all(mat.entry(i, j) == 0
+                                  for (i, j) in positions(n + 1)
+                                  if (i, j) not in allowed)}
+
+
+def block(mat, a, off):
+    """The a-block of a matrix with top-left corner (off + 1, off + 1)."""
+    return ut.UniTriMatrix(a, mat.p, tuple(mat.entry(off + i, off + j)
+                                           for (i, j) in positions(a)))
+
+
+class OldFiber:
+    """Q_{k,m}(p) built from pairs of matrix objects."""
+
+    def __init__(self, k, m, p):
+        self.k, self.m, self.p = k, m, p
+        overlap = m - k
+        self.pairs = [(A, B) for A in old_elements(m - 1, p)
+                      for B in old_elements(m + 1 - k, p)
+                      if block(A, overlap, k - 1) == block(B, overlap, 0)]
+        self.index = {(A.entries, B.entries): i
+                      for i, (A, B) in enumerate(self.pairs)}
+        self.table = tuple(
+            tuple(self.index[(Ax.mul(Ay).entries, Bx.mul(By).entries)]
+                  for (Ay, By) in self.pairs) for (Ax, Bx) in self.pairs)
+        Um = ut.unitri_group(m, p)
+        self.gens = tuple(sorted({self.from_parent(Um.elementary(i, i + 1))
+                                  for i in range(1, m)} - {0}))
+
+    def from_parent(self, mat):
+        return self.index[(block(mat, self.m - 1, 0).entries,
+                           block(mat, self.m + 1 - self.k, self.k - 1).entries)]
+
+
+@pytest.mark.parametrize("k,m,p", [(2, 4, 2), (1, 4, 2), (2, 4, 3)])
+def test_fiber_quotient_matches_the_matrix_pairs(k, m, p):
+    fq, old = ut.fiber_quotient(k, m, p), OldFiber(k, m, p)
+    assert [(fq.left.matrix_of(a), fq.right.matrix_of(b))
+            for a, b in fq.pairs] == old.pairs
+    assert fq.group.mul == old.table
+    assert fq.group.generators == old.gens
+    assert fq.parent_quotient_hom().images == \
+        tuple(old.from_parent(mat) for mat in old_elements(m, p))
+    tgt = OldFiber(k + 1, m, p)
+    assert fq.rho_hom().images == tuple(
+        tgt.index[(A.entries, block(B, m - k, 1).entries)]
+        for A, B in old.pairs)
+    for x in fq.kernel_of_rho():
+        A, B = old.pairs[x]
+        assert A.is_identity() and fq.iota(x) == B.entry(1, m + 1 - k)
+        assert fq.iota_inv(fq.iota(x)) == x
+    for x in range(fq.order):
+        for (i, j) in positions(m):
+            if j < m or i >= k:
+                A, B = old.pairs[x]
+                want = A.entry(i, j) if j < m else \
+                    B.entry(i - k + 1, j - k + 1)
+                assert fq.entry_of(x, i, j) == want
+
+
+def test_drop_to_matches_the_lower_right_blocks():
+    fq = ut.fiber_quotient(3, 5, 2)
+    tgt, lam = fq.drop_to(2)
+    for x, (a, b) in enumerate(fq.pairs):
+        A = fq.left.matrix_of(a)
+        a2, b2 = tgt.pairs[lam(x)]
+        assert tgt.left.matrix_of(a2) == block(A, 3, 1)
+        assert b2 == b
