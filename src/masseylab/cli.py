@@ -256,19 +256,12 @@ def _char_from_gen_values(G: gr.FiniteGroup, p: int, row) -> cc.Cochain:
     if len(row) != len(gens):
         raise ParseError(f"character row has {len(row)} values for "
                          f"{len(gens)} generators")
-    if not basis:
-        if any(v % p for v in row):
-            raise ParseError("generator values do not extend to a character")
-        return cc.zero_cochain(G, p, 1)
     B = [[b.value(g) for b in basis] for g in gens]
     x = gfp.solve(np.array(B, dtype=np.int64).reshape(len(gens), len(basis)),
                   np.array(row, dtype=np.int64) % p, p)
     if x is None:
         raise ParseError("generator values do not extend to a character")
-    out = cc.zero_cochain(G, p, 1)
-    for c, b in zip(x, basis):
-        out = out + b.scale(int(c))
-    return out
+    return cc.h1_combination(G, p, x)
 
 
 def cmd_massey(args, cfg: RunConfig) -> Report:

@@ -2,9 +2,10 @@
 coefficients: coboundary, cup product, H^1 and H^2 by linear algebra over
 F_p, and the cup-form / Demushkin checker.
 
-A degree-d cochain stores its values on d-tuples of non-identity elements
-(value 0 whenever any argument is the identity), flattened in lexicographic
-element-index order.
+A degree-d cochain on a group of order N stores its (N-1)^d values on the
+d-tuples of non-identity elements (value 0 whenever any argument is the
+identity), flattened in lexicographic element-index order: one value in
+degree 0, none on the trivial group in degree >= 1.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ class Cochain:
             if g == 0:
                 return 0
             idx = idx * (self.group.order - 1) + (g - 1)
-        return self.values[idx] if self.degree else self.values[0]
+        return self.values[idx]
 
     def __add__(self, other: "Cochain") -> "Cochain":
         self._match(other)
@@ -79,42 +80,31 @@ class Cochain:
 
 
 def zero_cochain(G: FiniteGroup, p: int, degree: int) -> Cochain:
-    return Cochain(G, p, degree, (0,) * max(1, (G.order - 1) ** degree))
-
-
-def _tuples(N: int, d: int):
-    """All d-tuples of non-identity elements, lexicographic."""
-    import itertools
-    return itertools.product(range(1, N), repeat=d)
+    return Cochain(G, p, degree, (0,) * (G.order - 1) ** degree)
 
 
 def coboundary(f: Cochain) -> Cochain:
-    """Standard inhomogeneous coboundary with trivial coefficients."""
+    """Standard inhomogeneous coboundary with trivial coefficients: the
+    matrix `ComplexData.delta_matrix` applied to the values, so like
+    `complex_data` it raises SizeLimit above MAX_COHOMOLOGY_ORDER."""
     if f.degree >= MAX_DEGREE:
         raise DegreeLimit(f"coboundary of degree {f.degree} not supported")
-    G, p, d = f.group, f.p, f.degree
-    out = []
-    for gs in _tuples(G.order, d + 1):
-        v = f.value(*gs[1:])
-        for i in range(d):
-            merged = gs[:i] + (G.mul[gs[i]][gs[i + 1]],) + gs[i + 2:]
-            v += (-1) ** (i + 1) * f.value(*merged)
-        v += (-1) ** (d + 1) * f.value(*gs[:d])
-        out.append(v % p)
-    return Cochain(G, p, d + 1, tuple(out))
+    delta = complex_data(f.group, f.p).delta_matrix(f.degree)
+    return Cochain(f.group, f.p, f.degree + 1,
+                   tuple((delta @ f.vector() % f.p).tolist()))
 
 
 def cup(a: Cochain, b: Cochain) -> Cochain:
+    """(a cup b)(g_1..g_r, h_1..h_s) = a(g) b(h): with the values in
+    lexicographic tuple order this is the Kronecker product of the value
+    vectors, i.e. their outer product read row by row."""
     if a.group != b.group or a.p != b.p:
         raise ShapeMismatch("cup factors live over different data")
     r, s = a.degree, b.degree
     if r + s > MAX_DEGREE:
         raise DegreeLimit(f"cup into degree {r + s} not supported")
-    G, p = a.group, a.p
-    out = []
-    for gs in _tuples(G.order, r + s):
-        out.append((a.value(*gs[:r]) * b.value(*gs[r:])) % p)
-    return Cochain(G, p, r + s, tuple(out))
+    values = np.outer(a.vector(), b.vector()).ravel() % a.p
+    return Cochain(a.group, a.p, r + s, tuple(values.tolist()))
 
 
 # -- linear algebra over the normalized complex --------------------------------
@@ -131,38 +121,34 @@ class ComplexData:
         self.G = G
         self.p = p
 
+    @functools.cache
     def delta_matrix(self, d: int) -> np.ndarray:
         """Matrix of delta_d, rows indexed by (d+1)-tuples, columns by
-        d-tuples."""
-        N, p = self.G.order, self.p
-        ncols = max(1, (N - 1) ** d)
-        rows = []
-        for gs in _tuples(N, d + 1):
-            basisrow = np.zeros(ncols, dtype=np.int64)
-
-            def bump(args, sign):
-                if d == 0 or all(g != 0 for g in args):
-                    idx = 0
-                    for g in args:
-                        idx = idx * (N - 1) + (g - 1)
-                    basisrow[idx] = (basisrow[idx] + sign) % p
-
-            bump(gs[1:], 1)
-            for i in range(d):
-                merged = gs[:i] + (self.G.mul[gs[i]][gs[i + 1]],) + gs[i + 2:]
-                bump(merged, (-1) ** (i + 1))
-            bump(gs[:d], (-1) ** (d + 1))
-            rows.append(basisrow)
-        return np.array(rows, dtype=np.int64) if rows else \
-            np.zeros((0, ncols), dtype=np.int64)
+        d-tuples of non-identity elements, both lexicographic. Row
+        (g_1..g_{d+1}) sums the d+2 faces f(g_2..g_{d+1}),
+        (-1)^i f(.., g_i g_{i+1}, ..) and (-1)^{d+1} f(g_1..g_d); a face
+        with an identity argument is 0 on the normalized complex."""
+        m, p = self.G.order - 1, self.p
+        mul = np.asarray(self.G.mul, dtype=np.int64)
+        gs = np.indices((m,) * (d + 1)).reshape(d + 1, m ** (d + 1)) + 1
+        faces = [(gs[1:], 1)]
+        faces += [(np.concatenate([gs[:i], mul[gs[i], gs[i + 1]][None],
+                                   gs[i + 2:]]), (-1) ** (i + 1))
+                  for i in range(d)]
+        faces.append((gs[:d], (-1) ** (d + 1)))
+        place = m ** np.arange(d - 1, -1, -1)
+        out = np.zeros((m ** (d + 1), m ** d), dtype=np.int64)
+        for args, sign in faces:
+            row = np.flatnonzero((args != 0).all(axis=0))
+            np.add.at(out, (row, place @ (args[:, row] - 1)), sign)
+        out %= p
+        return out
 
     @property
-    @functools.cache
     def d1(self) -> np.ndarray:
         return self.delta_matrix(1)
 
     @property
-    @functools.cache
     def d2(self) -> np.ndarray:
         return self.delta_matrix(2)
 
@@ -175,14 +161,11 @@ class ComplexData:
     @property
     @functools.cache
     def z1_basis(self) -> list[np.ndarray]:
-        # the trivial group pads each cochain space with one dummy slot
-        return [] if self.G.order == 1 else gfp.nullspace(self.d1, self.p)
+        return gfp.nullspace(self.d1, self.p)
 
     @functools.cache
     def h2_data(self):
         """(dim H^2, representative vectors)."""
-        if self.G.order == 1:
-            return 0, []
         z2 = gfp.nullspace(self.d2, self.p)
         R, piv = self.b2_rref
         residuals = []
@@ -244,13 +227,10 @@ class CohomologyClass:
 
 
 def is_cocycle(z: Cochain) -> bool:
-    if z.degree == 1:
-        data = complex_data(z.group, z.p)
-        return not (data.d1 @ z.vector() % z.p).any()
-    if z.degree == 2:
-        data = complex_data(z.group, z.p)
-        return not (data.d2 @ z.vector() % z.p).any()
-    raise DegreeLimit(f"cocycle test for degree {z.degree} not supported")
+    if z.degree not in (1, 2):
+        raise DegreeLimit(f"cocycle test for degree {z.degree} not supported")
+    delta = complex_data(z.group, z.p).delta_matrix(z.degree)
+    return not (delta @ z.vector() % z.p).any()
 
 
 def is_coboundary(z: Cochain) -> bool:
@@ -281,6 +261,14 @@ def h1(G: FiniteGroup, p: int) -> list[Cochain]:
     data = complex_data(G, p)
     return [Cochain(G, p, 1, tuple(int(x) for x in v))
             for v in data.z1_basis]
+
+
+def h1_combination(G: FiniteGroup, p: int, coeffs) -> Cochain:
+    """The H^1 element with coordinates `coeffs` in the basis `h1(G, p)`."""
+    values = np.zeros(G.order - 1, dtype=np.int64)
+    for c, b in zip(coeffs, complex_data(G, p).z1_basis):
+        values += int(c) * b
+    return Cochain(G, p, 1, tuple((values % p).tolist()))
 
 
 def h2(G: FiniteGroup, p: int):

@@ -41,14 +41,6 @@ class FiniteGroup:
     label: str = "G"
     meta: Optional[dict] = field(default=None, compare=False, repr=False)
 
-    identity = 0
-
-    def op(self, x: int, y: int) -> int:
-        return self.mul[x][y]
-
-    def inverse(self, x: int) -> int:
-        return self.inv[x]
-
     def elements(self) -> range:
         return range(self.order)
 
@@ -375,42 +367,11 @@ class GroupHom:
     def gen_images(self) -> tuple:
         return tuple(self.images[g] for g in self.domain.generators)
 
-    def compose(self, other: "GroupHom") -> "GroupHom":
-        """self after other."""
-        if other.codomain is not self.domain and other.codomain != self.domain:
-            raise BadParameter("composition domains do not match")
-        return GroupHom(other.domain, self.codomain,
-                        tuple(self.images[i] for i in other.images))
-
-    def image(self) -> set[int]:
-        return set(self.images)
-
     def is_surjective(self) -> bool:
         return len(set(self.images)) == self.codomain.order
 
     def kernel(self) -> list[int]:
         return [x for x in self.domain.elements() if self.images[x] == 0]
-
-    @staticmethod
-    def identity(G: FiniteGroup) -> "GroupHom":
-        return GroupHom(G, G, tuple(G.elements()))
-
-    @staticmethod
-    def trivial(G: FiniteGroup, H: FiniteGroup) -> "GroupHom":
-        return GroupHom(G, H, (0,) * G.order)
-
-    @staticmethod
-    def from_gen_images(G: FiniteGroup, H: FiniteGroup,
-                        gen_images: Sequence[int]) -> "GroupHom":
-        """Expand generator images to a full table; raises NotAHomomorphism
-        when the assignment is inconsistent."""
-        known = _close_partial(G, H, {0: 0}, list(zip(G.generators, gen_images)))
-        if known is None:
-            raise NotAHomomorphism(
-                f"generator images {tuple(gen_images)} are inconsistent")
-        if len(known) != G.order:
-            raise GeneratorsDontGenerate("generators do not span the domain")
-        return GroupHom(G, H, tuple(known[x] for x in G.elements()))
 
 
 def _close_partial(G, H, known, assigned):

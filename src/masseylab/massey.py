@@ -263,18 +263,10 @@ def consecutive_cups_zero(q: MasseyQuery, cross_check: bool = True) -> bool:
 
 def h1_tuples(G: FiniteGroup, p: int, n: int) -> Iterator[tuple]:
     """All n-tuples of H^1 elements, lexicographic in basis coordinates."""
-    basis = cc.h1(G, p)
-    dim = len(basis)
-    zero = cc.zero_cochain(G, p, 1)
-    for coeffs in itertools.product(itertools.product(range(p), repeat=dim),
-                                    repeat=n):
-        chars = []
-        for cv in coeffs:
-            a = zero
-            for c, b in zip(cv, basis):
-                a = a + b.scale(c)
-            chars.append(a)
-        yield tuple(chars)
+    dim = len(cc.h1(G, p))
+    chars = [cc.h1_combination(G, p, coeffs)
+             for coeffs in itertools.product(range(p), repeat=dim)]
+    return itertools.product(chars, repeat=n)
 
 
 def strong_massey_vanishing(G: FiniteGroup, p: int, n_range,

@@ -341,10 +341,7 @@ def _solve_chi(G: FiniteGroup, p: int, a_prev: Cochain, target_klass):
         j = js[-1]
         xs = [0] * len(basis)
         xs[j] = (t_target * pow(coeffs[j], -1, p)) % p
-    chi = cc.zero_cochain(G, p, 1)
-    for x, b in zip(xs, basis):
-        chi = chi + b.scale(x)
-    return chi
+    return cc.h1_combination(G, p, xs)
 
 
 def demushkin_descent(G: FiniteGroup, p: int, chars) -> GroupHom:

@@ -189,6 +189,41 @@ def test_budget_flag_is_gone(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "dwyer", "--group", "Z1", "--p", "2", "--n", "3"],
+    ["verify", "easy-vanishing", "--group", "Z1", "--p", "2", "--n", "3"],
+    ["verify", "twisting", "--group", "Z1", "--p", "2", "--n", "3",
+     "--k", "2"],
+    ["verify", "strong-vanishing", "--group", "Z1", "--p", "2", "--n", "3"],
+    ["cohomology", "--group", "Z1", "--p", "2"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_trivial_group_commands_hold(argv, capsys):
+    code, out = run([*argv, "--format", "records", "--no-cache"], capsys)
+    assert code == 0
+    recs = records(out)
+    assert len(recs) == 3 and recs[-1] == {"summary": {"holds": 1}}
+    assert recs[1].get("verdict", "holds") == "holds"
+    if argv[0] == "cohomology":
+        assert recs[1] == {"cup_form_nondegenerate": None,
+                           "demushkin": False, "dim_h1": 0, "dim_h2": 0,
+                           "group": "Z1", "p": 2}
+    if argv[1] == "strong-vanishing":
+        assert recs[1] == {"counterexample": None, "n": 3,
+                           "tuples_checked": 1, "verdict": "holds"}
+
+
+def test_trivial_group_massey_query(tmp_path, capsys):
+    q = tmp_path / "q.msq"
+    q.write_text("group Z1\np 2\nn 3\na\na\na\n")
+    code, out = run(["massey", str(q), "--format", "records", "--no-cache"],
+                    capsys)
+    assert code == 0
+    rec = records(out)[1]
+    assert rec["chars"] == [[], [], []] and rec["verdict"] == "holds"
+    assert rec["defined"] is rec["vanishes"] is True
+    assert rec["witness_lift"] == []
+
+
 # sha256 of the `--format records --no-cache` output of cheap commands: any
 # change to a record, its order or its formatting shows here, so a change
 # that means to alter records has to pin the new hashes.

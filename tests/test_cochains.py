@@ -1,10 +1,14 @@
+import itertools
 import random
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from masseylab import cochains as cc
 from masseylab import groups as gr
+from masseylab.cli import FIXTURES
 from masseylab.errors import DegreeLimit, NotApplicable, ShapeMismatch, SizeLimit
 
 GROUPS = {
@@ -16,7 +20,7 @@ GROUPS = {
 
 
 def random_cochain(G, p, degree, rng):
-    n = max(1, (G.order - 1) ** degree)
+    n = (G.order - 1) ** degree
     return cc.Cochain(G, p, degree, tuple(rng.randrange(p) for _ in range(n)))
 
 
@@ -143,6 +147,8 @@ def test_cup_form_not_applicable():
 def test_cohomology_size_limit():
     with pytest.raises(SizeLimit):
         cc.complex_data(gr.build_cyclic(33), 2)
+    with pytest.raises(SizeLimit):
+        cc.coboundary(cc.zero_cochain(gr.build_cyclic(33), 2, 1))
 
 
 @pytest.mark.parametrize("whole, left, right, dims", [
@@ -178,3 +184,169 @@ def test_complex_data_is_memoised_on_the_group_and_prime():
         cc.ComplexData(gr.build_quaternion8(), 2))
     assert dim == fresh_dim == 2
     assert [r.tolist() for r in reps] == [r.tolist() for r in fresh_reps]
+
+
+# -- the pointwise formulas the matrix forms must agree with --------------------
+
+def _tuples(N, d):
+    """All d-tuples of non-identity elements, lexicographic."""
+    return itertools.product(range(1, N), repeat=d)
+
+
+def rowwise_delta_matrix(G, p, d):
+    """delta_d built one row at a time from the face formula."""
+    N = G.order
+    ncols = (N - 1) ** d
+    rows = []
+    for gs in _tuples(N, d + 1):
+        basisrow = np.zeros(ncols, dtype=np.int64)
+
+        def bump(args, sign):
+            if d == 0 or all(g != 0 for g in args):
+                idx = 0
+                for g in args:
+                    idx = idx * (N - 1) + (g - 1)
+                basisrow[idx] = (basisrow[idx] + sign) % p
+
+        bump(gs[1:], 1)
+        for i in range(d):
+            merged = gs[:i] + (G.mul[gs[i]][gs[i + 1]],) + gs[i + 2:]
+            bump(merged, (-1) ** (i + 1))
+        bump(gs[:d], (-1) ** (d + 1))
+        rows.append(basisrow)
+    return np.array(rows, dtype=np.int64) if rows else \
+        np.zeros((0, ncols), dtype=np.int64)
+
+
+def pointwise_coboundary(f):
+    G, p, d = f.group, f.p, f.degree
+    out = []
+    for gs in _tuples(G.order, d + 1):
+        v = f.value(*gs[1:])
+        for i in range(d):
+            merged = gs[:i] + (G.mul[gs[i]][gs[i + 1]],) + gs[i + 2:]
+            v += (-1) ** (i + 1) * f.value(*merged)
+        v += (-1) ** (d + 1) * f.value(*gs[:d])
+        out.append(v % p)
+    return cc.Cochain(G, p, d + 1, tuple(out))
+
+
+def pointwise_cup(a, b):
+    r, s = a.degree, b.degree
+    return cc.Cochain(a.group, a.p, r + s,
+                      tuple((a.value(*gs[:r]) * b.value(*gs[r:])) % a.p
+                            for gs in _tuples(a.group.order, r + s)))
+
+
+ORDERS = {name: make().order for name, make in FIXTURES.items()}
+
+
+@pytest.mark.parametrize("name", sorted(
+    n for n, order in ORDERS.items()
+    if 1 < order <= cc.MAX_COHOMOLOGY_ORDER))
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_matrix_forms_match_the_pointwise_formulas(name, p):
+    G = FIXTURES[name]()
+    data = cc.complex_data(G, p)
+    rng = random.Random(f"{name}:{p}")
+    for d in (0, 1, 2):
+        delta = data.delta_matrix(d)
+        assert delta.dtype == np.int64
+        assert (delta == rowwise_delta_matrix(G, p, d)).all()
+        assert delta.shape == ((G.order - 1) ** (d + 1), (G.order - 1) ** d)
+        for _ in range(3):
+            f = random_cochain(G, p, d, rng)
+            got = cc.coboundary(f)
+            assert got == pointwise_coboundary(f)
+            assert all(type(v) is int for v in got.values)
+    for r, s in itertools.product((0, 1, 2), repeat=2):
+        if r + s <= cc.MAX_DEGREE:
+            a, b = random_cochain(G, p, r, rng), random_cochain(G, p, s, rng)
+            got = cc.cup(a, b)
+            assert got == pointwise_cup(a, b)
+            assert all(type(v) is int for v in got.values)
+
+
+def test_delta_1_matches_the_rowwise_build_at_order_32():
+    G = gr.build_direct_product(gr.build_dihedral(8), gr.build_cyclic(2))
+    assert G.order == 32
+    delta = cc.complex_data(G, 3).delta_matrix(1)
+    assert (delta == rowwise_delta_matrix(G, 3, 1)).all()
+
+
+def test_trivial_group_cochains_have_no_values_above_degree_0():
+    Z1 = gr.build_cyclic(1)
+    assert cc.zero_cochain(Z1, 2, 0).values == (0,)
+    f = cc.zero_cochain(Z1, 2, 1)
+    assert f.values == () and f.value(0) == 0
+    assert cc.complex_data(Z1, 2).delta_matrix(1).shape == (0, 0)
+    assert cc.is_cocycle(f) and cc.is_cocycle(cc.cup(f, f))
+    assert cc.coboundary(cc.Cochain(Z1, 2, 0, (1,))).values == ()
+    assert cc.h1(Z1, 2) == [] and cc.h2(Z1, 2) == (0, [])
+    assert cc.h1_combination(Z1, 2, ()) == f
+
+
+def test_h1_combination_is_the_reduced_sum_of_basis_multiples():
+    G = gr.build_vector_group(3, 2)
+    a, b = cc.h1(G, 3)
+    assert cc.h1_combination(G, 3, (0, 0)) == cc.zero_cochain(G, 3, 1)
+    assert cc.h1_combination(G, 3, (2, 1)) == a.scale(2) + b
+    assert cc.h1_combination(G, 3, np.array([1, 2])) == a + b.scale(2)
+
+
+# -- properties on random groups ----------------------------------------------
+
+SMALL_FIXTURES = sorted(n for n, order in ORDERS.items() if order <= 8)
+# (l, k, p) with x -> p x an automorphism of Z/l^k of order dividing l^k and
+# order l^2k <= 16
+SEMIDIRECT = [(2, 1, 3), (3, 1, 4), (3, 1, 7), (2, 2, 3), (2, 2, 5),
+              (4, 1, 3)]
+
+
+@st.composite
+def small_groups(draw):
+    """A direct product of two CLI fixtures, or a build_semidirect_cyclic
+    group, of order <= 16."""
+    if draw(st.booleans()):
+        return gr.build_semidirect_cyclic(*draw(st.sampled_from(SEMIDIRECT)))
+    left = FIXTURES[draw(st.sampled_from(SMALL_FIXTURES))]()
+    right = FIXTURES[draw(st.sampled_from(
+        [n for n in SMALL_FIXTURES if ORDERS[n] * left.order <= 16]))]()
+    return gr.build_direct_product(left, right)
+
+
+def cochains_of(draw, G, p, degree):
+    return cc.Cochain(G, p, degree, tuple(draw(st.lists(
+        st.integers(0, p - 1), min_size=(G.order - 1) ** degree,
+        max_size=(G.order - 1) ** degree))))
+
+
+PROPERTY_SETTINGS = settings(max_examples=50, deadline=None)
+
+
+@PROPERTY_SETTINGS
+@given(small_groups())
+def test_drawn_groups_satisfy_the_group_axioms(G):
+    assert G.order <= 16
+    gr.validate_group(G)
+
+
+@PROPERTY_SETTINGS
+@given(st.data(), small_groups(), st.sampled_from([2, 3, 5]),
+       st.sampled_from([0, 1]))
+def test_delta_squared_is_zero(data, G, p, degree):
+    f = cochains_of(data.draw, G, p, degree)
+    assert cc.coboundary(cc.coboundary(f)).is_zero()
+
+
+@PROPERTY_SETTINGS
+@given(st.data(), small_groups(), st.sampled_from([2, 3, 5]),
+       st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0)]))
+def test_leibniz_rule(data, G, p, degrees):
+    """delta(a cup b) = delta a cup b + (-1)^r a cup delta b."""
+    r, s = degrees
+    a, b = cochains_of(data.draw, G, p, r), cochains_of(data.draw, G, p, s)
+    lhs = cc.coboundary(cc.cup(a, b))
+    rhs = cc.cup(cc.coboundary(a), b) + \
+        cc.cup(a, cc.coboundary(b)).scale((-1) ** r)
+    assert lhs == rhs

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from masseylab import cochains as cc
+from masseylab import embedding as em
 from masseylab import groups as gr
 from masseylab import massey as ms
 from masseylab.errors import (
@@ -10,6 +11,7 @@ from masseylab.errors import (
     ShapeMismatch,
     SizeLimit,
 )
+from masseylab.cli import FIXTURES
 from masseylab.unitri import unitri_group
 
 Z2 = gr.build_cyclic(2)
@@ -132,3 +134,23 @@ def test_strong_vanishing_z2():
 def test_strong_vanishing_budget():
     reports = ms.strong_massey_vanishing(Z2, 2, [4], budget=2)
     assert reports[0]["verdict"] == "budget-exceeded"
+
+
+@pytest.mark.parametrize("name,p", [("D4", 2), ("Q8", 2), ("Z8", 2),
+                                    ("U3_2", 2), ("Z3", 3)])
+def test_routes_agree_on_every_triple(name, p):
+    """The criterion 02/03 agreement at n = 3 on fixtures the acceptance
+    sweep does not cover: exhaustive vs hom-lift vs Dwyer lift for
+    vanishing, both strategies for definedness, and the U/P cross-check of
+    the consecutive cups (which raises on disagreement)."""
+    G = FIXTURES[name]()
+    count = 0
+    for chars in ms.h1_tuples(G, p, 3):
+        count += 1
+        q = ms.MasseyQuery(G, p, chars)
+        assert ms.massey_vanishes(q, "exhaustive") == \
+            ms.massey_vanishes(q, "hom-lift") == em.dwyer_solvable(q)
+        assert ms.massey_defined(q, "exhaustive") == \
+            ms.massey_defined(q, "hom-lift")
+        ms.consecutive_cups_zero(q, cross_check=True)
+    assert count == p ** (3 * len(cc.h1(G, p))) > 1
