@@ -243,7 +243,11 @@ def parse_query_file(text: str):
         if need not in kv:
             raise ParseError(f"missing `{need}` line")
     G = get_group(kv["group"])
-    p, n = int(kv["p"]), int(kv["n"])
+    try:
+        p, n = int(kv["p"]), int(kv["n"])
+    except ValueError:
+        raise ParseError(f"`p` and `n` must be integers, got {kv['p']!r} "
+                         f"and {kv['n']!r}")
     if len(rows) != n:
         raise ParseError(f"expected {n} character rows, got {len(rows)}")
     chars = tuple(_char_from_gen_values(G, p, row) for row in rows)
@@ -338,8 +342,7 @@ def _suite_case_by_case(args, cfg, G) -> list[dict]:
 
 
 def _suite_fiber_quotient(args, cfg, G) -> list[dict]:
-    m = args.n if args.n else 4
-    recs = vf.structure_audit(m, args.p)
+    recs = vf.structure_audit(args.n, args.p)
     return [dict(r, verdict="holds" if r["holds"] else "fails")
             for r in recs]
 

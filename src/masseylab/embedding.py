@@ -48,12 +48,10 @@ class EmbeddingProblem:
         return out
 
 
-def solve(E: EmbeddingProblem, budget: Optional[int] = None) -> Optional[GroupHom]:
+def solve(E: EmbeddingProblem) -> Optional[GroupHom]:
     """First solution of E in deterministic search order, or None after a
     certified exhaustion of the fiber-constrained space."""
-    for psi in enumerate_homs(E.G, E.B, fiber=(E.alpha, E.phi), budget=budget):
-        return psi
-    return None
+    return next(enumerate_homs(E.G, E.B, fiber=(E.alpha, E.phi)), None)
 
 
 def is_solution(E: EmbeddingProblem, psi: GroupHom) -> bool:
@@ -311,6 +309,8 @@ def verify_twisting(G: FiniteGroup, p: int, n: int, k: int,
     """
     if not 2 <= k <= n - 1:
         raise BadParameter(f"descent index k = {k} outside 2..{n - 1}")
+    if sample is not None and sample < 0:
+        raise BadParameter(f"sample size {sample} must be >= 0")
     m = n + 1
     tgt = fiber_quotient(k, m, p)
     chis = [chars[0] for chars in h1_tuples(G, p, 1)]

@@ -45,10 +45,6 @@ class InconsistentConstraint(MasseyLabError):
     pass
 
 
-class BudgetExceeded(MasseyLabError):
-    """A search ran out of its node budget; distinct from 'no solution'."""
-
-
 # -- cochains ----------------------------------------------------------------
 
 class DegreeLimit(MasseyLabError):

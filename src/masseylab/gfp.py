@@ -78,8 +78,9 @@ def _eliminate(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 def rref(rows, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form mod p. Returns (R, pivot column list);
-    zero rows are dropped."""
-    a = _as_matrix(rows) % p
+    zero rows are dropped. Each block is reduced mod p as it is read, so
+    the input is neither copied whole nor written."""
+    a = _as_matrix(rows)
     if a.size == 0:
         return a.reshape(0, a.shape[1] if a.ndim == 2 else 0), []
     nrows, ncols = a.shape
@@ -89,7 +90,7 @@ def rref(rows, p: int) -> tuple[np.ndarray, list[int]]:
     for start in range(0, nrows, block):
         if len(pivots) == ncols:
             break
-        b = a[start:start + block]
+        b = a[start:start + block] % p
         if pivots:
             b = (b - _matmul(b[:, pivots], R, p)) % p
         b = b[b.any(axis=1)]

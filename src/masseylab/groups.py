@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 from .errors import (
     BadParameter,
-    BudgetExceeded,
     GeneratorsDontGenerate,
     InconsistentConstraint,
     IndexOutOfRange,
@@ -65,20 +65,6 @@ class FiniteGroup:
         """g x g^-1."""
         return self.mul[self.mul[g][x]][self.inv[g]]
 
-    def closure(self, seed: Sequence[int]) -> set[int]:
-        seen = {0, *seed}
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for s in seed:
-                    y = self.mul[x][s]
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return seen
-
     def fingerprint(self) -> str:
         h = hashlib.sha256()
         h.update(str(self.order).encode())
@@ -119,13 +105,57 @@ def find_generators(mul) -> tuple:
     outside the current closure. Deterministic."""
     n = len(mul)
     gens: list[int] = []
-    group = _raw_group(mul, ())
     covered = {0}
     while len(covered) < n:
-        x = next(i for i in range(n) if i not in covered)
-        gens.append(x)
-        covered = group.closure(gens)
+        gens.append(next(i for i in range(n) if i not in covered))
+        covered = set(_bfs(mul, gens)[0])
     return tuple(gens)
+
+
+def _bfs(mul, gens) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """Breadth-first walk from the identity over gens: the elements reached,
+    in the order reached, and every edge (x, s, x*gens[s]) with x in that
+    order, so each x is reached before its own edges are listed."""
+    seen = [False] * len(mul)
+    seen[0] = True
+    reached = [0]
+    edges = []
+    for x in reached:
+        row = mul[x]
+        for s, g in enumerate(gens):
+            y = row[g]
+            edges.append((x, s, y))
+            if not seen[y]:
+                seen[y] = True
+                reached.append(y)
+    return reached, edges
+
+
+def _edges(G: FiniteGroup) -> list[tuple[int, int, int]]:
+    """The breadth-first edges of G over its listed generators; raises
+    GeneratorsDontGenerate unless they reach every element."""
+    reached, edges = _bfs(G.mul, G.generators)
+    if len(reached) != G.order:
+        raise GeneratorsDontGenerate(
+            f"generators {tuple(G.generators)} span only {len(reached)} of "
+            f"{G.order} elements")
+    return edges
+
+
+def _extend(edges, hmul, gen_images, order) -> Optional[tuple]:
+    """The hom law on the edge list: f(1) = 1 and f(x*g_s) = f(x)*h_s on
+    every edge. Returns the images of the one map with f(g_s) = h_s that
+    obeys it, or None at the first edge that breaks it."""
+    f = [-1] * order
+    f[0] = 0
+    for x, s, y in edges:
+        v = hmul[f[x]][gen_images[s]]
+        w = f[y]
+        if w < 0:
+            f[y] = v
+        elif w != v:
+            return None
+    return tuple(f)
 
 
 def _raw_group(mul, generators, label="G", meta=None) -> FiniteGroup:
@@ -142,10 +172,7 @@ def validate_group(G: FiniteGroup) -> None:
             raise NoIdentity(f"index 0 is not an identity at element {x}")
     _check_associative(G.mul)
     _inverses(G.mul)
-    if G.generators and len(G.closure(G.generators)) != n:
-        raise GeneratorsDontGenerate(
-            f"generators {G.generators} span only "
-            f"{len(G.closure(G.generators))} of {n} elements")
+    _edges(G)
 
 
 def build_from_table(table, generators=None, label="G") -> FiniteGroup:
@@ -178,9 +205,7 @@ def build_from_table(table, generators=None, label="G") -> FiniteGroup:
     elif not generators:
         raise BadParameter("generators must be nonempty")
     G = _raw_group(table, generators, label)
-    if len(G.closure(G.generators)) != n:
-        raise GeneratorsDontGenerate(
-            f"generators {tuple(generators)} do not generate the group")
+    _edges(G)
     return G
 
 
@@ -333,7 +358,6 @@ def build_quaternion8() -> FiniteGroup:
 def build_symmetric3() -> FiniteGroup:
     """S3 as permutations of {0,1,2} in lexicographic order of one-line
     notation, relocated so the identity sits at index 0."""
-    import itertools
     perms = sorted(itertools.permutations(range(3)))
     index = {q: i for i, q in enumerate(perms)}
     mul = [[index[tuple(a[b[i]] for i in range(3))] for b in perms]
@@ -353,11 +377,9 @@ class GroupHom:
         return self.images[x]
 
     def is_valid(self) -> bool:
-        G, H = self.domain, self.codomain
-        if self.images[0] != 0:
-            return False
-        return all(self.images[G.mul[x][y]] == H.mul[self.images[x]][self.images[y]]
-                   for x in G.elements() for y in G.elements())
+        G = self.domain
+        return _extend(_edges(G), self.codomain.mul, self.gen_images(),
+                       G.order) == self.images
 
     def check(self) -> "GroupHom":
         if not self.is_valid():
@@ -374,46 +396,20 @@ class GroupHom:
         return [x for x in self.domain.elements() if self.images[x] == 0]
 
 
-def _close_partial(G, H, known, assigned):
-    """Extend a partial hom (dict on a subgroup) along assigned generator
-    images; returns the extended dict or None on conflict."""
-    known = dict(known)
-    queue = list(known)
-    while queue:
-        x = queue.pop()
-        ix = known[x]
-        for g, h in assigned:
-            y = G.mul[x][g]
-            iy = H.mul[ix][h]
-            prev = known.get(y)
-            if prev is None:
-                known[y] = iy
-                queue.append(y)
-            elif prev != iy:
-                return None
-    return known
-
-
 def enumerate_homs(G: FiniteGroup, H: FiniteGroup, *,
                    fixed: Optional[dict] = None,
-                   fiber: Optional[tuple] = None,
-                   budget: Optional[int] = None) -> Iterator[GroupHom]:
+                   fiber: Optional[tuple] = None) -> Iterator[GroupHom]:
     """All homomorphisms G -> H, as a deterministic stream.
 
     fixed: {generator index in G.generators -> forced image}.
     fiber: (alpha, forced) with alpha: H -> A and forced: G -> A; candidate
     images of each generator g are restricted to alpha^-1(forced(g)).
-    budget: maximum number of search nodes (partial closures); exceeding it
-    raises BudgetExceeded, so exhaustion of the stream certifies a complete
-    search.
 
-    Backtracking over generator images in listed order, candidates in
-    ascending element index, with partial-closure pruning.
+    Candidate generator images are tried in lexicographic order (generators
+    in listed order, images in ascending element index); each tuple is
+    extended along G's edge list and dropped at its first conflict.
     """
     gens = G.generators
-    if not gens:
-        yield GroupHom(G, H, (0,) * G.order)
-        return
     candidates: list[list[int]] = []
     for pos, g in enumerate(gens):
         cand = list(H.elements())
@@ -432,24 +428,11 @@ def enumerate_homs(G: FiniteGroup, H: FiniteGroup, *,
         og = G.element_order(g)
         cand = [h for h in cand if og % H.element_order(h) == 0]
         candidates.append(cand)
-
-    nodes = [0]
-
-    def rec(pos, known, assigned):
-        if pos == len(gens):
-            yield GroupHom(G, H, tuple(known[x] for x in G.elements()))
-            return
-        g = gens[pos]
-        for h in candidates[pos]:
-            nodes[0] += 1
-            if budget is not None and nodes[0] > budget:
-                raise BudgetExceeded(
-                    f"homomorphism search exceeded {budget} nodes")
-            ext = _close_partial(G, H, known, assigned + [(g, h)])
-            if ext is not None:
-                yield from rec(pos + 1, ext, assigned + [(g, h)])
-
-    yield from rec(0, {0: 0}, [])
+    edges = _edges(G)
+    for hs in itertools.product(*candidates):
+        images = _extend(edges, H.mul, hs, G.order)
+        if images is not None:
+            yield GroupHom(G, H, images)
 
 
 # -- group table file format ----------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Callable, Iterator, Optional
 from . import cochains as cc
 from .cochains import Cochain, CohomologyClass, complex_data
 from .errors import (
-    BudgetExceeded,
+    BadParameter,
     MasseyLabError,
     NotADefiningSystem,
     NotAHomomorphism,
@@ -263,6 +263,8 @@ def consecutive_cups_zero(q: MasseyQuery, cross_check: bool = True) -> bool:
 
 def h1_tuples(G: FiniteGroup, p: int, n: int) -> Iterator[tuple]:
     """All n-tuples of H^1 elements, lexicographic in basis coordinates."""
+    if n < 0:
+        raise BadParameter(f"tuple length n = {n} must be >= 0")
     dim = len(cc.h1(G, p))
     chars = [cc.h1_combination(G, p, coeffs)
              for coeffs in itertools.product(range(p), repeat=dim)]

@@ -351,7 +351,14 @@ def demushkin_descent(G: FiniteGroup, p: int, chars) -> GroupHom:
 
     Descends k = n-1, ..., 1 through the rho tower, twisting by a
     character chosen via the cup form whenever the step obstruction is
-    nonzero; the returned map is a verified solution."""
+    nonzero; the returned map is a verified solution.
+
+    No group the lab builds is known to reach the twisting branch. A search
+    of groups up to order 24 (the CLI fixtures, dihedral and
+    `build_semidirect_cyclic` groups, and their direct products) found dim
+    H^1 = 1, at p = 2, on every group with dim H^2 = 1 and a nondegenerate
+    cup form; there a_1 cup a_1 != 0, so the consecutive-cups hypothesis
+    rules out n >= 2. This is a finding of that search, not a theorem."""
     report = cc.demushkin_check(G, p)
     if report["dim_h2"] != 1:
         raise HypothesisViolated(f"dim H^2 = {report['dim_h2']} != 1")

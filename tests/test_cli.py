@@ -189,6 +189,28 @@ def test_budget_flag_is_gone(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("p_line, n_line", [("p two", "n 2"),
+                                             ("p 2", "n x")])
+def test_query_file_with_a_non_integer_p_or_n_is_a_parse_error(
+        p_line, n_line, tmp_path, capsys):
+    q = tmp_path / "q.msq"
+    q.write_text(f"group V4\n{p_line}\n{n_line}\na 1 0\na 0 1\n")
+    assert cli.main(["massey", str(q), "--no-cache"]) == cli.EXIT_USAGE == 3
+    assert capsys.readouterr().err.startswith("parse error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "dwyer", "--n", "-1"],
+    ["verify", "twisting", "--sample", "-1"],
+    ["verify", "fiber-quotient", "--n", "0"],
+], ids=lambda argv: " ".join(argv[1:]))
+def test_bad_sizes_raise_bad_parameter(argv, capsys):
+    code = cli.main([*argv, "--format", "records", "--no-cache"])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_FAIL and out == ""
+    assert err.startswith("error: BadParameter: ")
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "dwyer", "--group", "Z1", "--p", "2", "--n", "3"],
     ["verify", "easy-vanishing", "--group", "Z1", "--p", "2", "--n", "3"],

@@ -6,7 +6,6 @@ from masseylab import groups as gr
 from masseylab import massey as ms
 from masseylab.errors import (
     BadParameter,
-    BudgetExceeded,
     KernelNotOrderP,
     NotCentral,
     SizeLimit,
@@ -28,13 +27,6 @@ def test_trivial_alpha_solves():
     E = identity_problem(V4)
     sol = em.solve(E)
     assert sol is not None and em.is_solution(E, sol)
-
-
-def test_solve_budget_exceeded():
-    q = ms.MasseyQuery(V4, 2, tuple(cc.h1(V4, 2)) + (cc.h1(V4, 2)[0],))
-    E = em.build_dwyer_problem(q)
-    with pytest.raises(BudgetExceeded):
-        em.solve(E, budget=1)
 
 
 def z4_to_z2_problem():

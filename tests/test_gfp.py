@@ -82,6 +82,48 @@ def test_blocked_rref_edge_shapes(rows, p):
     assert_same_rref(rows, p)
 
 
+@st.composite
+def unreduced_systems(draw):
+    """(A, b, p) with entries far outside 0..p-1 on both sides, over one or
+    several row blocks of gfp.rref."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 13]))
+    ncols = draw(st.integers(1, 12))
+    nrows = draw(st.sampled_from([1, 5, 63, 64, 65, 150]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rank = draw(st.integers(0, ncols))
+    A = rng.integers(0, p, (nrows, rank)) @ rng.integers(0, p, (rank, ncols))
+    A = A + p * rng.integers(-3, 4, A.shape) - p * (A == 0)
+    b = rng.integers(-3 * p, 3 * p, nrows)
+    return A, b, p
+
+
+@settings(max_examples=60, deadline=None)
+@given(unreduced_systems())
+def test_unreduced_input_agrees_with_the_reduced_matrix(case):
+    A, b, p = case
+    A_before = A.copy()
+    R, piv = gfp.rref(A, p)
+    assert (A == A_before).all()
+    R0, piv0 = dense_rref(A % p, p)
+    assert piv == piv0 and (R == R0).all()
+    free = [c for c in range(A.shape[1]) if c not in piv0]
+    null = gfp.nullspace(A, p)
+    assert len(null) == len(free)
+    for f, v in zip(free, null):
+        assert v[f] == 1 and not (A % p @ v % p).any()
+        assert all(v[c] == (-R0[i, f]) % p for i, c in enumerate(piv0))
+    aug = np.concatenate([A % p, (b % p).reshape(-1, 1)], axis=1)
+    Ra, pa = dense_rref(aug, p)
+    x = gfp.solve(A, b, p)
+    if A.shape[1] in pa:
+        assert x is None
+    else:
+        assert x is not None and ((A @ x - b) % p == 0).all()
+        assert all(x[c] == Ra[i, -1] for i, c in enumerate(pa))
+        assert not x[free].any()
+    assert (A == A_before).all()
+
+
 def test_float64_product_guard():
     # (q - 1)^2 = 2^52: one term is exact, two reach 2^53 and are refused
     q = 2 ** 26 + 1

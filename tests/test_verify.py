@@ -137,6 +137,42 @@ def test_demushkin_descent_base_case():
         vf.demushkin_descent(Z2, 2, (a, a))
 
 
+# No group the lab builds reaches the twisting branch of demushkin_descent
+# (see its docstring), so its two helpers are tested on their own.
+
+@pytest.mark.parametrize("target", ["zero", "generator"])
+def test_solve_chi_hits_each_h2_target_on_z2(target):
+    Z2 = gr.build_cyclic(2)
+    a = cc.h1(Z2, 2)[0]
+    gen = cc.class_of(cc.cup(a, a))
+    assert not gen.is_zero()
+    klass = gen if target == "generator" else \
+        cc.class_of(cc.zero_cochain(Z2, 2, 2))
+    chi = vf._solve_chi(Z2, 2, a, klass)
+    assert cc.class_of(cc.cup(a, chi)) == klass
+    assert vf._h2_coordinate(klass, gen) == (target == "generator")
+
+
+@pytest.mark.parametrize("G, p", [(gr.build_cyclic(2), 2),
+                                  (gr.build_cyclic(3), 3)],
+                         ids=["Z2", "Z3"])
+def test_h2_coordinate_refuses_a_zero_generator(G, p):
+    _, (gen,) = cc.h2(G, p)
+    zero = cc.class_of(cc.zero_cochain(G, p, 2))
+    with pytest.raises(FormDegenerate):
+        vf._h2_coordinate(gen, zero)
+
+
+def test_solve_chi_refuses_an_identically_zero_cup_on_z3():
+    # a cup a = 0 in H^2(Z/3, F_3), so no chi reaches the nonzero class
+    Z3 = gr.build_cyclic(3)
+    a = cc.h1(Z3, 3)[0]
+    _, (gen,) = cc.h2(Z3, 3)
+    assert cc.class_of(cc.cup(a, a)).is_zero() and not gen.is_zero()
+    with pytest.raises(FormDegenerate):
+        vf._solve_chi(Z3, 3, a, gen)
+
+
 def test_massey_strong_sweep():
     recs = vf.massey_strong_z2_sweep(range(3, 7))
     assert all(r["holds"] for r in recs)
