@@ -20,7 +20,7 @@ from . import gfp
 from . import groups as gr
 from . import massey as ms
 from . import verify as vf
-from .errors import MasseyLabError, ParseError
+from .errors import BadParameter, MasseyLabError, ParseError
 from .unitri import unitri_group
 
 SCHEMA_VERSION = 1
@@ -315,6 +315,8 @@ def _suite_twisting(args, cfg, G) -> list[dict]:
 
 
 def _suite_strong_vanishing(args, cfg, G) -> list[dict]:
+    if args.n < 3:
+        raise BadParameter(f"strong vanishing needs n >= 3, got {args.n}")
     reports = ms.strong_massey_vanishing(G, args.p,
                                          range(3, args.n + 1),
                                          budget=args.tuple_budget)

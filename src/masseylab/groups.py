@@ -15,6 +15,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
+import numpy as np
+
 from .errors import (
     BadParameter,
     GeneratorsDontGenerate,
@@ -78,15 +80,15 @@ class FiniteGroup:
 
 
 def _inverses(mul) -> list[int]:
-    n = len(mul)
-    inv = [-1] * n
-    for x in range(n):
-        for y in range(n):
-            if mul[x][y] == 0 and mul[y][x] == 0:
-                inv[x] = y
-                break
-        if inv[x] < 0:
-            raise NoInverse(f"element {x} has no two-sided inverse")
+    """The right inverse of each element, read off its row.  Callers pass
+    tables whose identity and associativity hold, and in a finite monoid a
+    right inverse is two-sided."""
+    inv = []
+    for x, row in enumerate(mul):
+        try:
+            inv.append(row.index(0))
+        except ValueError:
+            raise NoInverse(f"element {x} has no inverse") from None
     return inv
 
 
@@ -156,6 +158,41 @@ def _extend(edges, hmul, gen_images, order) -> Optional[tuple]:
         elif w != v:
             return None
     return tuple(f)
+
+
+def table_from_action(action) -> list[tuple]:
+    """The multiplication table of a group from its generators' right
+    action, action[x][s] = x*g_s, with index 0 the identity.
+
+    Column y of the table is right multiplication by y.  Column 0 is the
+    identity map, and on each breadth-first edge (x, s, x*g_s) the column of
+    x*g_s is the column of x followed by g_s: one gather of length n per
+    element.  Raises GeneratorsDontGenerate unless the walk reaches every
+    element.  The rows' cells share one int object per element."""
+    action = np.asarray(action, dtype=np.intp)
+    n, d = action.shape
+    if n > CONTAINER_LIMIT:
+        raise SizeLimit(f"order {n} exceeds {CONTAINER_LIMIT}")
+    reached, edges = _bfs(action.tolist(), range(d))
+    if len(reached) != n:
+        raise GeneratorsDontGenerate(
+            f"the action of {d} generators spans only {len(reached)} of "
+            f"{n} elements")
+    steps = [np.ascontiguousarray(action[:, s], dtype=np.uint16)
+             for s in range(d)]
+    # n <= CONTAINER_LIMIT = 4096, so uint16 holds every index
+    columns = np.empty((n, n), dtype=np.uint16)
+    columns[0] = np.arange(n)
+    done = [False] * n
+    done[0] = True
+    for x, s, y in edges:
+        if not done[y]:
+            done[y] = True
+            columns[y] = steps[s][columns[x]]
+    # one int object per element: fresh ints would cost 28 bytes a cell
+    elements = list(range(n))
+    return [tuple(map(elements.__getitem__, row.tolist()))
+            for row in columns.T]
 
 
 def _raw_group(mul, generators, label="G", meta=None) -> FiniteGroup:

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .gfp import check_prime
 from .groups import CONTAINER_LIMIT, FiniteGroup, GroupHom, _raw_group, \
-    build_vector_group, index_to_vec, vec_to_index
+    build_vector_group, index_to_vec, table_from_action, vec_to_index
 
 
 @functools.cache
@@ -47,8 +47,8 @@ def _product_plan(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 def _product(a, b, plan, p: int) -> list:
     """The product rule of U_n(p) on packed entries:
-    (AB)_ij = a_ij + b_ij + sum_k a_ik b_kj.  `a` holds ints; `b` holds
-    ints, or numpy columns to multiply `a` by a batch of elements at once."""
+    (AB)_ij = a_ij + b_ij + sum_k a_ik b_kj.  Each argument holds ints, or
+    numpy columns to multiply a batch of elements at once."""
     out = []
     for t, terms in enumerate(plan):
         v = a[t] + b[t]
@@ -232,28 +232,24 @@ class UniTriGroup:
 
     @functools.cache
     def as_finite_group(self) -> FiniteGroup:
-        """The multiplication table, one row at a time: the product rule
-        runs on the columns of the [order, n(n-1)/2] array of every
-        element's packed entries, and the products' indices are packed
-        back arithmetically."""
+        """The multiplication table, closed from the right action of the
+        superdiagonal generators: the product rule runs once per generator
+        on the columns of the [order, n(n-1)/2] array of every element's
+        packed entries, and the products' indices are packed back
+        arithmetically."""
         n, p = self.n, self.p
         digits = np.array(self.elements())[:, None] // \
             np.array(self.weights, dtype=np.int64)
         digits %= p
         columns = list(digits.T)
         plan = _product_plan(n)
-        # cells share one int object per element: fresh ints from numpy
-        # would cost 28 bytes a cell, 28 MB for U_5(2)
-        elements = list(self.elements())
-        table = []
-        for row in digits.tolist():
-            idx = np.zeros(self.order, dtype=np.int64)
-            for v in _product(row, columns, plan, p):
-                idx = idx * p + v
-            table.append(tuple(map(elements.__getitem__, idx.tolist())))
         gens = tuple(self.index_of(self.elementary(i, i + 1))
                      for i in range(1, n))
-        return _raw_group(table, gens, f"U{n}({p})",
+        action = np.zeros((self.order, len(gens)), dtype=np.int64)
+        for s, g in enumerate(gens):
+            for v in _product(columns, digits[g].tolist(), plan, p):
+                action[:, s] = action[:, s] * p + v
+        return _raw_group(table_from_action(action), gens, f"U{n}({p})",
                           meta={"kind": "unitri", "n": n, "p": p})
 
     def elementary(self, i: int, j: int, v: int = 1) -> UniTriMatrix:
@@ -323,7 +319,8 @@ def named_subgroup(G: UniTriGroup, kind: str, k: Optional[int] = None) -> NamedS
 
 class CosetQuotient:
     """Quotient of a materialized group by a normal subgroup, with coset
-    representatives of smallest element index."""
+    representatives of smallest element index.  The table is closed from
+    the right action of the images of the parent's generators."""
 
     def __init__(self, parent: FiniteGroup, normal: Sequence[int],
                  label: str = "Q"):
@@ -340,16 +337,14 @@ class CosetQuotient:
             reps.append(members[0])
             for mmb in members:
                 coset_of[mmb] = idx
-        order = len(reps)
-        table = [[coset_of[parent.mul[reps[a]][reps[b]]] for b in range(order)]
-                 for a in range(order)]
         self.parent = parent
         self.normal = tuple(normal)
         self.reps = tuple(reps)
         self.coset_of = tuple(coset_of)
-        gens = tuple(sorted({coset_of[g] for g in parent.generators} - {0})) \
-            or ((1,) if order > 1 else ())
-        self.group = _raw_group(table, gens, label,
+        gens = tuple(sorted({coset_of[g] for g in parent.generators} - {0}))
+        action = [[coset_of[parent.mul[r][reps[c]]] for c in gens]
+                  for r in reps]
+        self.group = _raw_group(table_from_action(action), gens, label,
                                 meta={"kind": "coset-quotient"})
 
     def project(self) -> GroupHom:
@@ -392,7 +387,9 @@ class FiberQuotient:
     """U_m(p)/M_{k,m} realized as pairs (a, b) of element indices, a in
     U_{m-1}(p) and b in U_{m+1-k}(p), whose matrices agree on the
     overlapping (m-k)-block; obtain it through `fiber_quotient`, which
-    builds one instance per (k, m, p)."""
+    builds one instance per (k, m, p).  The table is closed from the right
+    action of the images of U_m(p)'s superdiagonal generators, each step a
+    pair of matrix products."""
 
     def __init__(self, k: int, m: int, p: int):
         if not 1 <= k <= m - 1:
@@ -415,14 +412,14 @@ class FiberQuotient:
             raise SizeLimit(f"|Q_{{{k},{m}}}({p})| = {self.order}")
         mats = [(self.left.matrix_of(a), self.right.matrix_of(b))
                 for a, b in pairs]
-        table = [[self._index[(vec_to_index(p, Ax.mul(Ay).entries),
-                               vec_to_index(p, Bx.mul(By).entries))]
-                  for (Ay, By) in mats] for (Ax, Bx) in mats]
         # generators: images of U_m's superdiagonal elementaries
         Um = unitri_group(m, p)
         gens = tuple(sorted({self.from_parent(Um.index_of(Um.elementary(i, i + 1)))
                              for i in range(1, m)} - {0}))
-        self.group = _raw_group(table, gens or ((1,) if self.order > 1 else ()),
+        action = [[self._index[(vec_to_index(p, Ax.mul(mats[g][0]).entries),
+                                vec_to_index(p, Bx.mul(mats[g][1]).entries))]
+                   for g in gens] for (Ax, Bx) in mats]
+        self.group = _raw_group(table_from_action(action), gens,
                                 f"Q({k},{m};{p})",
                                 meta={"kind": "fiber-quotient",
                                       "k": k, "m": m, "p": p})

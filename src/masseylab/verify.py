@@ -266,6 +266,8 @@ def structure_audit(m: int, p: int) -> list[dict]:
     """Exhaustive checks of the M_{k,m} subgroup structure inside U_m(p):
     normality, the two-sided block-kernel description, the fiber-product
     realization of the quotient, and |Ker rho| = p with iota additive."""
+    if m < 2:
+        raise BadParameter(f"the M_{{k,m}} audit needs m >= 2, got {m}")
     U = unitri_group(m, p)
     G = U.as_finite_group()
     out = []

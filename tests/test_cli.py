@@ -203,6 +203,9 @@ def test_query_file_with_a_non_integer_p_or_n_is_a_parse_error(
     ["verify", "dwyer", "--n", "-1"],
     ["verify", "twisting", "--sample", "-1"],
     ["verify", "fiber-quotient", "--n", "0"],
+    ["verify", "fiber-quotient", "--n", "1"],
+    ["verify", "strong-vanishing", "--n", "2"],
+    ["verify", "strong-vanishing", "--n", "-1"],
 ], ids=lambda argv: " ".join(argv[1:]))
 def test_bad_sizes_raise_bad_parameter(argv, capsys):
     code = cli.main([*argv, "--format", "records", "--no-cache"])

@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 from masseylab import embedding as em
 from masseylab import groups as gr
 from masseylab import massey as ms
+from masseylab.cli import FIXTURES
 from masseylab.errors import (
     GeneratorsDontGenerate,
     InconsistentConstraint,
+    NoInverse,
     NonAssociative,
     ParseError,
     SizeLimit,
@@ -128,6 +130,18 @@ def test_group_file_parse_errors():
         gr.parse_group_file("nonsense")
     with pytest.raises(ParseError):
         gr.parse_group_file("order 2\ngenerators 1\n0 1")
+
+
+def test_an_element_without_inverse_raises_no_inverse():
+    # the numbers {1, 0} under multiplication, 1 at index 0 and 0 at index 1:
+    # associative, with an identity, and 0 has no inverse
+    table = [[0, 1], [1, 1]]
+    with pytest.raises(NoInverse):
+        gr.build_from_table(table)
+    monoid = gr.FiniteGroup(order=2, mul=((0, 1), (1, 1)), inv=(0, 0),
+                            generators=(1,))
+    with pytest.raises(NoInverse):
+        gr.validate_group(monoid)
 
 
 def test_generators_must_generate():
@@ -335,3 +349,45 @@ def test_find_generators_spans_with_a_greedy_set():
             G.order * len(gens)
     assert gr.find_generators(V4.mul) == (1, 2)
     assert gr.find_generators(gr.build_cyclic(1).mul) == ()
+
+
+# -- the table closure against the tables the constructors build ---------------
+
+SEMIDIRECT = [(2, 1, 3), (3, 1, 4), (3, 1, 7), (2, 2, 3), (2, 2, 5),
+              (4, 1, 3), (3, 2, 4)]
+
+
+@st.composite
+def table_groups(draw):
+    """A CLI fixture, a direct product of two of them of order <= 256, or a
+    build_semidirect_cyclic group."""
+    kind = draw(st.sampled_from(["fixture", "product", "semidirect"]))
+    if kind == "semidirect":
+        return gr.build_semidirect_cyclic(*draw(st.sampled_from(SEMIDIRECT)))
+    left = draw(st.sampled_from(sorted(FIXTURES)))
+    if kind == "fixture":
+        return FIXTURES[left]()
+    G = FIXTURES[left]()
+    right = draw(st.sampled_from(
+        [n for n in sorted(FIXTURES) if FIXTURES[n]().order * G.order <= 256]))
+    return gr.build_direct_product(G, FIXTURES[right]())
+
+
+@settings(max_examples=60, deadline=None)
+@given(table_groups())
+def test_closure_of_the_generators_action_is_the_table(G):
+    action = [[G.mul[x][g] for g in G.generators] for x in G.elements()]
+    table = gr.table_from_action(action)
+    assert tuple(table) == G.mul
+    assert all(c is table[0][c] for row in table for c in row)
+
+
+def test_closure_refuses_a_non_spanning_or_oversized_action():
+    with pytest.raises(GeneratorsDontGenerate):
+        gr.table_from_action([[V4.mul[x][1]] for x in V4.elements()])
+    with pytest.raises(GeneratorsDontGenerate):
+        gr.table_from_action([[] for _ in Q8.elements()])
+    assert gr.table_from_action([[]]) == [(0,)]
+    n = gr.CONTAINER_LIMIT + 1
+    with pytest.raises(SizeLimit):
+        gr.table_from_action([[(x + 1) % n] for x in range(n)])

@@ -334,3 +334,91 @@ def test_drop_to_matches_the_lower_right_blocks():
         a2, b2 = tgt.pairs[lam(x)]
         assert tgt.left.matrix_of(a2) == block(A, 3, 1)
         assert b2 == b
+
+
+# -- the table closure against the all-pairs builders it replaced -------------
+
+def two_sided_inverses(table):
+    """The replaced inverse scan: the y with x*y = y*x = 1, for each x."""
+    n = len(table)
+    return tuple(next(y for y in range(n) if table[x][y] == 0 == table[y][x])
+                 for x in range(n))
+
+
+def per_row_unitri_table(n, p):
+    """The replaced U_n(p) builder: the product rule once per row, on the
+    columns of every element's packed entries."""
+    U = ut.unitri_group(n, p)
+    digits = np.arange(U.order)[:, None] // np.array(U.weights) % p
+    columns = list(digits.T)
+    plan = ut._product_plan(n)
+    table = []
+    for row in digits.tolist():
+        idx = np.zeros(U.order, dtype=np.int64)
+        for v in ut._product(row, columns, plan, p):
+            idx = idx * p + v
+        table.append(tuple(idx.tolist()))
+    return tuple(table)
+
+
+def all_pairs_fiber_table(fq):
+    """The replaced Q_{k,m} builder: the pair product of every two pairs."""
+    mats = [(fq.left.matrix_of(a), fq.right.matrix_of(b)) for a, b in fq.pairs]
+    index = {pair: i for i, pair in enumerate(fq.pairs)}
+    return tuple(
+        tuple(index[(ut.vec_to_index(fq.p, Ax.mul(Ay).entries),
+                     ut.vec_to_index(fq.p, Bx.mul(By).entries))]
+              for Ay, By in mats) for Ax, Bx in mats)
+
+
+def all_pairs_coset_table(quot):
+    """The replaced coset builder: the coset of every product of two
+    representatives."""
+    mul, reps, coset_of = quot.parent.mul, quot.reps, quot.coset_of
+    return tuple(tuple(coset_of[mul[a][b]] for b in reps) for a in reps)
+
+
+def assert_group_is(G, table, gens):
+    assert G.mul == table
+    assert G.inv == two_sided_inverses(table)
+    assert G.generators == gens
+    assert all(c is G.mul[0][c] for row in G.mul for c in row)
+
+
+@pytest.mark.parametrize("n,p", [(3, 2), (4, 2), (5, 2), (3, 3), (4, 3),
+                                 (3, 5)])
+def test_unitri_closure_matches_the_per_row_table(n, p):
+    U = ut.unitri_group(n, p)
+    assert_group_is(U.as_finite_group(), per_row_unitri_table(n, p),
+                    tuple(U.index_of(U.elementary(i, i + 1))
+                          for i in range(1, n)))
+
+
+@pytest.mark.parametrize("k,m,p", [(1, 3, 2), (2, 4, 2), (1, 4, 3),
+                                   (2, 4, 3), (2, 5, 2), (3, 5, 2)])
+def test_fiber_closure_matches_the_all_pairs_table(k, m, p):
+    fq = ut.fiber_quotient(k, m, p)
+    Um = ut.unitri_group(m, p)
+    gens = {fq.from_parent(Um.index_of(Um.elementary(i, i + 1)))
+            for i in range(1, m)}
+    assert_group_is(fq.group, all_pairs_fiber_table(fq),
+                    tuple(sorted(gens - {0})))
+
+
+def assert_coset_group_is_the_all_pairs_table(quot):
+    gens = {quot.coset_of[g] for g in quot.parent.generators}
+    assert_group_is(quot.group, all_pairs_coset_table(quot),
+                    tuple(sorted(gens - {0})))
+
+
+@pytest.mark.parametrize("n,p", [(4, 2), (3, 3)])
+def test_coset_closure_matches_the_all_pairs_table(n, p):
+    G = ut.unitri_group(n + 1, p).as_finite_group()
+    chain, _ = ut.central_series_ker_phi(n, p)
+    for N in chain:
+        assert_coset_group_is_the_all_pairs_table(ut.CosetQuotient(G, N))
+
+
+def test_zeta_kappa_closure_matches_the_all_pairs_table():
+    for quot, _ in ut.zeta_kappa_targets(3, 2):
+        assert_coset_group_is_the_all_pairs_table(quot)
