@@ -4,6 +4,7 @@ and the verification suites, with text or line-delimited record output."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -15,13 +16,13 @@ import numpy as np
 
 from . import __version__
 from . import cochains as cc
-from . import embedding as em
 from . import gfp
 from . import groups as gr
-from . import massey as ms
-from . import verify as vf
 from .errors import BadParameter, MasseyLabError, ParseError
-from .unitri import unitri_group
+
+# Every command needs the modules above. `massey`, `embedding`, `verify` and
+# `unitri` are imported inside the functions that use them, so a cold
+# `cohomology` job does not load and compile them.
 
 SCHEMA_VERSION = 1
 
@@ -41,6 +42,7 @@ class RunConfig:
 # -- fixtures ------------------------------------------------------------------
 
 def _u3_2():
+    from .unitri import unitri_group
     return unitri_group(3, 2).as_finite_group()
 
 
@@ -168,15 +170,21 @@ def cache_get(key: str, cfg: RunConfig):
 
 
 def cache_put(key: str, records, cfg: RunConfig):
+    """Store records under key. A cache that cannot be written is a miss:
+    the run's records and exit code stay those of a `--no-cache` run."""
     if cfg.no_cache:
         return
     d = _cache_dir()
-    os.makedirs(d, exist_ok=True)
     path = os.path.join(d, key + ".json")
     tmp = path + f".tmp{os.getpid()}"
-    with open(tmp, "w") as fh:
-        json.dump(records, fh, sort_keys=True, default=_jsonable)
-    os.replace(tmp, path)
+    try:
+        os.makedirs(d, exist_ok=True)
+        with open(tmp, "w") as fh:
+            json.dump(records, fh, sort_keys=True, default=_jsonable)
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
 
 
 # -- commands ------------------------------------------------------------------
@@ -224,6 +232,7 @@ def cmd_cohomology(args, cfg: RunConfig) -> Report:
 def parse_query_file(text: str):
     """Query format: `group REF`, `p P`, `n N`, then n lines `a v1 v2 ...`
     giving each character's values on the group's listed generators."""
+    from . import massey as ms
     lines = [ln.strip() for ln in text.strip().splitlines()
              if ln.strip() and not ln.strip().startswith("#")]
     kv = {}
@@ -269,6 +278,9 @@ def _char_from_gen_values(G: gr.FiniteGroup, p: int, row) -> cc.Cochain:
 
 
 def cmd_massey(args, cfg: RunConfig) -> Report:
+    from . import embedding as em
+    from . import massey as ms
+    from .unitri import unitri_group
     with open(args.query) as fh:
         q, gname = parse_query_file(fh.read())
     rep = Report(f"massey {args.query}")
@@ -291,6 +303,8 @@ def cmd_massey(args, cfg: RunConfig) -> Report:
 # -- verify suites -------------------------------------------------------------
 
 def _suite_dwyer(args, cfg, G) -> list[dict]:
+    from . import embedding as em
+    from . import massey as ms
     out = []
     for chars in ms.h1_tuples(G, args.p, args.n):
         q = ms.MasseyQuery(G, args.p, chars)
@@ -308,6 +322,7 @@ def _suite_dwyer(args, cfg, G) -> list[dict]:
 
 
 def _suite_twisting(args, cfg, G) -> list[dict]:
+    from . import embedding as em
     recs = em.verify_twisting(G, args.p, args.n, args.k,
                               sample=args.sample, seed=cfg.seed)
     return [{"psi": list(r["psi"]), "chi": list(r["chi"]),
@@ -315,6 +330,7 @@ def _suite_twisting(args, cfg, G) -> list[dict]:
 
 
 def _suite_strong_vanishing(args, cfg, G) -> list[dict]:
+    from . import massey as ms
     if args.n < 3:
         raise BadParameter(f"strong vanishing needs n >= 3, got {args.n}")
     reports = ms.strong_massey_vanishing(G, args.p,
@@ -326,12 +342,14 @@ def _suite_strong_vanishing(args, cfg, G) -> list[dict]:
 
 
 def _suite_easy_vanishing(args, cfg, G) -> list[dict]:
+    from . import verify as vf
     rec = vf.easy_vanishing_drill(G, args.p, args.n)
     rec["verdict"] = "holds" if rec["verified"] else "fails"
     return [rec]
 
 
 def _suite_case_by_case(args, cfg, G) -> list[dict]:
+    from . import verify as vf
     audit = vf.case_by_case_audit()
     out = []
     for key in ((1, 1), (0, 0)):
@@ -344,6 +362,7 @@ def _suite_case_by_case(args, cfg, G) -> list[dict]:
 
 
 def _suite_fiber_quotient(args, cfg, G) -> list[dict]:
+    from . import verify as vf
     recs = vf.structure_audit(args.n, args.p)
     return [dict(r, verdict="holds" if r["holds"] else "fails")
             for r in recs]

@@ -42,6 +42,12 @@ class FiniteGroup:
     generators: tuple
     label: str = "G"
     meta: Optional[dict] = field(default=None, compare=False, repr=False)
+    # hash((order, mul)), computed once: every functools.cache lookup keyed
+    # on a group hashes it, and rehashing the table costs O(order^2).
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.order, self.mul)))
 
     def elements(self) -> range:
         return range(self.order)
@@ -76,7 +82,7 @@ class FiniteGroup:
         return h.hexdigest()[:16]
 
     def __hash__(self):
-        return hash((self.order, self.mul))
+        return self._hash
 
 
 def _inverses(mul) -> list[int]:

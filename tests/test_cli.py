@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -160,6 +163,34 @@ def test_cohomology_cache_keeps_the_group_name(tmp_path, capsys):
     assert records(cached)[1]["group"] == str(b)
 
 
+@pytest.mark.parametrize("argv", [
+    ["cohomology", "--group", "Q8", "--p", "2"],
+    ["verify", "dwyer", "--group", "Z2", "--p", "2", "--n", "3"],
+], ids=lambda argv: argv[0])
+def test_an_unwritable_cache_is_a_miss(argv, tmp_path, monkeypatch, capsys):
+    not_a_dir = tmp_path / "cache"
+    not_a_dir.write_text("a regular file")
+    monkeypatch.setenv("MASSEYLAB_CACHE_DIR", str(not_a_dir))
+    argv = [*argv, "--format", "records"]
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert (code, out) == run(argv + ["--no-cache"], capsys)
+    assert code == 0 and records(out)[-1]["summary"]
+
+
+def test_a_cache_entry_that_cannot_be_replaced_leaves_no_temp_file(
+        tmp_path, capsys):
+    argv = ["cohomology", "--group", "Q8", "--p", "2", "--format", "records"]
+    _, fresh = run(argv + ["--no-cache"], capsys)
+    run(argv, capsys)
+    (entry,) = (tmp_path / "cache").iterdir()
+    entry.unlink()
+    entry.mkdir()     # the entry can be neither read nor replaced
+    assert run(argv, capsys) == (0, fresh)
+    assert list((tmp_path / "cache").iterdir()) == [entry]
+
+
 def test_memoised_state_does_not_change_output(capsys):
     dwyer = ["verify", "dwyer", "--group", "V4", "--p", "2", "--n", "2",
              "--format", "records"]
@@ -276,3 +307,32 @@ def test_records_match_the_pinned_hash(command, capsys):
                     capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_RECORDS[command]
+
+
+def _fresh_python(code, env=None):
+    """stdout of `python -c code` in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_cohomology_loads_only_the_modules_it_runs():
+    loaded = _fresh_python(
+        "import sys\n"
+        "from masseylab import cli\n"
+        "code = cli.main(['cohomology', '--group', 'Q8', '--p', '2',\n"
+        "                 '--no-cache', '--format', 'records'])\n"
+        "assert code == 0\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('masseylab')))"
+    ).splitlines()[-1].split()
+    assert "masseylab.cochains" in loaded
+    for name in ("massey", "unitri", "embedding", "verify"):
+        assert f"masseylab.{name}" not in loaded
+
+
+def test_idle_openblas_workers_sleep_unless_the_user_says_otherwise():
+    show = "import masseylab, os; print(os.environ['OPENBLAS_THREAD_TIMEOUT'])"
+    env = {k: v for k, v in os.environ.items()
+           if k != "OPENBLAS_THREAD_TIMEOUT"}
+    assert _fresh_python(show, env).strip() == "4"
+    assert _fresh_python(show, {**env, "OPENBLAS_THREAD_TIMEOUT": "8"}) \
+        .strip() == "8"
