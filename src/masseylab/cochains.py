@@ -6,6 +6,16 @@ A degree-d cochain on a group of order N stores its (N-1)^d values on the
 d-tuples of non-identity elements (value 0 whenever any argument is the
 identity), flattened in lexicographic element-index order: one value in
 degree 0, none on the trivial group in degree >= 1.
+
+Cocycles are read off the generator rows of delta. Let f be a d-cochain and
+c = delta f, and suppose c(s, ...) = 0 for every listed generator s. Then:
+  1. delta c = 0, and its value at (s, g, ...) is c(g, ...) - c(sg, ...)
+     plus terms whose first argument is s, so c(sg, ...) = c(g, ...);
+  2. c(1, ...) = 0 on the normalized complex;
+  3. every element is a word s_1 ... s_k in the generators (G is finite),
+     so c(s_1 ... s_k, ...) = c(s_2 ... s_k, ...) = ... = c(1, ...) = 0.
+So f is a cocycle iff delta f vanishes on the rows whose first argument is a
+generator: k*(N-1)^d rows for k generators instead of (N-1)^(d+1).
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ import numpy as np
 from . import gfp
 from .errors import DegreeLimit, NotACocycle, NotApplicable, ShapeMismatch, \
     SizeLimit
-from .groups import FiniteGroup, GroupHom
+from .groups import FiniteGroup, GroupHom, _edges
 
 MAX_COHOMOLOGY_ORDER = 32
 MAX_DEGREE = 3
@@ -111,7 +121,13 @@ def cup(a: Cochain, b: Cochain) -> Cochain:
 
 class ComplexData:
     """Cached coboundary matrices and reduced spaces for one (G, p);
-    obtain it through `complex_data`, which builds one instance per (G, p)."""
+    obtain it through `complex_data`, which builds one instance per (G, p).
+
+    Kernels read `cocycle_matrix(d)`, the rows of delta_d whose first
+    argument is a generator; by the lemma in the module docstring they
+    have the kernel Z^d of the full delta_d, hence the same RREF and the
+    same `gfp.nullspace` basis. `delta_matrix` serves `coboundary`, and
+    `b2_rref` reads all columns of delta_1."""
 
     def __init__(self, G: FiniteGroup, p: int):
         if G.order > MAX_COHOMOLOGY_ORDER:
@@ -121,28 +137,45 @@ class ComplexData:
         self.G = G
         self.p = p
 
-    @functools.cache
-    def delta_matrix(self, d: int) -> np.ndarray:
-        """Matrix of delta_d, rows indexed by (d+1)-tuples, columns by
-        d-tuples of non-identity elements, both lexicographic. Row
-        (g_1..g_{d+1}) sums the d+2 faces f(g_2..g_{d+1}),
+    def _face_rows(self, d: int, first: np.ndarray) -> np.ndarray:
+        """The rows of delta_d whose first argument lies in `first` (an
+        ascending array of non-identity elements), in lexicographic order.
+        Row (g_1..g_{d+1}) sums the d+2 faces f(g_2..g_{d+1}),
         (-1)^i f(.., g_i g_{i+1}, ..) and (-1)^{d+1} f(g_1..g_d); a face
         with an identity argument is 0 on the normalized complex."""
         m, p = self.G.order - 1, self.p
         mul = np.asarray(self.G.mul, dtype=np.int64)
-        gs = np.indices((m,) * (d + 1)).reshape(d + 1, m ** (d + 1)) + 1
+        rest = np.indices((m,) * d).reshape(d, m ** d) + 1
+        gs = np.concatenate([np.repeat(first, m ** d)[None],
+                             np.tile(rest, len(first))])
         faces = [(gs[1:], 1)]
         faces += [(np.concatenate([gs[:i], mul[gs[i], gs[i + 1]][None],
                                    gs[i + 2:]]), (-1) ** (i + 1))
                   for i in range(d)]
         faces.append((gs[:d], (-1) ** (d + 1)))
         place = m ** np.arange(d - 1, -1, -1)
-        out = np.zeros((m ** (d + 1), m ** d), dtype=np.int64)
+        out = np.zeros((gs.shape[1], m ** d), dtype=np.int64)
         for args, sign in faces:
             row = np.flatnonzero((args != 0).all(axis=0))
             np.add.at(out, (row, place @ (args[:, row] - 1)), sign)
         out %= p
         return out
+
+    @functools.cache
+    def delta_matrix(self, d: int) -> np.ndarray:
+        """Matrix of delta_d, rows indexed by (d+1)-tuples, columns by
+        d-tuples of non-identity elements, both lexicographic."""
+        return self._face_rows(d, np.arange(1, self.G.order, dtype=np.int64))
+
+    @functools.cache
+    def cocycle_matrix(self, d: int) -> np.ndarray:
+        """The rows of delta_d whose first argument is a non-identity
+        listed generator: its kernel is Z^d. Raises GeneratorsDontGenerate
+        unless the listed generators generate G, since the lemma needs
+        them to."""
+        _edges(self.G)
+        gens = sorted(set(self.G.generators) - {0})
+        return self._face_rows(d, np.array(gens, dtype=np.int64))
 
     @property
     def d1(self) -> np.ndarray:
@@ -161,12 +194,12 @@ class ComplexData:
     @property
     @functools.cache
     def z1_basis(self) -> list[np.ndarray]:
-        return gfp.nullspace(self.d1, self.p)
+        return gfp.nullspace(self.cocycle_matrix(1), self.p)
 
     @functools.cache
     def h2_data(self):
         """(dim H^2, representative vectors)."""
-        z2 = gfp.nullspace(self.d2, self.p)
+        z2 = gfp.nullspace(self.cocycle_matrix(2), self.p)
         R, piv = self.b2_rref
         residuals = []
         for v in z2:
@@ -184,12 +217,32 @@ class ComplexData:
         R, piv = self.b2_rref
         return gfp.reduce_vector(vec, R, piv, self.p)
 
+    @property
+    @functools.cache
+    def _d1_factor(self):
+        """(T, pivots, rank) from the RREF of [d1 | I]: T is its identity
+        block, an invertible row transform with T d1 = RREF(d1) padded by
+        zero rows, and `pivots` are the rank pivot columns of d1."""
+        rows, cols = self.d1.shape
+        R, pivots = gfp.rref(
+            np.concatenate([self.d1, np.eye(rows, dtype=np.int64)], axis=1),
+            self.p)
+        rank = sum(c < cols for c in pivots)
+        return R[:, cols:], pivots[:rank], rank
+
     def solve_delta1(self, rhs):
         """All 1-cochains f with delta(f) = rhs (a 2-cochain vector), as
-        (particular, Z^1 basis); None when rhs is not a coboundary."""
-        x0 = gfp.solve(self.d1, rhs, self.p)
-        if x0 is None:
+        (particular, Z^1 basis); None when rhs is not a coboundary. With
+        y = T rhs, rhs is a coboundary iff y vanishes past the rank, and the
+        particular solution puts y[:rank] on the pivots and 0 on the free
+        columns: the solution `gfp.solve` returns, since the RREF of
+        [d1 | rhs] is unique."""
+        T, pivots, rank = self._d1_factor
+        y = T @ (np.asarray(rhs, dtype=np.int64) % self.p) % self.p
+        if y[rank:].any():
             return None
+        x0 = np.zeros(self.d1.shape[1], dtype=np.int64)
+        x0[pivots] = y[:rank]
         return x0, self.z1_basis
 
 
@@ -229,8 +282,8 @@ class CohomologyClass:
 def is_cocycle(z: Cochain) -> bool:
     if z.degree not in (1, 2):
         raise DegreeLimit(f"cocycle test for degree {z.degree} not supported")
-    delta = complex_data(z.group, z.p).delta_matrix(z.degree)
-    return not (delta @ z.vector() % z.p).any()
+    rows = complex_data(z.group, z.p).cocycle_matrix(z.degree)
+    return not (rows @ z.vector() % z.p).any()
 
 
 def is_coboundary(z: Cochain) -> bool:

@@ -284,6 +284,12 @@ def test_trivial_group_massey_query(tmp_path, capsys):
 # change to a record, its order or its formatting shows here, so a change
 # that means to alter records has to pin the new hashes.
 GOLDEN_RECORDS = {
+    "cohomology --group Q8 --p 2":
+        "4bb171bfaa2481886b3c4ce2c320844f057a664ed57213e3af0221e234d9679b",
+    "cohomology --group D4 --p 2":
+        "4a020d3129117f231f3c4465d116eadd7c832392394d3135fa9d561bacd708cd",
+    "cohomology --group Z3xZ3 --p 3":
+        "a2d7c8db68aeac8322f424009b962b5e5e6c1cb46feb0179991dda79fe5dff80",
     "verify case-by-case":
         "c78e87bd97bf4429e88dc8ddb687f8600ce1d2940a9d496c15e2771b8f31f5d4",
     "verify fiber-quotient --n 4 --p 2":

@@ -1,5 +1,9 @@
+import dataclasses
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -7,9 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from masseylab import cochains as cc
+from masseylab import gfp
 from masseylab import groups as gr
 from masseylab.cli import FIXTURES
-from masseylab.errors import DegreeLimit, NotApplicable, ShapeMismatch, SizeLimit
+from masseylab.errors import DegreeLimit, GeneratorsDontGenerate, \
+    NotApplicable, ShapeMismatch, SizeLimit
 
 GROUPS = {
     "Z2": gr.build_cyclic(2),
@@ -350,3 +356,134 @@ def test_leibniz_rule(data, G, p, degrees):
     rhs = cc.cup(cc.coboundary(a), b) + \
         cc.cup(a, cc.coboundary(b)).scale((-1) ** r)
     assert lhs == rhs
+
+
+# -- cocycles from the generator rows of delta ---------------------------------
+
+COHOMOLOGY_FIXTURES = sorted(n for n, order in ORDERS.items()
+                             if order <= cc.MAX_COHOMOLOGY_ORDER)
+
+
+def generator_rows(G, d):
+    """Indices of the rows of delta_d whose first argument is a listed
+    non-identity generator."""
+    block = (G.order - 1) ** d
+    return [(s - 1) * block + i for s in sorted(set(G.generators) - {0})
+            for i in range(block)]
+
+
+def same_basis(a, b):
+    return len(a) == len(b) and all((x == y).all() for x, y in zip(a, b))
+
+
+def assert_kernels_match(G, p):
+    data = cc.complex_data(G, p)
+    for d in (1, 2):
+        rows = data.cocycle_matrix(d)
+        full = data.delta_matrix(d)
+        assert (rows == full[generator_rows(G, d)]).all()
+        assert same_basis(gfp.nullspace(rows, p), gfp.nullspace(full, p))
+
+
+@pytest.mark.parametrize("name", COHOMOLOGY_FIXTURES)
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_generator_rows_have_the_kernel_of_delta(name, p):
+    assert_kernels_match(FIXTURES[name](), p)
+
+
+@PROPERTY_SETTINGS
+@given(small_groups(), st.sampled_from([2, 3, 5]))
+def test_generator_rows_have_the_kernel_of_delta_on_drawn_groups(G, p):
+    assert_kernels_match(G, p)
+
+
+def test_generator_rows_have_the_kernel_of_delta_2_at_order_32():
+    """A fresh, uncached ComplexData, so the 29791-row delta_2 is freed
+    after the test."""
+    G = gr.build_direct_product(gr.build_dihedral(8), gr.build_cyclic(2))
+    data = cc.ComplexData(G, 2)
+    full = cc.ComplexData.delta_matrix.__wrapped__(data, 2)
+    rows = cc.ComplexData.cocycle_matrix.__wrapped__(data, 2)
+    assert rows.shape == (len(generator_rows(G, 2)), 31 ** 2) and \
+        rows.shape[0] < full.shape[0]
+    assert same_basis(gfp.nullspace(rows, 2), gfp.nullspace(full, 2))
+
+
+def _closed_under_full_delta(z):
+    delta = cc.complex_data(z.group, z.p).delta_matrix(z.degree)
+    return not (delta @ z.vector() % z.p).any()
+
+
+@pytest.mark.parametrize("name", COHOMOLOGY_FIXTURES)
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_is_cocycle_agrees_with_the_full_delta(name, p):
+    """On random cochains, on true cocycles, and on the cochains closed on
+    the first generator's rows only, which are not all cocycles when G
+    needs two generators."""
+    G = FIXTURES[name]()
+    rng = random.Random(f"cocycle:{name}:{p}")
+    data = cc.complex_data(G, p)
+    for d in (1, 2):
+        full = data.delta_matrix(d)
+        first = generator_rows(G, d)[:(G.order - 1) ** d]
+        samples = [random_cochain(G, p, d, rng) for _ in range(5)]
+        samples += [cc.Cochain(G, p, d, tuple(int(x) for x in v))
+                    for v in gfp.nullspace(full[first], p)]
+        if d == 2:
+            samples += [cc.coboundary(random_cochain(G, p, 1, rng))
+                        for _ in range(3)]
+        for z in samples:
+            assert cc.is_cocycle(z) == _closed_under_full_delta(z)
+    for z in cc.h1(G, p) + [c.representative for c in cc.h2(G, p)[1]]:
+        assert cc.is_cocycle(z) and _closed_under_full_delta(z)
+
+
+def test_generators_that_do_not_generate_are_refused():
+    G = dataclasses.replace(gr.build_vector_group(2, 2), generators=(1,))
+    with pytest.raises(GeneratorsDontGenerate):
+        cc.complex_data(G, 2).z1_basis
+    with pytest.raises(GeneratorsDontGenerate):
+        cc.is_cocycle(cc.zero_cochain(G, 2, 2))
+
+
+@pytest.mark.parametrize("name", COHOMOLOGY_FIXTURES)
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_solve_delta1_agrees_with_gfp_solve(name, p):
+    """The factored solve gives the particular solution of `gfp.solve` on
+    coboundaries and on random right-hand sides, and None exactly when it
+    does."""
+    G = FIXTURES[name]()
+    data = cc.complex_data(G, p)
+    rng = random.Random(f"solve:{name}:{p}")
+    rhs = [cc.coboundary(random_cochain(G, p, 1, rng)).vector()
+           for _ in range(5)]
+    rhs += [random_cochain(G, p, 2, rng).vector() for _ in range(5)]
+    rhs += [cc.cup(a, b).vector() for a in cc.h1(G, p) for b in cc.h1(G, p)]
+    for b in rhs:
+        want = gfp.solve(data.d1, b, p)
+        got = data.solve_delta1(b)
+        assert (got is None) == (want is None)
+        if want is not None:
+            x0, basis = got
+            assert x0.tolist() == want.tolist()
+            assert basis is data.z1_basis
+            assert (data.d1 @ x0 % p == b % p).all()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the Linux VmHWM line")
+def test_order_32_cohomology_peak_memory():
+    """A fresh D8xZ2 demushkin_check peaks below 200 MB (306 MB when Z^2
+    was the kernel of the full 29791-row delta_2). The child reads its
+    own VmHWM: its ru_maxrss would also carry this test process's peak,
+    which Linux keeps across the spawn."""
+    code = (
+        "from masseylab import cochains as cc, groups as gr\n"
+        "G = gr.build_direct_product(gr.build_dihedral(8), gr.build_cyclic(2))\n"
+        "assert cc.demushkin_check(G, 2)['dim_h2'] == 6\n"
+        "print(open('/proc/self/status').read())\n")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    peak_kib = next(int(line.split()[1]) for line in out.splitlines()
+                    if line.startswith("VmHWM:"))
+    assert peak_kib / 1024 < 200
