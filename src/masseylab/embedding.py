@@ -175,8 +175,8 @@ class CentralProblemData:
 def central_data(E: EmbeddingProblem, ident=None) -> CentralProblemData:
     """Kernel of alpha, centrality check, and an identification with Z/p.
 
-    ident, when given, maps kernel elements to residues (e.g. the iota
-    coordinates of a fiber-quotient step); otherwise powers of the
+    ident, when given, is a function from kernel elements to residues (e.g.
+    the iota coordinates of a fiber-quotient step); otherwise powers of the
     smallest-index generator are used.
     """
     kernel = tuple(E.alpha.kernel())
@@ -197,7 +197,7 @@ def central_data(E: EmbeddingProblem, ident=None) -> CentralProblemData:
             x = B.mul[x][gen]
             c += 1
     else:
-        ident = {z: ident(z) if callable(ident) else ident[z] for z in kernel}
+        ident = {z: ident(z) for z in kernel}
     if sorted(ident.values()) != list(range(p)) or ident[0] != 0:
         raise BadParameter("kernel identification is not a bijection fixing 1")
     return CentralProblemData(E, kernel, ident)
@@ -309,8 +309,8 @@ def verify_twisting(G: FiniteGroup, p: int, n: int, k: int,
     """
     if not 2 <= k <= n - 1:
         raise BadParameter(f"descent index k = {k} outside 2..{n - 1}")
-    if sample is not None and sample < 0:
-        raise BadParameter(f"sample size {sample} must be >= 0")
+    if sample is not None and sample < 1:
+        raise BadParameter(f"sample size {sample} must be >= 1")
     m = n + 1
     tgt = fiber_quotient(k, m, p)
     chis = [chars[0] for chars in h1_tuples(G, p, 1)]

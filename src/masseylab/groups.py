@@ -41,7 +41,6 @@ class FiniteGroup:
     inv: tuple
     generators: tuple
     label: str = "G"
-    meta: Optional[dict] = field(default=None, compare=False, repr=False)
     # hash((order, mul)), computed once: every functools.cache lookup keyed
     # on a group hashes it, and rehashing the table costs O(order^2).
     _hash: int = field(init=False, compare=False, repr=False)
@@ -201,10 +200,24 @@ def table_from_action(action) -> list[tuple]:
             for row in columns.T]
 
 
-def _raw_group(mul, generators, label="G", meta=None) -> FiniteGroup:
+def group_from_action(action, generators, label: str) -> FiniteGroup:
+    """The group whose listed generators g_s act on the right by
+    action[x][s] = x*g_s, its table closed by `table_from_action`.  Raises
+    BadParameter unless each generator's column of that table is its
+    stated action."""
+    action = np.asarray(action, dtype=np.intp)
+    table = table_from_action(action)
+    for s, g in enumerate(generators):
+        if [row[g] for row in table] != action[:, s].tolist():
+            raise BadParameter(f"column {s} of the action is not right "
+                               f"multiplication by element {g}")
+    return _raw_group(table, generators, label)
+
+
+def _raw_group(mul, generators, label="G") -> FiniteGroup:
     mul = tuple(tuple(row) for row in mul)
     return FiniteGroup(order=len(mul), mul=mul, inv=tuple(_inverses(mul)),
-                       generators=tuple(generators), label=label, meta=meta)
+                       generators=tuple(generators), label=label)
 
 
 def validate_group(G: FiniteGroup) -> None:
@@ -252,37 +265,36 @@ def build_from_table(table, generators=None, label="G") -> FiniteGroup:
     return G
 
 
+def _action(order: int, columns) -> np.ndarray:
+    """The [order, d] action array whose column s is x -> x*g_s."""
+    return np.array(columns, dtype=np.intp).reshape(len(columns), order).T
+
+
 def build_cyclic(n: int, label: Optional[str] = None) -> FiniteGroup:
     if not 1 <= n <= FULL_GROUP_LIMIT:
         raise SizeLimit(f"cyclic order {n} out of range 1..{FULL_GROUP_LIMIT}")
-    mul = [[(x + y) % n for y in range(n)] for x in range(n)]
     gens = (1,) if n > 1 else ()
-    return _raw_group(mul, gens, label or f"Z{n}", meta={"kind": "cyclic", "n": n})
+    columns = [(np.arange(n) + 1) % n] if n > 1 else []
+    return group_from_action(_action(n, columns), gens, label or f"Z{n}")
 
 
 def build_direct_product(G: FiniteGroup, H: FiniteGroup,
                          label: Optional[str] = None) -> FiniteGroup:
+    """The pair (a, b) has index a*|H| + b; the generators are those of G,
+    then those of H, each paired with the identity."""
     n = G.order * H.order
     if n > CONTAINER_LIMIT:
         raise SizeLimit(f"product order {n} exceeds {CONTAINER_LIMIT}")
     hn = H.order
+    a, b = np.divmod(np.arange(n), hn)
 
-    def enc(a, b):
-        return a * hn + b
-
-    mul = [[0] * n for _ in range(n)]
-    for xa in range(G.order):
-        for xb in range(hn):
-            x = enc(xa, xb)
-            row = mul[x]
-            grow = G.mul[xa]
-            hrow = H.mul[xb]
-            for ya in range(G.order):
-                ga = grow[ya] * hn
-                for yb in range(hn):
-                    row[enc(ya, yb)] = ga + hrow[yb]
-    gens = [enc(g, 0) for g in G.generators] + [enc(0, h) for h in H.generators]
-    return _raw_group(mul, gens, label or f"{G.label}x{H.label}")
+    def times(K, k):
+        return np.array([row[k] for row in K.mul])
+    columns = [times(G, g)[a] * hn + b for g in G.generators] + \
+        [a * hn + times(H, h)[b] for h in H.generators]
+    gens = [g * hn for g in G.generators] + list(H.generators)
+    return group_from_action(_action(n, columns), gens,
+                             label or f"{G.label}x{H.label}")
 
 
 @functools.cache
@@ -291,16 +303,11 @@ def build_vector_group(p: int, n: int) -> FiniteGroup:
     order = p ** n
     if order > CONTAINER_LIMIT:
         raise SizeLimit(f"(Z/{p})^{n} has order {order} > {CONTAINER_LIMIT}")
-    mul = [[0] * order for _ in range(order)]
-    for x in range(order):
-        xv = index_to_vec(p, n, x)
-        for y in range(order):
-            yv = index_to_vec(p, n, y)
-            mul[x][y] = vec_to_index(p, [(a + b) % p for a, b in zip(xv, yv)])
-    gens = [vec_to_index(p, [1 if j == i else 0 for j in range(n)])
-            for i in range(n)]
-    return _raw_group(mul, gens, f"(Z/{p})^{n}",
-                      meta={"kind": "vector", "p": p, "n": n})
+    x = np.arange(order)
+    gens = [p ** (n - 1 - i) for i in range(n)]
+    # the i-th unit vector adds 1 to digit i, which wraps p - 1 to 0
+    columns = [x + w * np.where(x // w % p == p - 1, 1 - p, 1) for w in gens]
+    return group_from_action(_action(order, columns), gens, f"(Z/{p})^{n}")
 
 
 def vec_to_index(p: int, vec: Sequence[int]) -> int:
@@ -319,7 +326,9 @@ def index_to_vec(p: int, n: int, x: int) -> tuple:
 
 
 def build_semidirect_cyclic(l: int, k: int, p: int) -> FiniteGroup:
-    """Z/l^k semidirect Z/l^k, the second factor acting by x -> p*x.
+    """Z/l^k semidirect Z/l^k, the second factor acting by x -> p*x; the
+    index of (a, b) is a * l^k + b, and (a1, b1)(a2, b2) =
+    (a1 + p^b1 a2, b1 + b2).
 
     Multiplication by p must be an automorphism of Z/l^k whose order
     divides l^k, which holds whenever l | p-1 (the Demushkin-motivated
@@ -331,71 +340,34 @@ def build_semidirect_cyclic(l: int, k: int, p: int) -> FiniteGroup:
     if p % l == 0 or pow(p, m, m) != 1 % m:
         raise BadParameter(
             f"x -> {p}*x mod {m} is not an order-dividing-{m} automorphism")
-
-    def act(times, x):
-        return (x * pow(p, times, m)) % m
-
-    def enc(a, b):
-        return a * m + b
-
-    n = m * m
-    mul = [[0] * n for _ in range(n)]
-    for a1 in range(m):
-        for b1 in range(m):
-            row = mul[enc(a1, b1)]
-            for a2 in range(m):
-                for b2 in range(m):
-                    row[enc(a2, b2)] = enc((a1 + act(b1, a2)) % m,
-                                           (b1 + b2) % m)
-    gens = [enc(1, 0), enc(0, 1)]
-    return _raw_group(mul, gens, f"Z{m}:Z{m}(p={p})",
-                      meta={"kind": "semidirect", "m": m, "p": p})
+    a, b = np.divmod(np.arange(m * m), m)
+    powers = np.array([pow(p, e, m) for e in range(m)])
+    columns = [(a + powers[b]) % m * m + b,     # times (1, 0)
+               a * m + (b + 1) % m]             # times (0, 1)
+    return group_from_action(_action(m * m, columns), (m, 1),
+                             f"Z{m}:Z{m}(p={p})")
 
 
 def build_dihedral(n: int) -> FiniteGroup:
-    """Dihedral group of order 2n: rotations r^i, reflections r^i s."""
+    """Dihedral group of order 2n: r^i s^e has index i + n*e, and
+    (r^i s^e) r = r^(i +- 1) s^e, (r^i s^e) s = r^i s^(1-e)."""
     order = 2 * n
     if order > FULL_GROUP_LIMIT:
         raise SizeLimit(f"order {order} exceeds {FULL_GROUP_LIMIT}")
-
-    def enc(i, s):
-        return i + n * s
-
-    mul = [[0] * order for _ in range(order)]
-    for i in range(n):
-        for s in range(2):
-            row = mul[enc(i, s)]
-            for j in range(n):
-                for t in range(2):
-                    # (r^i s^s)(r^j s^t) = r^(i + j or i - j) s^(s+t)
-                    row[enc(j, t)] = enc((i + (j if s == 0 else -j)) % n, s ^ t)
-    gens = [enc(1, 0), enc(0, 1)] if n > 1 else [enc(0, 1)]
-    return _raw_group(mul, gens, f"D{n}")
+    e, i = np.divmod(np.arange(order), n)
+    times_r = (i + 1 - 2 * e) % n + n * e
+    times_s = i + n * (1 - e)
+    gens, columns = ((1, n), [times_r, times_s]) if n > 1 else \
+        ((1,), [times_s])
+    return group_from_action(_action(order, columns), gens, f"D{n}")
 
 
 def build_quaternion8() -> FiniteGroup:
-    """Quaternion group {±1, ±i, ±j, ±k} via its Cayley table."""
-    # element order: 1, -1, i, -i, j, -j, k, -k
-    def mulq(a, b):
-        table = {("i", "j"): (1, "k"), ("j", "i"): (-1, "k"),
-                 ("j", "k"): (1, "i"), ("k", "j"): (-1, "i"),
-                 ("k", "i"): (1, "j"), ("i", "k"): (-1, "j"),
-                 ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"),
-                 ("k", "k"): (-1, "1")}
-        sa, ua = a
-        sb, ub = b
-        if ua == "1":
-            return (sa * sb, ub)
-        if ub == "1":
-            return (sa * sb, ua)
-        s, u = table[(ua, ub)]
-        return (sa * sb * s, u)
-
-    elems = [(1, "1"), (-1, "1"), (1, "i"), (-1, "i"),
-             (1, "j"), (-1, "j"), (1, "k"), (-1, "k")]
-    index = {e: i for i, e in enumerate(elems)}
-    mul = [[index[mulq(a, b)] for b in elems] for a in elems]
-    return _raw_group(mul, (2, 4), "Q8")
+    """Quaternion group on the elements 1, -1, i, -i, j, -j, k, -k, in that
+    index order, generated by i and j."""
+    times_i = [2, 3, 1, 0, 7, 6, 4, 5]  # x*i = i, -i, -1, 1, -k, k, j, -j
+    times_j = [4, 5, 6, 7, 1, 0, 3, 2]  # x*j = j, -j, k, -k, -1, 1, -i, i
+    return group_from_action(_action(8, [times_i, times_j]), (2, 4), "Q8")
 
 
 def build_symmetric3() -> FiniteGroup:

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .groups import FiniteGroup, GroupHom, build_vector_group, enumerate_homs, \
     vec_to_index
-from .unitri import CosetQuotient, FiberQuotient, UniTriGroup, unitri_group, \
+from .unitri import CosetQuotient, UniTriGroup, unitri_group, \
     zeta_kappa_targets
 
 EXHAUSTIVE_GROUP_LIMIT = 8
@@ -68,9 +68,6 @@ class DefiningSystem:
 
     def entry(self, i: int, j: int) -> Cochain:
         return self.entries[(i, j)]
-
-    def chars(self) -> tuple:
-        return tuple(self.entries[(i, i + 1)] for i in range(1, self.n + 1))
 
 
 def system_positions(n: int) -> list[tuple[int, int]]:
@@ -118,10 +115,6 @@ def defining_system_from_hom(psi: GroupHom, n: int, p: int,
                 for g in range(1, G.order)]
         entries[(i, j)] = Cochain(G, p, 1, tuple(vals))
     return DefiningSystem(G, p, n, entries)
-
-
-def unitri_entry_reader(U: UniTriGroup) -> Callable[[int, int, int], int]:
-    return U.entry_of
 
 
 def coset_entry_reader(U: UniTriGroup, quot: CosetQuotient
@@ -276,6 +269,8 @@ def strong_massey_vanishing(G: FiniteGroup, p: int, n_range,
     """Per-n report of the strong Massey vanishing property: every tuple
     with consecutive cups zero must have vanishing Massey product."""
     from . import embedding  # local import; embedding depends on this module
+    if budget is not None and budget < 0:
+        raise BadParameter(f"tuple budget {budget} must be >= 0")
     reports = []
     for n in n_range:
         checked = 0

@@ -22,8 +22,8 @@ from .errors import (
     SizeLimit,
 )
 from .gfp import check_prime
-from .groups import CONTAINER_LIMIT, FiniteGroup, GroupHom, _raw_group, \
-    build_vector_group, index_to_vec, table_from_action, vec_to_index
+from .groups import CONTAINER_LIMIT, FiniteGroup, GroupHom, \
+    build_vector_group, group_from_action, index_to_vec, vec_to_index
 
 
 @functools.cache
@@ -249,8 +249,7 @@ class UniTriGroup:
         for s, g in enumerate(gens):
             for v in _product(columns, digits[g].tolist(), plan, p):
                 action[:, s] = action[:, s] * p + v
-        return _raw_group(table_from_action(action), gens, f"U{n}({p})",
-                          meta={"kind": "unitri", "n": n, "p": p})
+        return group_from_action(action, gens, f"U{n}({p})")
 
     def elementary(self, i: int, j: int, v: int = 1) -> UniTriMatrix:
         vals = [0] * self.num_entries
@@ -344,8 +343,7 @@ class CosetQuotient:
         gens = tuple(sorted({coset_of[g] for g in parent.generators} - {0}))
         action = [[coset_of[parent.mul[r][reps[c]]] for c in gens]
                   for r in reps]
-        self.group = _raw_group(table_from_action(action), gens, label,
-                                meta={"kind": "coset-quotient"})
+        self.group = group_from_action(action, gens, label)
 
     def project(self) -> GroupHom:
         return GroupHom(self.parent, self.group, self.coset_of)
@@ -419,10 +417,7 @@ class FiberQuotient:
         action = [[self._index[(vec_to_index(p, Ax.mul(mats[g][0]).entries),
                                 vec_to_index(p, Bx.mul(mats[g][1]).entries))]
                    for g in gens] for (Ax, Bx) in mats]
-        self.group = _raw_group(table_from_action(action), gens,
-                                f"Q({k},{m};{p})",
-                                meta={"kind": "fiber-quotient",
-                                      "k": k, "m": m, "p": p})
+        self.group = group_from_action(action, gens, f"Q({k},{m};{p})")
 
     def from_parent(self, idx: int) -> int:
         """The quotient map U_m(p) -> Q_{k,m} on element indices."""

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional
 
 from . import cochains as cc
 from . import embedding as em
@@ -25,6 +24,7 @@ from .errors import (
 from .groups import FiniteGroup, GroupHom, build_cyclic, enumerate_homs, \
     vec_to_index
 from .unitri import (
+    UniTriGroup,
     UniTriMatrix,
     central_series_ker_phi,
     fiber_quotient,
@@ -88,17 +88,18 @@ def case_by_case_audit() -> dict:
     return rec
 
 
-def splice_lifts(left: GroupHom, right: GroupHom) -> GroupHom:
-    """Combine psi_left : G -> U_k(p) and psi_right : G -> U_{n-k+1}(p)
-    into the block-diagonal homomorphism G -> U_{n+1}(p), whose
-    superdiagonal splices the two patterns with a 0 at position k."""
-    lm, rm = left.codomain.meta, right.codomain.meta
-    if lm.get("kind") != "unitri" or rm.get("kind") != "unitri":
-        raise SizeMismatch("both factors must land in unitriangular groups")
-    if left.domain != right.domain or lm["p"] != rm["p"]:
+def splice_lifts(left: GroupHom, right: GroupHom, Ul: UniTriGroup,
+                 Ur: UniTriGroup) -> GroupHom:
+    """Combine psi_left : G -> Ul = U_a(p) and psi_right : G -> Ur = U_b(p)
+    into the block-diagonal homomorphism G -> U_{a+b}(p), whose
+    superdiagonal splices the two patterns with a 0 at position a."""
+    if left.codomain != Ul.as_finite_group() or \
+            right.codomain != Ur.as_finite_group():
+        raise SizeMismatch("each factor must land in its unitriangular group")
+    if left.domain != right.domain or Ul.p != Ur.p:
         raise SizeMismatch("factors must share the domain and the prime")
-    a, b, p = lm["n"], rm["n"], lm["p"]
-    Ul, Ur, U = unitri_group(a, p), unitri_group(b, p), unitri_group(a + b, p)
+    a, p = Ul.n, Ul.p
+    U = unitri_group(a + Ur.n, p)
 
     def entry(g, i, j):
         """Entry (i, j) of the block-diagonal image of g."""
@@ -113,41 +114,33 @@ def splice_lifts(left: GroupHom, right: GroupHom) -> GroupHom:
 # -- the central filtration drill ----------------------------------------------
 
 class _FiltrationTower:
-    """Quotients U_{n+1}(p)/N_t along the central series of Ker(phi),
-    with the connecting surjections and the identification of the top
-    quotient with (Z/p)^n."""
+    """U_{n+1}(p) and its quotients U/N_t along the central series of
+    Ker(phi), with the connecting surjections and the identification of
+    the top quotient with (Z/p)^n.  N_0 = {1}, so groups[0] is U's own
+    table and a lift down the tower lands in U."""
 
     def __init__(self, n: int, p: int):
-        self.n, self.p = n, p
         self.U = unitri_group(n + 1, p)
         UG = self.U.as_finite_group()
-        chain, self.positions = central_series_ker_phi(n, p)
-        self.quots = [CosetQuotient(UG, sorted(nt), label=f"U/N{t}")
-                      for t, nt in enumerate(chain)]
+        chain, _ = central_series_ker_phi(n, p)
         self.steps = len(chain) - 1
+        quots = [CosetQuotient(UG, sorted(nt), label=f"U/N{t}")
+                 for t, nt in enumerate(chain) if t]
+        self.groups = [UG] + [q.group for q in quots]
+        # each level's elements as representatives in U
+        reps = [UG.elements()] + [q.reps for q in quots]
         # alpha_t : U/N_t -> U/N_{t+1}
-        self.alphas = []
-        for t in range(self.steps):
-            lo, hi = self.quots[t], self.quots[t + 1]
-            self.alphas.append(GroupHom(
-                lo.group, hi.group,
-                tuple(hi.coset_of[lo.reps[x]] for x in range(lo.group.order))))
+        self.alphas = [GroupHom(self.groups[t], q.group,
+                                tuple(q.coset_of[r] for r in reps[t]))
+                       for t, q in enumerate(quots)]
         # the top quotient is (Z/p)^n via the superdiagonal
         phi = self.U.phi_hom()
-        top = self.quots[-1]
-        self.vec_to_top = {phi(top.reps[c]): c
-                           for c in range(top.group.order)}
+        self.vec_to_top = {phi(r): c for c, r in enumerate(reps[-1])}
 
     def start_hom(self, forced: GroupHom) -> GroupHom:
         images = tuple(self.vec_to_top[forced(g)]
                        for g in forced.domain.elements())
-        return GroupHom(forced.domain, self.quots[-1].group, images)
-
-    def to_unitri(self, psi0: GroupHom) -> GroupHom:
-        q0 = self.quots[0]
-        UG = self.U.as_finite_group()
-        return GroupHom(psi0.domain, UG,
-                        tuple(q0.reps[psi0(g)] for g in psi0.domain.elements()))
+        return GroupHom(forced.domain, self.groups[-1], images)
 
 
 @functools.cache
@@ -181,8 +174,7 @@ def easy_vanishing_drill(G: FiniteGroup, p: int, n: int) -> dict:
         forced = q.forced_hom()
         psi = tower.start_hom(forced)
         for t in range(tower.steps - 1, -1, -1):
-            E = EmbeddingProblem(G, tower.quots[t + 1].group,
-                                 tower.quots[t].group,
+            E = EmbeddingProblem(G, tower.groups[t + 1], tower.groups[t],
                                  tower.alphas[t], psi)
             o = em.obstruction(E)
             if not o.is_zero():
@@ -193,9 +185,8 @@ def easy_vanishing_drill(G: FiniteGroup, p: int, n: int) -> dict:
             if psi is None:
                 raise MasseyLabError(
                     "zero obstruction but no lift found (implementation fault)")
-        full = tower.to_unitri(psi)
         phi = tower.U.phi_hom()
-        if any(phi(full(g)) != forced(g) for g in G.elements()):
+        if any(phi(psi(g)) != forced(g) for g in G.elements()):
             raise MasseyLabError("final lift does not project correctly")
         tuples += 1
     return {"group": G.label, "p": p, "n": n, "tuples": tuples,
@@ -205,15 +196,11 @@ def easy_vanishing_drill(G: FiniteGroup, p: int, n: int) -> dict:
 
 # -- central-step obstruction audits -------------------------------------------
 
-def _audit_step(G: FiniteGroup, alpha: GroupHom, max_homs: Optional[int]):
+def _audit_step(G: FiniteGroup, alpha: GroupHom):
     """solve <=> obstruction-zero, and lift-policy independence, over
     homomorphisms phi : G -> codomain(alpha)."""
     records = []
-    count = 0
     for phi in enumerate_homs(G, alpha.codomain):
-        if max_homs is not None and count >= max_homs:
-            break
-        count += 1
         E = EmbeddingProblem(G, alpha.codomain, alpha.domain, alpha, phi)
         data = em.central_data(E)
         o_min = em.obstruction(E, data, "min")
@@ -229,18 +216,17 @@ def _audit_step(G: FiniteGroup, alpha: GroupHom, max_homs: Optional[int]):
     return records
 
 
-def obstruction_tower_audit(G: FiniteGroup, m: int, p: int,
-                            max_homs: Optional[int] = None) -> list[dict]:
+def obstruction_tower_audit(G: FiniteGroup, m: int, p: int) -> list[dict]:
     """Audit every central step of the Ker(phi_m) filtration and of the
     rho_{k,m} tower inside U_m(p)."""
     out = []
     tower = _tower(m - 1, p)
     for t in range(tower.steps):
-        recs = _audit_step(G, tower.alphas[t], max_homs)
+        recs = _audit_step(G, tower.alphas[t])
         out.append({"step": f"filtration t={t}", "records": recs})
     for k in range(1, m - 1):
         fq = fiber_quotient(k, m, p)
-        recs = _audit_step(G, fq.rho_hom(), max_homs)
+        recs = _audit_step(G, fq.rho_hom())
         out.append({"step": f"rho k={k}", "records": recs})
     return out
 

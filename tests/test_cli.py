@@ -233,10 +233,12 @@ def test_query_file_with_a_non_integer_p_or_n_is_a_parse_error(
 @pytest.mark.parametrize("argv", [
     ["verify", "dwyer", "--n", "-1"],
     ["verify", "twisting", "--sample", "-1"],
+    ["verify", "twisting", "--sample", "0"],
     ["verify", "fiber-quotient", "--n", "0"],
     ["verify", "fiber-quotient", "--n", "1"],
     ["verify", "strong-vanishing", "--n", "2"],
     ["verify", "strong-vanishing", "--n", "-1"],
+    ["verify", "strong-vanishing", "--tuple-budget", "-1"],
 ], ids=lambda argv: " ".join(argv[1:]))
 def test_bad_sizes_raise_bad_parameter(argv, capsys):
     code = cli.main([*argv, "--format", "records", "--no-cache"])
@@ -284,6 +286,8 @@ def test_trivial_group_massey_query(tmp_path, capsys):
 # change to a record, its order or its formatting shows here, so a change
 # that means to alter records has to pin the new hashes.
 GOLDEN_RECORDS = {
+    "group list":
+        "f0ca9ebab55a155a50767bf128496ae1a5e07e357f7c6fcaa56ecda405ce17f2",
     "cohomology --group Q8 --p 2":
         "4bb171bfaa2481886b3c4ce2c320844f057a664ed57213e3af0221e234d9679b",
     "cohomology --group D4 --p 2":
@@ -300,6 +304,8 @@ GOLDEN_RECORDS = {
         "fad8795659cd5c1c2689d3e038763954bb9382eef8afc931f1821d12074f6a41",
     "verify easy-vanishing --group Z3 --p 2 --n 3":
         "2d0308e799c484307e15d5db7608e6aa77775fbe66d9b80de476b24c1ed16cd3",
+    "verify easy-vanishing --group Z3 --p 2 --n 4":
+        "67fde42a00066b675b0d83b0c43c885dec1f8a54da08e48f35664cbcb2a27cc8",
     "verify twisting --group V4 --p 2 --n 3 --k 2 --sample 20 --seed 1":
         "e6dae6844b8fa888b2f47cee1788c6f405e7d11603fca7093f3716d21779dd60",
     "verify strong-vanishing --group Z2 --p 2 --n 6":

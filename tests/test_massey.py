@@ -50,7 +50,7 @@ def test_sign_convention_p3():
     A = U.elementary(1, 2).mul(U.elementary(2, 3))
     psi = gr.GroupHom(Z3, G, (0, U.index_of(A),
                               U.index_of(A.mul(A)))).check()
-    ds_minus = ms.defining_system_from_hom(psi, 3, 3, ms.unitri_entry_reader(U))
+    ds_minus = ms.defining_system_from_hom(psi, 3, 3, U.entry_of)
     ok, _ = ms.is_defining_system(ds_minus)
     assert ok
     ds_plus = ms.DefiningSystem(Z3, 3, 3, {

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from masseylab import cochains as cc
+from masseylab import embedding as em
 from masseylab import groups as gr
 from masseylab import verify as vf
 from masseylab.errors import (
@@ -13,7 +14,12 @@ from masseylab.errors import (
     NotApplicable,
     SizeMismatch,
 )
-from masseylab.unitri import identity_matrix, unitri_group
+from masseylab.unitri import (
+    CosetQuotient,
+    central_series_ker_phi,
+    identity_matrix,
+    unitri_group,
+)
 
 
 def test_sign_pattern_validation():
@@ -50,7 +56,7 @@ def test_splice_matches_block_lift():
     U2 = unitri_group(2, 2)
     G2 = U2.as_finite_group()
     h = gr.GroupHom(Z2, G2, (0, 1)).check()
-    sp = vf.splice_lifts(h, h)
+    sp = vf.splice_lifts(h, h, U2, U2)
     U4 = unitri_group(4, 2)
     assert U4.matrix_of(sp(1)) == vf.block_lift(vf.SignPattern((1, 0, 1)))
 
@@ -61,7 +67,7 @@ def test_splice_hom_law_v4():
     G2 = U2.as_finite_group()
     left = gr.GroupHom(V4, G2, (0, 1, 0, 1)).check()
     right = gr.GroupHom(V4, G2, (0, 0, 1, 1)).check()
-    sp = vf.splice_lifts(left, right)  # .check() inside raises on failure
+    sp = vf.splice_lifts(left, right, U2, U2)  # .check() raises on failure
     U4 = unitri_group(4, 2)
     for g in V4.elements():
         assert U4.matrix_of(sp(g)).phi() == \
@@ -70,9 +76,14 @@ def test_splice_hom_law_v4():
 
 def test_splice_mismatch():
     Z2 = gr.build_cyclic(2)
+    U2, U2_3 = unitri_group(2, 2), unitri_group(2, 3)
     h = gr.GroupHom(Z2, Z2, (0, 1))
     with pytest.raises(SizeMismatch):
-        vf.splice_lifts(h, h)  # codomain is not unitriangular
+        vf.splice_lifts(h, h, U2, U2)  # the codomain is not U_2(2)'s table
+    into_u2 = gr.GroupHom(Z2, U2.as_finite_group(), (0, 1))
+    trivial = gr.GroupHom(Z2, U2_3.as_finite_group(), (0, 0))
+    with pytest.raises(SizeMismatch):
+        vf.splice_lifts(into_u2, trivial, U2, U2_3)  # the primes differ
 
 
 @pytest.mark.parametrize("G,p", [
@@ -84,6 +95,57 @@ def test_easy_vanishing_drill(G, p):
     assert rec["verified"] and rec["obstructions_zero"]
     assert rec["mode"] == "filtration"
     assert rec["steps"] == 3
+
+
+def coset_quotient_tower(n, p):
+    """The tower as a CosetQuotient of U_{n+1}(p) at every level, the
+    bottom U/N_0 = U/{1} included: groups, connecting maps, the top's
+    representatives and the bottom's."""
+    U = unitri_group(n + 1, p)
+    chain, _ = central_series_ker_phi(n, p)
+    quots = [CosetQuotient(U.as_finite_group(), sorted(nt)) for nt in chain]
+    alphas = [gr.GroupHom(lo.group, hi.group,
+                          tuple(hi.coset_of[r] for r in lo.reps))
+              for lo, hi in zip(quots, quots[1:])]
+    return [q.group for q in quots], alphas, quots[-1].reps, quots[0].reps
+
+
+def lift_down(groups, alphas, psi):
+    """Solve each central step from the top level down; the lift at each
+    level, None from the first step without a solution on."""
+    lifts = []
+    for t in range(len(alphas) - 1, -1, -1):
+        if psi is not None:
+            psi = em.solve(em.EmbeddingProblem(psi.domain, groups[t + 1],
+                                               groups[t], alphas[t], psi))
+        lifts.append(psi)
+    return lifts
+
+
+@pytest.mark.parametrize("n, p", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)])
+def test_tower_starts_at_u_and_matches_the_coset_quotient_tower(n, p):
+    tower = vf._FiltrationTower(n, p)
+    groups, alphas, top_reps, bottom_reps = coset_quotient_tower(n, p)
+    assert tower.groups[0] is tower.U.as_finite_group()
+    assert [G.mul for G in tower.groups] == [G.mul for G in groups]
+    assert [a.images for a in tower.alphas] == [a.images for a in alphas]
+    phi = tower.U.phi_hom()
+    assert tower.vec_to_top == {phi(r): c for c, r in enumerate(top_reps)}
+    G = gr.build_vector_group(p, 2) if p == 2 else gr.build_cyclic(p)
+    lifted = 0
+    for psi in gr.enumerate_homs(G, tower.groups[-1]):
+        new = lift_down(tower.groups, tower.alphas, psi)
+        old = lift_down(groups, alphas, gr.GroupHom(G, groups[-1],
+                                                    psi.images))
+        assert [h and h.images for h in new] == [h and h.images for h in old]
+        if old[-1] is not None:
+            # the coset tower's final lift, read in U through its
+            # representatives
+            assert new[-1].codomain is tower.U.as_finite_group()
+            assert new[-1].images == tuple(bottom_reps[x]
+                                           for x in old[-1].images)
+            lifted += any(new[-1].images)
+    assert lifted
 
 
 def test_easy_vanishing_trivial_mode():
