@@ -3,6 +3,7 @@ problems, and the twisting identity machinery."""
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -42,10 +43,9 @@ class EmbeddingProblem:
         return self
 
     def fibers(self) -> dict:
-        out: dict[int, list[int]] = {a: [] for a in self.A.elements()}
-        for b in self.B.elements():
-            out[self.alpha(b)].append(b)
-        return out
+        """{a: the elements of B over a}, shared by every problem on the
+        same alpha; callers must not mutate it."""
+        return _fibers(self.alpha)
 
 
 def solve(E: EmbeddingProblem) -> Optional[GroupHom]:
@@ -160,6 +160,12 @@ def dwyer_solvable(q: MasseyQuery) -> bool:
 
 
 # -- central problems and obstructions -----------------------------------------
+#
+# Every quantity below that depends only on the surjection alpha (its fibers,
+# lift sections, kernel, centrality and identification with Z/p) is computed
+# once per alpha and shared by every problem along it; callers must not
+# mutate what these return.  functools.cache stores no exception, so a check
+# that fails raises again on every call.
 
 @dataclass(frozen=True)
 class CentralProblemData:
@@ -172,15 +178,30 @@ class CentralProblemData:
         return len(self.kernel)
 
 
-def central_data(E: EmbeddingProblem, ident=None) -> CentralProblemData:
-    """Kernel of alpha, centrality check, and an identification with Z/p.
+@functools.cache
+def _fibers(alpha: GroupHom) -> dict:
+    out: dict[int, list[int]] = {a: [] for a in alpha.codomain.elements()}
+    for b in alpha.domain.elements():
+        out[alpha(b)].append(b)
+    return out
 
-    ident, when given, is a function from kernel elements to residues (e.g.
-    the iota coordinates of a fiber-quotient step); otherwise powers of the
-    smallest-index generator are used.
-    """
-    kernel = tuple(E.alpha.kernel())
-    B = E.B
+
+@functools.cache
+def _section(alpha: GroupHom, lift_policy: str) -> dict:
+    """The least ("min") or greatest ("max") element of each fiber."""
+    if lift_policy not in ("min", "max"):
+        raise BadParameter(f"unknown lift policy {lift_policy!r}")
+    pick = min if lift_policy == "min" else max
+    return {a: pick(bs) for a, bs in _fibers(alpha).items() if bs}
+
+
+@functools.cache
+def _central(alpha: GroupHom, ident) -> tuple:
+    """Ker(alpha), checked to be central of prime order, and its
+    identification with Z/p through ident, checked to be a bijection fixing
+    1; with ident None, powers of the smallest-index generator are used."""
+    kernel = tuple(alpha.kernel())
+    B = alpha.domain
     for z in kernel:
         for b in B.elements():
             if B.mul[z][b] != B.mul[b][z]:
@@ -200,7 +221,18 @@ def central_data(E: EmbeddingProblem, ident=None) -> CentralProblemData:
         ident = {z: ident(z) for z in kernel}
     if sorted(ident.values()) != list(range(p)) or ident[0] != 0:
         raise BadParameter("kernel identification is not a bijection fixing 1")
-    return CentralProblemData(E, kernel, ident)
+    return kernel, ident
+
+
+def central_data(E: EmbeddingProblem, ident=None) -> CentralProblemData:
+    """Kernel of alpha, centrality check, and an identification with Z/p.
+
+    ident, when given, is a function from kernel elements to residues (e.g.
+    the iota coordinates of a fiber-quotient step); otherwise powers of the
+    smallest-index generator are used.  It is part of the cache key, so it
+    must be hashable and give the same residues on every call.
+    """
+    return CentralProblemData(E, *_central(E.alpha, ident))
 
 
 def obstruction(E: EmbeddingProblem, data: Optional[CentralProblemData] = None,
@@ -209,15 +241,9 @@ def obstruction(E: EmbeddingProblem, data: Optional[CentralProblemData] = None,
     H^2(G, Z/p)."""
     if data is None:
         data = central_data(E)
-    G, B, p = E.G, E.B, data.p
-    fibers = E.fibers()
-    if lift_policy == "min":
-        pick = {a: min(bs) for a, bs in fibers.items() if bs}
-    elif lift_policy == "max":
-        pick = {a: max(bs) for a, bs in fibers.items() if bs}
-    else:
-        raise BadParameter(f"unknown lift policy {lift_policy!r}")
-    lift = [pick[E.phi(g)] for g in G.elements()]
+    G, B, ident = E.G, E.B, data.ident
+    pick = _section(E.alpha, lift_policy)
+    lift = [pick[a] for a in E.phi.images]
     lift[0] = 0
     vals = []
     for x in range(1, G.order):
@@ -225,8 +251,8 @@ def obstruction(E: EmbeddingProblem, data: Optional[CentralProblemData] = None,
             bxy = lift[G.mul[x][y]]
             prod = B.mul[lift[x]][lift[y]]
             c = B.mul[bxy][B.inv[prod]]
-            vals.append(data.ident[c])
-    z = Cochain(G, p, 2, tuple(vals))
+            vals.append(ident[c])
+    z = Cochain(G, data.p, 2, tuple(vals))
     return cc.class_of(z)
 
 
@@ -330,11 +356,17 @@ def verify_twisting(G: FiniteGroup, p: int, n: int, k: int,
             if psi is None:
                 continue
             pairs.append((psi, rng.choice(chis)))
+
+    @functools.cache
+    def base(psi):
+        """a_{k-1} and o(E(psi)), computed once for every chi paired with
+        psi."""
+        return (chars_of_quotient_hom(psi, tgt)[k - 2],
+                rho_step_obstruction(psi, k, m, p))
+
     records = []
     for psi, chi in pairs:
-        chars = chars_of_quotient_hom(psi, tgt)
-        a_prev = chars[k - 2]  # a_{k-1}
-        o_base = rho_step_obstruction(psi, k, m, p)
+        a_prev, o_base = base(psi)
         psix = twist(psi, embed_char_in_rho_kernel(tgt, chi))
         o_tw = rho_step_obstruction(psix, k, m, p)
         expected = o_base + cc.class_of(cc.cup(a_prev, chi))

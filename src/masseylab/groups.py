@@ -138,15 +138,17 @@ def _bfs(mul, gens) -> tuple[list[int], list[tuple[int, int, int]]]:
     return reached, edges
 
 
-def _edges(G: FiniteGroup) -> list[tuple[int, int, int]]:
-    """The breadth-first edges of G over its listed generators; raises
-    GeneratorsDontGenerate unless they reach every element."""
+@functools.cache
+def _edges(G: FiniteGroup) -> tuple[tuple[int, int, int], ...]:
+    """The breadth-first edges of G over its listed generators, walked once
+    per group; raises GeneratorsDontGenerate, on every call, unless they
+    reach every element."""
     reached, edges = _bfs(G.mul, G.generators)
     if len(reached) != G.order:
         raise GeneratorsDontGenerate(
             f"generators {tuple(G.generators)} span only {len(reached)} of "
             f"{G.order} elements")
-    return edges
+    return tuple(edges)
 
 
 def _extend(edges, hmul, gen_images, order) -> Optional[tuple]:
@@ -195,9 +197,8 @@ def table_from_action(action) -> list[tuple]:
             done[y] = True
             columns[y] = steps[s][columns[x]]
     # one int object per element: fresh ints would cost 28 bytes a cell
-    elements = list(range(n))
-    return [tuple(map(elements.__getitem__, row.tolist()))
-            for row in columns.T]
+    elements = np.array(range(n), dtype=object)
+    return [tuple(elements[row].tolist()) for row in columns.T]
 
 
 def group_from_action(action, generators, label: str) -> FiniteGroup:

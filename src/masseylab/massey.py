@@ -280,10 +280,10 @@ def strong_massey_vanishing(G: FiniteGroup, p: int, n_range,
             q = MasseyQuery(G, p, chars)
             if not consecutive_cups_zero(q, cross_check=False):
                 continue
-            checked += 1
-            if budget is not None and checked > budget:
+            if budget is not None and checked == budget:
                 exceeded = True
                 break
+            checked += 1
             if not embedding.dwyer_solvable(q):
                 counterexample = tuple(a.values for a in chars)
                 break

@@ -214,6 +214,33 @@ def test_tuple_budget_exceeded_exits_2(capsys):
     assert recs[-1] == {"summary": {"budget-exceeded": len(recs) - 2}}
 
 
+@pytest.mark.parametrize("budget", [0, 1])
+def test_tuple_budget_counts_only_the_tuples_it_checked(budget, capsys):
+    code, out = run(["verify", "strong-vanishing", "--group", "Z2", "--p",
+                     "2", "--n", "4", "--tuple-budget", str(budget),
+                     "--no-cache", "--format", "records"], capsys)
+    assert code == cli.EXIT_BUDGET
+    body = records(out)[1:-1]
+    assert [r["n"] for r in body] == [3, 4]
+    assert all(r["tuples_checked"] == budget for r in body)
+
+
+@pytest.mark.parametrize("command", [
+    "verify twisting --group V4 --p 2 --n 3 --k 2",
+    "verify case-by-case",
+])
+def test_a_warm_process_prints_a_fresh_processs_records(command, capsys):
+    argv = [*command.split(), "--format", "records", "--no-cache"]
+    run(argv, capsys)
+    code, warm = run(argv, capsys)
+    assert code == 0
+    fresh = _fresh_python(
+        "import sys\n"
+        "from masseylab import cli\n"
+        f"sys.exit(cli.main({argv!r}))")
+    assert warm == fresh
+
+
 def test_budget_flag_is_gone(capsys):
     assert cli.main(["verify", "case-by-case", "--budget", "5"]) == \
         cli.EXIT_USAGE
@@ -308,6 +335,8 @@ GOLDEN_RECORDS = {
         "67fde42a00066b675b0d83b0c43c885dec1f8a54da08e48f35664cbcb2a27cc8",
     "verify twisting --group V4 --p 2 --n 3 --k 2 --sample 20 --seed 1":
         "e6dae6844b8fa888b2f47cee1788c6f405e7d11603fca7093f3716d21779dd60",
+    "verify twisting --group V4 --p 2 --n 3 --k 2":
+        "2074c539aed3be55e989e06f070c3f822f73bfad5e35247101f647c826bae86a",
     "verify strong-vanishing --group Z2 --p 2 --n 6":
         "f67f53fef3caec42ea54b8241296e4daaecdd2ab961fa9ba31323883821a2920",
 }

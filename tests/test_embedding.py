@@ -4,6 +4,7 @@ from masseylab import cochains as cc
 from masseylab import embedding as em
 from masseylab import groups as gr
 from masseylab import massey as ms
+from masseylab import verify as vf
 from masseylab.errors import (
     BadParameter,
     KernelNotOrderP,
@@ -141,6 +142,143 @@ def test_verify_twisting_exhaustive_v4():
     recs = em.verify_twisting(V4, 2, 3, 2)
     assert len(recs) > 0
     assert all(r["holds"] for r in recs)
+
+
+# -- the per-surjection caches against the per-call computation they replace --
+
+def oracle_fibers(E):
+    out = {a: [] for a in E.A.elements()}
+    for b in E.B.elements():
+        out[E.alpha(b)].append(b)
+    return out
+
+
+def oracle_central_data(E, ident=None):
+    kernel = tuple(E.alpha.kernel())
+    B = E.B
+    for z in kernel:
+        for b in B.elements():
+            if B.mul[z][b] != B.mul[b][z]:
+                raise NotCentral(f"kernel element {z} does not centralize {b}")
+    p = len(kernel)
+    if p < 2 or any(p % d == 0 for d in range(2, p)):
+        raise KernelNotOrderP(f"kernel order {p} is not prime")
+    if ident is None:
+        gen = min(z for z in kernel if z != 0)
+        ident = {}
+        x, c = 0, 0
+        for _ in range(p):
+            ident[x] = c
+            x = B.mul[x][gen]
+            c += 1
+    else:
+        ident = {z: ident(z) for z in kernel}
+    if sorted(ident.values()) != list(range(p)) or ident[0] != 0:
+        raise BadParameter("kernel identification is not a bijection fixing 1")
+    return em.CentralProblemData(E, kernel, ident)
+
+
+def oracle_obstruction(E, data=None, lift_policy="min"):
+    if data is None:
+        data = oracle_central_data(E)
+    G, B, p = E.G, E.B, data.p
+    fibers = oracle_fibers(E)
+    if lift_policy == "min":
+        pick = {a: min(bs) for a, bs in fibers.items() if bs}
+    elif lift_policy == "max":
+        pick = {a: max(bs) for a, bs in fibers.items() if bs}
+    else:
+        raise BadParameter(f"unknown lift policy {lift_policy!r}")
+    lift = [pick[E.phi(g)] for g in G.elements()]
+    lift[0] = 0
+    vals = []
+    for x in range(1, G.order):
+        for y in range(1, G.order):
+            bxy = lift[G.mul[x][y]]
+            prod = B.mul[lift[x]][lift[y]]
+            c = B.mul[bxy][B.inv[prod]]
+            vals.append(data.ident[c])
+    return cc.class_of(cc.Cochain(G, p, 2, tuple(vals)))
+
+
+def assert_cached_path_matches_oracle(E, ident=None):
+    assert E.fibers() == oracle_fibers(E)
+    data = em.central_data(E, ident)
+    slow = oracle_central_data(E, ident)
+    assert (data.kernel, data.ident) == (slow.kernel, slow.ident)
+    for policy in ("min", "max"):
+        fast, oracle = em.obstruction(E, data, policy), \
+            oracle_obstruction(E, slow, policy)
+        # the cocycles too, since the class is the same under both sections
+        assert fast == oracle
+        assert fast.representative.values == oracle.representative.values
+
+
+def test_cached_obstructions_match_on_every_twisting_pair():
+    k, m, p = 2, 4, 2
+    tgt, src = fiber_quotient(k, m, p), fiber_quotient(k - 1, m, p)
+    chis = [chars[0] for chars in ms.h1_tuples(V4, p, 1)]
+    pairs = 0
+    for psi in gr.enumerate_homs(V4, tgt.group):
+        for chi in chis:
+            psix = em.twist(psi, em.embed_char_in_rho_kernel(tgt, chi))
+            for f in (psi, psix):
+                assert_cached_path_matches_oracle(
+                    em.rho_step_problem(f, k, m, p), ident=src.iota)
+            pairs += 1
+    assert pairs == 1216
+
+
+@pytest.mark.parametrize("G,m,p", [(Z2, 4, 2), (V4, 4, 2), (Z2, 5, 2),
+                                   (gr.build_cyclic(3), 4, 3)])
+def test_cached_obstructions_match_on_the_tower_audit_steps(G, m, p):
+    tower = vf._tower(m - 1, p)
+    alphas = tower.alphas + [fiber_quotient(k, m, p).rho_hom()
+                             for k in range(1, m - 1)]
+    for alpha in alphas:
+        for phi in gr.enumerate_homs(G, alpha.codomain):
+            assert_cached_path_matches_oracle(em.EmbeddingProblem(
+                G, alpha.codomain, alpha.domain, alpha, phi))
+
+
+def test_problems_on_one_surjection_share_its_fibers():
+    alpha = fiber_quotient(1, 4, 2).rho_hom()
+    E1, E2 = (em.EmbeddingProblem(Z2, alpha.codomain, alpha.domain, alpha,
+                                  phi)
+              for phi in list(gr.enumerate_homs(Z2, alpha.codomain))[:2])
+    assert E1.fibers() is E2.fibers()
+    assert em.central_data(E1).ident is em.central_data(E2).ident
+
+
+def _everything_to_zero(z):
+    return 0
+
+
+def test_failed_checks_raise_again_on_every_call():
+    S3 = gr.build_symmetric3()
+    sign = gr.GroupHom(S3, Z2, tuple(0 if S3.element_order(x) in (1, 3)
+                                     else 1 for x in S3.elements())).check()
+    Z1 = gr.build_cyclic(1)
+    to_trivial = gr.GroupHom(V4, Z1, (0,) * 4).check()
+    cases = [
+        (em.EmbeddingProblem(Z2, Z2, S3, sign, gr.GroupHom(Z2, Z2, (0, 1))),
+         None, NotCentral),
+        (em.EmbeddingProblem(Z1, Z1, V4, to_trivial,
+                             gr.GroupHom(Z1, Z1, (0,))),
+         None, KernelNotOrderP),
+        (z4_to_z2_problem(), _everything_to_zero, BadParameter),
+    ]
+    for E, ident, error in cases:
+        for _ in range(2):
+            with pytest.raises(error):
+                em.central_data(E, ident)
+            if ident is None:
+                with pytest.raises(error):
+                    em.obstruction(E)
+    E = z4_to_z2_problem()
+    for _ in range(2):
+        with pytest.raises(BadParameter):
+            em.obstruction(E, lift_policy="bogus")
 
 
 def test_verify_twisting_bad_k():

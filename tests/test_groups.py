@@ -348,10 +348,16 @@ def test_edge_list_is_breadth_first_over_the_listed_generators(gname):
     assert len(edges) == G.order * d
 
 
+def test_edge_list_is_walked_once_per_group():
+    assert gr._edges(Q8) is gr._edges(Q8)
+    assert isinstance(gr._edges(Q8), tuple)
+
+
 def test_edge_list_refuses_generators_that_do_not_span():
     short = dataclasses.replace(V4, generators=(1,))
-    with pytest.raises(GeneratorsDontGenerate):
-        gr._edges(short)
+    for _ in range(2):  # a refusal is never cached
+        with pytest.raises(GeneratorsDontGenerate):
+            gr._edges(short)
     with pytest.raises(GeneratorsDontGenerate):
         gr.GroupHom(short, V4, tuple(V4.elements())).is_valid()
     with pytest.raises(GeneratorsDontGenerate):
