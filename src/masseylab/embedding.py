@@ -18,7 +18,8 @@ from .errors import (
     SizeLimit,
     TargetMismatch,
 )
-from .groups import FiniteGroup, GroupHom, enumerate_homs
+from .groups import FiniteGroup, GroupHom, enumerate_homs, extend_hom, \
+    fibers
 from .massey import MasseyQuery, h1_tuples
 from .unitri import FiberQuotient, UniTriMatrix, fiber_quotient, unitri_group, \
     zeta_kappa_targets
@@ -41,11 +42,6 @@ class EmbeddingProblem:
         if not self.alpha.is_surjective():
             raise BadParameter("alpha is not surjective")
         return self
-
-    def fibers(self) -> dict:
-        """{a: the elements of B over a}, shared by every problem on the
-        same alpha; callers must not mutate it."""
-        return _fibers(self.alpha)
 
 
 def solve(E: EmbeddingProblem) -> Optional[GroupHom]:
@@ -79,7 +75,7 @@ def build_dwyer_problem(q: MasseyQuery, target: str = "U") -> EmbeddingProblem:
     U = unitri_group(n + 1, p)
     if not U.materializable():
         raise SizeLimit(f"U_{n + 1}({p}) has order {U.order}")
-    phi = q.forced_hom()
+    phi = q.forced_hom
     if target == "U":
         alpha = U.phi_hom()
     elif target in ("U/Z", "U/P"):
@@ -161,11 +157,13 @@ def dwyer_solvable(q: MasseyQuery) -> bool:
 
 # -- central problems and obstructions -----------------------------------------
 #
-# Every quantity below that depends only on the surjection alpha (its fibers,
-# lift sections, kernel, centrality and identification with Z/p) is computed
-# once per alpha and shared by every problem along it; callers must not
-# mutate what these return.  functools.cache stores no exception, so a check
-# that fails raises again on every call.
+# Every quantity below that depends only on the surjection alpha (its lift
+# sections and kernel, read off the fibers that `groups.fibers` keeps, and
+# the kernel's centrality and identification with Z/p) is computed once per
+# alpha and shared by every problem along it; callers must not mutate what
+# these return.
+# functools.cache stores no exception, so a check that fails raises again on
+# every call.
 
 @dataclass(frozen=True)
 class CentralProblemData:
@@ -179,20 +177,12 @@ class CentralProblemData:
 
 
 @functools.cache
-def _fibers(alpha: GroupHom) -> dict:
-    out: dict[int, list[int]] = {a: [] for a in alpha.codomain.elements()}
-    for b in alpha.domain.elements():
-        out[alpha(b)].append(b)
-    return out
-
-
-@functools.cache
 def _section(alpha: GroupHom, lift_policy: str) -> dict:
     """The least ("min") or greatest ("max") element of each fiber."""
     if lift_policy not in ("min", "max"):
         raise BadParameter(f"unknown lift policy {lift_policy!r}")
-    pick = min if lift_policy == "min" else max
-    return {a: pick(bs) for a, bs in _fibers(alpha).items() if bs}
+    end = 0 if lift_policy == "min" else -1
+    return {a: bs[end] for a, bs in enumerate(fibers(alpha)) if bs}
 
 
 @functools.cache
@@ -200,7 +190,7 @@ def _central(alpha: GroupHom, ident) -> tuple:
     """Ker(alpha), checked to be central of prime order, and its
     identification with Z/p through ident, checked to be a bijection fixing
     1; with ident None, powers of the smallest-index generator are used."""
-    kernel = tuple(alpha.kernel())
+    kernel = fibers(alpha)[0]
     B = alpha.domain
     for z in kernel:
         for b in B.elements():
@@ -350,9 +340,8 @@ def verify_twisting(G: FiniteGroup, p: int, n: int, k: int,
         H = tgt.group
         pairs = []
         while len(pairs) < sample:
-            images = {pos: rng.randrange(H.order)
-                      for pos in range(len(G.generators))}
-            psi = next(enumerate_homs(G, H, fixed=images), None)
+            psi = extend_hom(G, H, tuple(rng.randrange(H.order)
+                                         for _ in G.generators))
             if psi is None:
                 continue
             pairs.append((psi, rng.choice(chis)))
@@ -364,10 +353,16 @@ def verify_twisting(G: FiniteGroup, p: int, n: int, k: int,
         return (chars_of_quotient_hom(psi, tgt)[k - 2],
                 rho_step_obstruction(psi, k, m, p))
 
+    @functools.cache
+    def in_kernel(chi):
+        """chi as a map into Ker(rho), built once for every psi paired
+        with chi."""
+        return embed_char_in_rho_kernel(tgt, chi)
+
     records = []
     for psi, chi in pairs:
         a_prev, o_base = base(psi)
-        psix = twist(psi, embed_char_in_rho_kernel(tgt, chi))
+        psix = twist(psi, in_kernel(chi))
         o_tw = rho_step_obstruction(psix, k, m, p)
         expected = o_base + cc.class_of(cc.cup(a_prev, chi))
         records.append({

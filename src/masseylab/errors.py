@@ -41,10 +41,6 @@ class NotAHomomorphism(MasseyLabError):
     pass
 
 
-class InconsistentConstraint(MasseyLabError):
-    pass
-
-
 # -- cochains ----------------------------------------------------------------
 
 class DegreeLimit(MasseyLabError):

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import (
     BadParameter,
     GeneratorsDontGenerate,
-    InconsistentConstraint,
     IndexOutOfRange,
     NoIdentity,
     NoInverse,
@@ -412,12 +411,28 @@ class GroupHom:
         return [x for x in self.domain.elements() if self.images[x] == 0]
 
 
+@functools.cache
+def fibers(alpha: GroupHom) -> tuple:
+    """fibers(alpha)[a]: the elements over a, ascending, computed once per
+    map and shared by every search and section along it."""
+    out: list[list[int]] = [[] for _ in alpha.codomain.elements()]
+    for b in alpha.domain.elements():
+        out[alpha(b)].append(b)
+    return tuple(map(tuple, out))
+
+
+def extend_hom(G: FiniteGroup, H: FiniteGroup,
+               gen_images) -> Optional[GroupHom]:
+    """The homomorphism G -> H sending G's listed generators to gen_images,
+    or None when no homomorphism does."""
+    images = _extend(_edges(G), H.mul, gen_images, G.order)
+    return None if images is None else GroupHom(G, H, images)
+
+
 def enumerate_homs(G: FiniteGroup, H: FiniteGroup, *,
-                   fixed: Optional[dict] = None,
                    fiber: Optional[tuple] = None) -> Iterator[GroupHom]:
     """All homomorphisms G -> H, as a deterministic stream.
 
-    fixed: {generator index in G.generators -> forced image}.
     fiber: (alpha, forced) with alpha: H -> A and forced: G -> A; candidate
     images of each generator g are restricted to alpha^-1(forced(g)).
 
@@ -425,25 +440,16 @@ def enumerate_homs(G: FiniteGroup, H: FiniteGroup, *,
     in listed order, images in ascending element index); each tuple is
     extended along G's edge list and dropped at its first conflict.
     """
-    gens = G.generators
     candidates: list[list[int]] = []
-    for pos, g in enumerate(gens):
-        cand = list(H.elements())
-        if fiber is not None:
+    for g in G.generators:
+        if fiber is None:
+            cand = H.elements()
+        else:
             alpha, forced = fiber
-            want = forced(g)
-            cand = [h for h in cand if alpha(h) == want]
-        if fixed is not None and pos in fixed:
-            v = fixed[pos]
-            if v not in cand:
-                raise InconsistentConstraint(
-                    f"fixed image {v} for generator #{pos} violates the "
-                    f"fiber constraint")
-            cand = [v]
+            cand = fibers(alpha)[forced(g)]
         # cheap order pruning
         og = G.element_order(g)
-        cand = [h for h in cand if og % H.element_order(h) == 0]
-        candidates.append(cand)
+        candidates.append([h for h in cand if og % H.element_order(h) == 0])
     edges = _edges(G)
     for hs in itertools.product(*candidates):
         images = _extend(edges, H.mul, hs, G.order)

@@ -9,6 +9,7 @@ matrix entries.  Their agreement is an acceptance gate, not an assumption.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
@@ -42,8 +43,10 @@ class MasseyQuery:
     def n(self) -> int:
         return len(self.chars)
 
+    @functools.cached_property
     def forced_hom(self) -> GroupHom:
-        """-a_1 x -a_2 x ... x -a_n : G -> (Z/p)^n."""
+        """-a_1 x -a_2 x ... x -a_n : G -> (Z/p)^n, built once per
+        query."""
         target = build_vector_group(self.p, self.n)
         images = tuple(
             vec_to_index(self.p, [(-a.value(g)) % self.p for a in self.chars])
@@ -192,7 +195,7 @@ def _values_hom_lift(q: MasseyQuery, stop_at_zero: bool) -> set:
         raise SizeLimit("hom-lift strategy needs a materializable U_{n+1}(p)")
     quotZ, zeta = _uz_quotient(n, p)
     reader = coset_entry_reader(U, quotZ)
-    forced = q.forced_hom()
+    forced = q.forced_hom
     out: set[CohomologyClass] = set()
     for psi in enumerate_homs(q.group, quotZ.group, fiber=(zeta, forced)):
         ds = defining_system_from_hom(psi, n, p, reader)
@@ -224,15 +227,14 @@ def massey_vanishes(q: MasseyQuery, strategy: str = "exhaustive") -> bool:
 
 
 def massey_defined(q: MasseyQuery, strategy: str = "exhaustive") -> bool:
+    if strategy == "exhaustive":
+        return next(_iter_defining_systems(q), None) is not None
     if strategy == "hom-lift":
-        n, p = q.n, q.p
-        quotZ, zeta = _uz_quotient(n, p)
-        forced = q.forced_hom()
+        quotZ, zeta = _uz_quotient(q.n, q.p)
+        forced = q.forced_hom
         return next(enumerate_homs(q.group, quotZ.group,
                                    fiber=(zeta, forced)), None) is not None
-    for _ in _iter_defining_systems(q):
-        return True
-    return False
+    raise MasseyLabError(f"unknown strategy {strategy!r}")
 
 
 # -- predicates ----------------------------------------------------------------
@@ -245,7 +247,7 @@ def consecutive_cups_zero(q: MasseyQuery, cross_check: bool = True) -> bool:
     U = unitri_group(q.n + 1, q.p)
     if cross_check and U.materializable():
         _, (quotP, kappa) = zeta_kappa_targets(q.n, q.p)
-        forced = q.forced_hom()
+        forced = q.forced_hom
         via_lift = next(enumerate_homs(q.group, quotP.group,
                                        fiber=(kappa, forced)), None) is not None
         if via_lift != direct:

@@ -243,13 +243,16 @@ class UniTriGroup:
         digits %= p
         columns = list(digits.T)
         plan = _product_plan(n)
-        gens = tuple(self.index_of(self.elementary(i, i + 1))
-                     for i in range(1, n))
+        gens = tuple(self.elementary_index(i, i + 1) for i in range(1, n))
         action = np.zeros((self.order, len(gens)), dtype=np.int64)
         for s, g in enumerate(gens):
             for v in _product(columns, digits[g].tolist(), plan, p):
                 action[:, s] = action[:, s] * p + v
         return group_from_action(action, gens, f"U{n}({p})")
+
+    def elementary_index(self, i: int, j: int, v: int = 1) -> int:
+        """Index of the elementary matrix I + v e_ij, read off the weights."""
+        return v % self.p * self.weights[_pos_index(self.n)[(i, j)]]
 
     def elementary(self, i: int, j: int, v: int = 1) -> UniTriMatrix:
         vals = [0] * self.num_entries
@@ -412,7 +415,7 @@ class FiberQuotient:
                 for a, b in pairs]
         # generators: images of U_m's superdiagonal elementaries
         Um = unitri_group(m, p)
-        gens = tuple(sorted({self.from_parent(Um.index_of(Um.elementary(i, i + 1)))
+        gens = tuple(sorted({self.from_parent(Um.elementary_index(i, i + 1))
                              for i in range(1, m)} - {0}))
         action = [[self._index[(vec_to_index(p, Ax.mul(mats[g][0]).entries),
                                 vec_to_index(p, Bx.mul(mats[g][1]).entries))]
@@ -477,8 +480,8 @@ class FiberQuotient:
         return self.right.entry_of(b, 1, self.m + 1 - self.k)
 
     def iota_inv(self, c: int) -> int:
-        corner = self.right.elementary(1, self.m + 1 - self.k, c)
-        return self._index[(0, self.right.index_of(corner))]
+        corner = self.right.elementary_index(1, self.m + 1 - self.k, c)
+        return self._index[(0, corner)]
 
     def kernel_of_rho(self) -> list[int]:
         rho = self.rho_hom()

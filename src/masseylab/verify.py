@@ -171,7 +171,7 @@ def easy_vanishing_drill(G: FiniteGroup, p: int, n: int) -> dict:
     tuples = 0
     for chars in ms.h1_tuples(G, p, n):
         q = ms.MasseyQuery(G, p, chars)
-        forced = q.forced_hom()
+        forced = q.forced_hom
         psi = tower.start_hom(forced)
         for t in range(tower.steps - 1, -1, -1):
             E = EmbeddingProblem(G, tower.groups[t + 1], tower.groups[t],
@@ -395,7 +395,7 @@ def demushkin_descent(G: FiniteGroup, p: int, chars) -> GroupHom:
     fq1 = fiber_quotient(1, m, p)
     sol = GroupHom(G, Um.as_finite_group(),
                    tuple(fq1.pairs[psi(g)][1] for g in G.elements())).check()
-    forced = q.forced_hom()
+    forced = q.forced_hom
     phi = Um.phi_hom()
     if any(phi(sol(g)) != forced(g) for g in G.elements()):
         raise MasseyLabError("descent output is not a lift of the characters")

@@ -325,6 +325,10 @@ GOLDEN_RECORDS = {
         "c78e87bd97bf4429e88dc8ddb687f8600ce1d2940a9d496c15e2771b8f31f5d4",
     "verify fiber-quotient --n 4 --p 2":
         "a02f4e03928848a5ad26349bcfb4a0e69dc4cf6b5a182a7e2d1b0e19a7bd90be",
+    "verify dwyer --group D4 --p 2 --n 3":
+        "181a5db9d75dca0ae5ec12553d60576ac9f16cbacbeeb54a0b8699b22f1c1a51",
+    "verify dwyer --group Q8 --p 2 --n 3":
+        "c1fc7ac4af151ada6d7bdf53756c21d14d4600de203cf903c997baa577c534ff",
     "verify dwyer --group V4 --p 2 --n 3":
         "333c59b0ab3ad2195af124e2d7342e5c1c360b8e19a3b0a88292183cd6ce1c42",
     "verify dwyer --group Z3 --p 3 --n 3":
@@ -335,6 +339,8 @@ GOLDEN_RECORDS = {
         "67fde42a00066b675b0d83b0c43c885dec1f8a54da08e48f35664cbcb2a27cc8",
     "verify twisting --group V4 --p 2 --n 3 --k 2 --sample 20 --seed 1":
         "e6dae6844b8fa888b2f47cee1788c6f405e7d11603fca7093f3716d21779dd60",
+    "verify twisting --group Z3xZ3 --p 3 --n 3 --k 2 --sample 25 --seed 4":
+        "08d85d82d72c0b21158ca9461cf37b5a0a58aa6e5107c6ef1a43304238805682",
     "verify twisting --group V4 --p 2 --n 3 --k 2":
         "2074c539aed3be55e989e06f070c3f822f73bfad5e35247101f647c826bae86a",
     "verify strong-vanishing --group Z2 --p 2 --n 6":

@@ -11,7 +11,6 @@ from masseylab import massey as ms
 from masseylab.cli import FIXTURES
 from masseylab.errors import (
     GeneratorsDontGenerate,
-    InconsistentConstraint,
     NoInverse,
     NonAssociative,
     ParseError,
@@ -115,8 +114,12 @@ def test_enumerate_homs_fiber_and_fixed():
     forced = gr.GroupHom(Z2, Z2, (0, 1))
     lifts = list(gr.enumerate_homs(Z2, V4, fiber=(proj, forced)))
     assert len(lifts) == 2  # g -> (1,0) or (1,1)
-    with pytest.raises(InconsistentConstraint):
-        list(gr.enumerate_homs(Z2, V4, fixed={0: 1}, fiber=(proj, forced)))
+    assert gr.fibers(proj) == ((0, 1), (2, 3))
+    assert gr.fibers(proj) is gr.fibers(proj)
+    assert [f.images for f in lifts] == \
+        [gr.extend_hom(Z2, V4, (h,)).images for h in (2, 3)]
+    assert gr.extend_hom(gr.build_cyclic(4), Z2, (1,)).images == (0, 1, 0, 1)
+    assert gr.extend_hom(Z2, gr.build_cyclic(4), (1,)) is None
 
 
 def test_group_file_roundtrip():
@@ -165,7 +168,7 @@ def test_generators_must_generate():
 
 # -- the edge list and the hom law against their all-pairs references ----------
 
-def oracle_homs(G, H, fixed=None, fiber=None):
+def oracle_homs(G, H, fiber=None):
     """The backtracking search that closes the partial map over the
     subgroup generated so far after every generator image: the reference
     the one-pass `enumerate_homs` must agree with, image for image and in
@@ -194,10 +197,6 @@ def oracle_homs(G, H, fixed=None, fiber=None):
         if fiber is not None:
             alpha, forced = fiber
             cand = [h for h in cand if alpha(h) == forced(g)]
-        if fixed is not None and pos in fixed:
-            if fixed[pos] not in cand:
-                raise InconsistentConstraint(f"generator #{pos}")
-            cand = [fixed[pos]]
         og = G.element_order(g)
         candidates.append([h for h in cand if og % H.element_order(h) == 0])
 
@@ -282,28 +281,14 @@ def test_fiber_constrained_search_matches_the_oracle():
 @pytest.mark.parametrize("gname, hname", [("V4", "U4(2)"), ("D4", "D4"),
                                           ("Z2^3", "Q24(2)"), ("S3", "D4")])
 def test_fixed_images_match_the_oracle(gname, hname):
+    """extend_hom on every full tuple of fixed generator images: the
+    oracle's homomorphism with those images, or None where it has none."""
     G, H = DOMAINS[gname], codomain(hname)
-    d = len(G.generators)
-    for pos in range(d):
-        for v in H.elements():
-            fixed = {pos: v}
-            assert images(gr.enumerate_homs(G, H, fixed=fixed)) == \
-                list(oracle_homs(G, H, fixed=fixed))
-    for vs in itertools.islice(itertools.product(H.elements(), repeat=d),
-                               0, None, 7):
-        fixed = dict(enumerate(vs))
-        assert images(gr.enumerate_homs(G, H, fixed=fixed)) == \
-            list(oracle_homs(G, H, fixed=fixed))
-
-
-def test_fixed_outside_the_fiber_is_inconsistent_in_both():
-    E = next(dwyer_problems())
-    fiber = (E.alpha, E.phi)
-    g0 = E.G.generators[0]
-    bad = next(b for b in E.B.elements() if E.alpha(b) != E.phi(g0))
-    for search in (gr.enumerate_homs, oracle_homs):
-        with pytest.raises(InconsistentConstraint):
-            list(search(E.G, E.B, fixed={0: bad}, fiber=fiber))
+    oracle = {tuple(im[g] for g in G.generators): im
+              for im in oracle_homs(G, H)}
+    for vs in itertools.product(H.elements(), repeat=len(G.generators)):
+        f = gr.extend_hom(G, H, vs)
+        assert (None if f is None else f.images) == oracle.get(vs)
 
 
 @settings(max_examples=200, deadline=None)

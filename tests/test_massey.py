@@ -7,6 +7,7 @@ from masseylab import embedding as em
 from masseylab import groups as gr
 from masseylab import massey as ms
 from masseylab.errors import (
+    MasseyLabError,
     NotADefiningSystem,
     ShapeMismatch,
     SizeLimit,
@@ -87,6 +88,21 @@ def test_z2_frozen_verdicts(bits, defined, vanishes):
     for strategy in ("exhaustive", "hom-lift"):
         assert ms.massey_defined(q, strategy) == defined
         assert ms.massey_vanishes(q, strategy) == vanishes
+
+
+def test_every_query_rejects_an_unknown_strategy():
+    q = ms.MasseyQuery(Z2, 2, chars_z2((1, 0, 1)))
+    for decide in (ms.massey_defined, ms.massey_vanishes,
+                   ms.massey_product_set):
+        with pytest.raises(MasseyLabError, match="unknown strategy 'bogus'"):
+            decide(q, "bogus")
+
+
+def test_forced_hom_is_built_once_per_query():
+    q = ms.MasseyQuery(Z2, 2, chars_z2((1, 0, 1)))
+    assert q.forced_hom is q.forced_hom
+    assert q.forced_hom.images == (0, gr.vec_to_index(2, (1, 0, 1)))
+    assert q == ms.MasseyQuery(Z2, 2, chars_z2((1, 0, 1)))
 
 
 def test_z4_aaa_vanishes():

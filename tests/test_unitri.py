@@ -200,6 +200,10 @@ def test_table_and_indices_match_the_matrix_route(n, p):
             assert type(e) is int and e == mat.entry(a, b)
     assert G.generators == tuple(U.index_of(U.elementary(i, i + 1))
                                  for i in range(1, n))
+    for (a, b) in positions(n):
+        for v in range(-1, p + 1):
+            assert U.elementary_index(a, b, v) == \
+                U.index_of(U.elementary(a, b, v))
 
 
 @settings(max_examples=150, deadline=None)
