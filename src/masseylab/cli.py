@@ -12,8 +12,6 @@ import sys
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import __version__
 from . import cochains as cc
 from . import gfp
@@ -127,8 +125,6 @@ def _jsonable(x):
         return sorted(x)
     if isinstance(x, tuple):
         return list(x)
-    if isinstance(x, (np.integer,)):
-        return int(x)
     return str(x)
 
 
@@ -269,12 +265,12 @@ def _char_from_gen_values(G: gr.FiniteGroup, p: int, row) -> cc.Cochain:
     if len(row) != len(gens):
         raise ParseError(f"character row has {len(row)} values for "
                          f"{len(gens)} generators")
-    B = [[b.value(g) for b in basis] for g in gens]
-    x = gfp.solve(np.array(B, dtype=np.int64).reshape(len(gens), len(basis)),
-                  np.array(row, dtype=np.int64) % p, p)
+    S = gfp.space(len(basis), p)
+    B = [S.pack([b.value(g) for b in basis]) for g in gens]
+    x = gfp.solve(B, gfp.space(len(gens), p).pack(row), len(basis), p)
     if x is None:
         raise ParseError("generator values do not extend to a character")
-    return cc.h1_combination(G, p, x)
+    return cc.h1_combination(G, p, S.unpack(x))
 
 
 def cmd_massey(args, cfg: RunConfig) -> Report:

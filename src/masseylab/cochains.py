@@ -21,9 +21,8 @@ generator: k*(N-1)^d rows for k generators instead of (N-1)^(d+1).
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import gfp
 from .errors import DegreeLimit, NotACocycle, NotApplicable, ShapeMismatch, \
@@ -78,8 +77,9 @@ class Cochain:
                 self.p != other.p or self.degree != other.degree:
             raise ShapeMismatch("cochain shapes differ")
 
-    def vector(self) -> np.ndarray:
-        return np.array(self.values, dtype=np.int64)
+    def vector(self) -> int:
+        """The values as one packed F_p vector (see `gfp`)."""
+        return gfp.space(len(self.values), self.p).pack(self.values)
 
     def as_hom(self) -> GroupHom:
         """Interpret a degree-1 cocycle as a homomorphism G -> Z/p."""
@@ -95,13 +95,14 @@ def zero_cochain(G: FiniteGroup, p: int, degree: int) -> Cochain:
 
 def coboundary(f: Cochain) -> Cochain:
     """Standard inhomogeneous coboundary with trivial coefficients: the
-    matrix `ComplexData.delta_matrix` applied to the values, so like
+    columns of `ComplexData.delta_matrix` combined by the values, so like
     `complex_data` it raises SizeLimit above MAX_COHOMOLOGY_ORDER."""
     if f.degree >= MAX_DEGREE:
         raise DegreeLimit(f"coboundary of degree {f.degree} not supported")
-    delta = complex_data(f.group, f.p).delta_matrix(f.degree)
+    columns = complex_data(f.group, f.p).delta_columns(f.degree)
+    S = gfp.space((f.group.order - 1) ** (f.degree + 1), f.p)
     return Cochain(f.group, f.p, f.degree + 1,
-                   tuple((delta @ f.vector() % f.p).tolist()))
+                   tuple(S.unpack(S.combine(columns, f.values))))
 
 
 def cup(a: Cochain, b: Cochain) -> Cochain:
@@ -113,8 +114,9 @@ def cup(a: Cochain, b: Cochain) -> Cochain:
     r, s = a.degree, b.degree
     if r + s > MAX_DEGREE:
         raise DegreeLimit(f"cup into degree {r + s} not supported")
-    values = np.outer(a.vector(), b.vector()).ravel() % a.p
-    return Cochain(a.group, a.p, r + s, tuple(values.tolist()))
+    p = a.p
+    return Cochain(a.group, p, r + s,
+                   tuple([x * y % p for x in a.values for y in b.values]))
 
 
 # -- linear algebra over the normalized complex --------------------------------
@@ -123,11 +125,13 @@ class ComplexData:
     """Cached coboundary matrices and reduced spaces for one (G, p);
     obtain it through `complex_data`, which builds one instance per (G, p).
 
-    Kernels read `cocycle_matrix(d)`, the rows of delta_d whose first
-    argument is a generator; by the lemma in the module docstring they
-    have the kernel Z^d of the full delta_d, hence the same RREF and the
-    same `gfp.nullspace` basis. `delta_matrix` serves `coboundary`, and
-    `b2_rref` reads all columns of delta_1."""
+    A matrix is a list of packed rows (see `gfp`). Kernels read
+    `cocycle_matrix(d)`, the rows of delta_d whose first argument is a
+    generator; by the lemma in the module docstring they have the kernel
+    Z^d of the full delta_d, hence the same RREF and the same
+    `gfp.nullspace` basis. A matrix acts on a cochain by combining its
+    columns: `delta_columns` serves `coboundary` and `b2_rref`, and
+    `cocycle_columns` serves `is_cocycle`."""
 
     def __init__(self, G: FiniteGroup, p: int):
         if G.order > MAX_COHOMOLOGY_ORDER:
@@ -137,83 +141,90 @@ class ComplexData:
         self.G = G
         self.p = p
 
-    def _face_rows(self, d: int, first: np.ndarray) -> np.ndarray:
+    def _face_rows(self, d: int, first) -> list[int]:
         """The rows of delta_d whose first argument lies in `first` (an
-        ascending array of non-identity elements), in lexicographic order.
-        Row (g_1..g_{d+1}) sums the d+2 faces f(g_2..g_{d+1}),
-        (-1)^i f(.., g_i g_{i+1}, ..) and (-1)^{d+1} f(g_1..g_d); a face
-        with an identity argument is 0 on the normalized complex."""
-        m, p = self.G.order - 1, self.p
-        mul = np.asarray(self.G.mul, dtype=np.int64)
-        rest = np.indices((m,) * d).reshape(d, m ** d) + 1
-        gs = np.concatenate([np.repeat(first, m ** d)[None],
-                             np.tile(rest, len(first))])
-        faces = [(gs[1:], 1)]
-        faces += [(np.concatenate([gs[:i], mul[gs[i], gs[i + 1]][None],
-                                   gs[i + 2:]]), (-1) ** (i + 1))
-                  for i in range(d)]
-        faces.append((gs[:d], (-1) ** (d + 1)))
-        place = m ** np.arange(d - 1, -1, -1)
-        out = np.zeros((gs.shape[1], m ** d), dtype=np.int64)
-        for args, sign in faces:
-            row = np.flatnonzero((args != 0).all(axis=0))
-            np.add.at(out, (row, place @ (args[:, row] - 1)), sign)
-        out %= p
-        return out
+        ascending list of non-identity elements), in lexicographic order,
+        each packed from its face terms. Row (g_1..g_{d+1}) sums the d+2
+        faces f(g_2..g_{d+1}), (-1)^i f(.., g_i g_{i+1}, ..) and
+        (-1)^{d+1} f(g_1..g_d); a face with an identity argument is 0 on
+        the normalized complex."""
+        n, mul = self.G.order, self.G.mul
+        S = gfp.space((n - 1) ** d, self.p)
+        signs = [1] + [(-1) ** (i + 1) for i in range(d)] + [(-1) ** (d + 1)]
+        rows = []
+        for g in itertools.product(first, *[range(1, n)] * d):
+            faces = [g[1:]] + [g[:i] + (mul[g[i]][g[i + 1]],) + g[i + 2:]
+                               for i in range(d)] + [g[:d]]
+            terms: dict[int, int] = {}
+            for sign, face in zip(signs, faces):
+                if 0 not in face:
+                    col = 0
+                    for x in face:
+                        col = col * (n - 1) + x - 1
+                    terms[col] = terms.get(col, 0) + sign
+            rows.append(S.sparse(terms.items()))
+        return rows
 
     @functools.cache
-    def delta_matrix(self, d: int) -> np.ndarray:
+    def delta_matrix(self, d: int) -> list[int]:
         """Matrix of delta_d, rows indexed by (d+1)-tuples, columns by
         d-tuples of non-identity elements, both lexicographic."""
-        return self._face_rows(d, np.arange(1, self.G.order, dtype=np.int64))
+        return self._face_rows(d, range(1, self.G.order))
 
     @functools.cache
-    def cocycle_matrix(self, d: int) -> np.ndarray:
+    def cocycle_matrix(self, d: int) -> list[int]:
         """The rows of delta_d whose first argument is a non-identity
         listed generator: its kernel is Z^d. Raises GeneratorsDontGenerate
         unless the listed generators generate G, since the lemma needs
         them to."""
         _edges(self.G)
         gens = sorted(set(self.G.generators) - {0})
-        return self._face_rows(d, np.array(gens, dtype=np.int64))
+        return self._face_rows(d, gens)
+
+    @functools.cache
+    def delta_columns(self, d: int) -> list[int]:
+        """The columns of delta_d, each packed over its rows."""
+        return gfp.transpose(self.delta_matrix(d), (self.G.order - 1) ** d,
+                             self.p)
+
+    @functools.cache
+    def cocycle_columns(self, d: int) -> list[int]:
+        """The columns of `cocycle_matrix(d)`, each packed over its rows."""
+        return gfp.transpose(self.cocycle_matrix(d),
+                             (self.G.order - 1) ** d, self.p)
 
     @property
-    def d1(self) -> np.ndarray:
+    def d1(self) -> list[int]:
         return self.delta_matrix(1)
 
     @property
-    def d2(self) -> np.ndarray:
+    def d2(self) -> list[int]:
         return self.delta_matrix(2)
 
     @property
     @functools.cache
     def b2_rref(self):
         """RREF of the space of 2-coboundaries (spanned by d1 columns)."""
-        return gfp.rref(self.d1.T, self.p)
+        return gfp.rref(self.delta_columns(1), self.p)
 
     @property
     @functools.cache
-    def z1_basis(self) -> list[np.ndarray]:
-        return gfp.nullspace(self.cocycle_matrix(1), self.p)
+    def z1_basis(self) -> list[int]:
+        return gfp.nullspace(self.cocycle_matrix(1), self.G.order - 1,
+                             self.p)
 
     @functools.cache
     def h2_data(self):
         """(dim H^2, representative vectors)."""
-        z2 = gfp.nullspace(self.cocycle_matrix(2), self.p)
+        z2 = gfp.nullspace(self.cocycle_matrix(2), (self.G.order - 1) ** 2,
+                           self.p)
         R, piv = self.b2_rref
-        residuals = []
-        for v in z2:
-            r = gfp.reduce_vector(v, R, piv, self.p)
-            if r.any():
-                residuals.append(r)
-        if residuals:
-            H, _ = gfp.rref(np.array(residuals), self.p)
-            reps = [H[i] for i in range(H.shape[0])]
-        else:
-            reps = []
+        residuals = [r for r in (gfp.reduce_vector(v, R, piv, self.p)
+                                 for v in z2) if r]
+        reps = gfp.rref(residuals, self.p)[0] if residuals else []
         return len(reps), reps
 
-    def canonical_2cocycle(self, vec) -> np.ndarray:
+    def canonical_2cocycle(self, vec: int) -> int:
         R, piv = self.b2_rref
         return gfp.reduce_vector(vec, R, piv, self.p)
 
@@ -222,27 +233,30 @@ class ComplexData:
     def _d1_factor(self):
         """(T, pivots, rank) from the RREF of [d1 | I]: T is its identity
         block, an invertible row transform with T d1 = RREF(d1) padded by
-        zero rows, and `pivots` are the rank pivot columns of d1."""
-        rows, cols = self.d1.shape
-        R, pivots = gfp.rref(
-            np.concatenate([self.d1, np.eye(rows, dtype=np.int64)], axis=1),
-            self.p)
+        zero rows, kept as its packed columns, and `pivots` are the rank
+        pivot columns of d1."""
+        cols, rows = self.G.order - 1, len(self.d1)
+        A = gfp.space(cols + rows, self.p)
+        R, pivots = gfp.rref([r | A.unit(cols + i)
+                              for i, r in enumerate(self.d1)], self.p)
         rank = sum(c < cols for c in pivots)
-        return R[:, cols:], pivots[:rank], rank
+        T = gfp.transpose([A.drop(r, cols) for r in R], rows, self.p)
+        return T, pivots[:rank], rank
 
-    def solve_delta1(self, rhs):
-        """All 1-cochains f with delta(f) = rhs (a 2-cochain vector), as
-        (particular, Z^1 basis); None when rhs is not a coboundary. With
+    def solve_delta1(self, rhs: int):
+        """All 1-cochains f with delta(f) = rhs (a packed 2-cochain vector),
+        as (particular, Z^1 basis); None when rhs is not a coboundary. With
         y = T rhs, rhs is a coboundary iff y vanishes past the rank, and the
         particular solution puts y[:rank] on the pivots and 0 on the free
         columns: the solution `gfp.solve` returns, since the RREF of
         [d1 | rhs] is unique."""
         T, pivots, rank = self._d1_factor
-        y = T @ (np.asarray(rhs, dtype=np.int64) % self.p) % self.p
-        if y[rank:].any():
+        S = gfp.space(len(self.d1), self.p)
+        y = S.combine(T, S.unpack(rhs))
+        if S.drop(y, rank):
             return None
-        x0 = np.zeros(self.d1.shape[1], dtype=np.int64)
-        x0[pivots] = y[:rank]
+        x0 = gfp.space(self.G.order - 1, self.p).sparse(
+            (c, S.entry(y, k)) for k, c in enumerate(pivots))
         return x0, self.z1_basis
 
 
@@ -272,18 +286,29 @@ class CohomologyClass:
     def __hash__(self):
         return hash((self.degree, self.p, self.canon))
 
+    # The canonical reduction is linear, so the sum's canonical vector is
+    # the sum of the canonical vectors; the representatives' sum checks
+    # that the shapes match.
     def __add__(self, other: "CohomologyClass") -> "CohomologyClass":
-        return class_of(self.representative + other.representative)
+        p = self.p
+        return CohomologyClass(
+            self.group, p, self.degree,
+            self.representative + other.representative,
+            tuple([(a + b) % p for a, b in zip(self.canon, other.canon)]))
 
     def __neg__(self) -> "CohomologyClass":
-        return class_of(-self.representative)
+        p = self.p
+        return CohomologyClass(self.group, p, self.degree,
+                               -self.representative,
+                               tuple([-a % p for a in self.canon]))
 
 
 def is_cocycle(z: Cochain) -> bool:
     if z.degree not in (1, 2):
         raise DegreeLimit(f"cocycle test for degree {z.degree} not supported")
-    rows = complex_data(z.group, z.p).cocycle_matrix(z.degree)
-    return not (rows @ z.vector() % z.p).any()
+    data = complex_data(z.group, z.p)
+    S = gfp.space(len(data.cocycle_matrix(z.degree)), z.p)
+    return not S.combine(data.cocycle_columns(z.degree), z.values)
 
 
 def is_coboundary(z: Cochain) -> bool:
@@ -300,10 +325,11 @@ def class_of(z: Cochain) -> CohomologyClass:
     if not is_cocycle(z):
         raise NotACocycle(f"degree-{z.degree} cochain is not closed")
     if z.degree == 1:
-        canon = tuple(int(v) for v in z.values)
+        canon = tuple(z.values)
     else:
         data = complex_data(z.group, z.p)
-        canon = tuple(int(v) for v in data.canonical_2cocycle(z.vector()))
+        S = gfp.space(len(z.values), z.p)
+        canon = tuple(S.unpack(data.canonical_2cocycle(z.vector())))
     return CohomologyClass(z.group, z.p, z.degree, z, canon)
 
 
@@ -311,25 +337,23 @@ def class_of(z: Cochain) -> CohomologyClass:
 
 def h1(G: FiniteGroup, p: int) -> list[Cochain]:
     """F_p-basis of H^1 = Hom(G, Z/p), as degree-1 cocycles."""
-    data = complex_data(G, p)
-    return [Cochain(G, p, 1, tuple(int(x) for x in v))
-            for v in data.z1_basis]
+    S = gfp.space(G.order - 1, p)
+    return [Cochain(G, p, 1, tuple(S.unpack(v)))
+            for v in complex_data(G, p).z1_basis]
 
 
 def h1_combination(G: FiniteGroup, p: int, coeffs) -> Cochain:
     """The H^1 element with coordinates `coeffs` in the basis `h1(G, p)`."""
-    values = np.zeros(G.order - 1, dtype=np.int64)
-    for c, b in zip(coeffs, complex_data(G, p).z1_basis):
-        values += int(c) * b
-    return Cochain(G, p, 1, tuple((values % p).tolist()))
+    S = gfp.space(G.order - 1, p)
+    v = S.combine(complex_data(G, p).z1_basis, [int(c) for c in coeffs])
+    return Cochain(G, p, 1, tuple(S.unpack(v)))
 
 
 def h2(G: FiniteGroup, p: int):
     """(dim H^2, representative CohomologyClass basis)."""
-    data = complex_data(G, p)
-    dim, reps = data.h2_data()
-    classes = [class_of(Cochain(G, p, 2, tuple(int(x) for x in v)))
-               for v in reps]
+    dim, reps = complex_data(G, p).h2_data()
+    S = gfp.space((G.order - 1) ** 2, p)
+    classes = [class_of(Cochain(G, p, 2, tuple(S.unpack(v)))) for v in reps]
     return dim, classes
 
 
@@ -345,7 +369,8 @@ class CupForm:
         n = len(self.basis)
         if n == 0:
             return False
-        return gfp.rank(np.array(self.gram, dtype=np.int64), self.p) == n
+        S = gfp.space(n, self.p)
+        return gfp.rank([S.pack(row) for row in self.gram], self.p) == n
 
 
 def cup_form(G: FiniteGroup, p: int) -> CupForm:
@@ -354,21 +379,21 @@ def cup_form(G: FiniteGroup, p: int) -> CupForm:
     if dim2 != 1:
         raise NotApplicable(f"dim H^2 = {dim2}, cup form needs 1")
     v0 = reps[0]
-    pivot = int(np.nonzero(v0)[0][0])
-    pivot_inv = pow(int(v0[pivot]), -1, p)
+    S = gfp.space((G.order - 1) ** 2, p)
+    pivot = S.first(v0)
+    pivot_inv = pow(S.entry(v0, pivot), -1, p)
     basis = h1(G, p)
     gram = []
     for a in basis:
         row = []
         for b in basis:
             z = data.canonical_2cocycle(cup(a, b).vector())
-            t = (int(z[pivot]) * pivot_inv) % p
-            if ((z - t * v0) % p).any():
+            t = (S.entry(z, pivot) * pivot_inv) % p
+            if S.sub(z, S.scale(v0, t)):
                 raise NotACocycle("cup value escapes the 1-dim H^2")  # impossible
             row.append(t)
         gram.append(tuple(row))
-    return CupForm(G, p, tuple(basis), tuple(gram),
-                   tuple(int(x) for x in v0))
+    return CupForm(G, p, tuple(basis), tuple(gram), tuple(S.unpack(v0)))
 
 
 def demushkin_check(G: FiniteGroup, p: int) -> dict:

@@ -1,30 +1,37 @@
-"""Dense linear algebra over the prime field F_p.
+"""Linear algebra over the prime field F_p on packed vectors.
 
-Matrices are numpy int64 arrays with entries in 0..p-1. `rref` is a blocked
-elimination: it takes the rows in blocks of max(ncols, 64), reduces each
-block against the RREF R of the rows before it with one product
-B - B[:, pivots] @ R, eliminates the nonzero residual with pivot steps that
-touch only the rows with a nonzero in the pivot column, clears the new pivot
-columns from R with one more product and merges the rows by pivot column.
-It stops once every column is a pivot. The RREF is unique, so the result
-does not depend on the blocking.
+A vector of n entries over F_p is one Python int: entry i sits in the w-bit
+field at bits [i*w, (i+1)*w), with w = (2p-2).bit_length() + 1, and every
+field holds a value in 0..p-1. A matrix is a list of such ints, one per row.
+`space(n, p)` holds the constants for vectors of n entries.
 
-The products run in float64, which reaches BLAS where numpy's int64 matmul
-does not. With both factors in 0..p-1 every partial sum of an inner
-dimension k is an integer of at most k(p-1)^2, so the product is exact
-while k(p-1)^2 < 2^53; `_matmul` raises SizeLimit before a product that
-could break this.
+Addition is exact field by field ("SWAR", SIMD within a register). Two
+fields sum to at most 2p-2 < 2^(w-1), so one big-int addition adds every
+field with no carry between fields. With HM holding 2^(w-1) - p in every
+field, field i of s + HM is at most 2^(w-1) + p - 2 < 2^w, again with no
+carry, and its top bit is set exactly when s_i >= p. So
+
+    s - (((s + HM) >> (w-1)) & ONES) * p
+
+subtracts p from exactly the fields that reached p, where ONES holds 1 in
+every field. Subtraction adds p to every field first, giving at most 2p-1,
+which the same bound covers. A scalar multiple is a sum of doublings. Every
+step is integer arithmetic, so nothing rounds.
+
+`rref` inserts each row into a fully reduced echelon basis. It clears the
+row's entries at the basis pivots with the pivot rows' precomputed multiples
+and, if a residual is left, normalises it and clears its pivot column from
+the basis rows. It stops once every column is a pivot. The RREF is unique,
+so the result does not depend on the order of insertion.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import functools
 
-from .errors import BadParameter, SizeLimit
+from .errors import BadParameter
 
 MAX_PRIME = 13
-_EXACT_LIMIT = 2 ** 53
-_MIN_BLOCK = 64
 
 
 def check_prime(p: int) -> None:
@@ -34,137 +41,214 @@ def check_prime(p: int) -> None:
         raise BadParameter(f"modulus {p} must be a prime <= {MAX_PRIME}")
 
 
-def _as_matrix(rows) -> np.ndarray:
-    a = np.asarray(rows, dtype=np.int64)
-    if a.ndim == 1:
-        a = a.reshape(1, -1) if a.size else a.reshape(0, 0)
-    return a
+def _width(p: int) -> int:
+    """Bits per packed entry."""
+    return (2 * p - 2).bit_length() + 1
 
 
-def _matmul(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
-    """x @ y for int64 matrices with entries in 0..p-1, computed exactly in
-    float64 (not reduced mod p)."""
-    if x.shape[1] * (p - 1) ** 2 >= _EXACT_LIMIT:
-        raise SizeLimit(f"inner dimension {x.shape[1]} at p = {p} exceeds "
-                        "the exact float64 range")
-    return (x.astype(np.float64) @ y.astype(np.float64)).astype(np.int64)
+class Space:
+    """F_p^n on packed ints; obtain it through `space`."""
+
+    def __init__(self, n: int, p: int):
+        self.n, self.p = n, p
+        self.w = w = _width(p)
+        self.mask = (1 << w) - 1
+        self.ones = ((1 << (w * n)) - 1) // self.mask
+        self.hm = ((1 << (w - 1)) - p) * self.ones
+        self.pones = p * self.ones
+        self._bits = tuple(format(k, f"0{w}b") for k in range(p))
+        self._value = {format(k, f"0{w}b"): k for k in range(1 << w)}
+
+    def pack(self, values) -> int:
+        """The packed vector of n integers, each reduced mod p."""
+        p, bits = self.p, self._bits
+        return int("".join([bits[x % p] for x in reversed(values)]) or "0",
+                           2)
+
+    def unpack(self, v: int) -> list[int]:
+        """The n entries of v, as ints in 0..p-1."""
+        if not self.n:
+            return []
+        w, value = self.w, self._value
+        s = format(v, f"0{self.n * w}b")
+        out = [value[s[i:i + w]] for i in range(0, len(s), w)]
+        out.reverse()
+        return out
+
+    def sparse(self, entries) -> int:
+        """The vector with the given (index, value) entries, at distinct
+        indices, each value reduced mod p, and 0 elsewhere."""
+        p, w = self.p, self.w
+        return sum(x % p << (i * w) for i, x in entries)
+
+    def entry(self, v: int, i: int) -> int:
+        return (v >> (i * self.w)) & self.mask
+
+    def first(self, v: int) -> int:
+        """The index of the first nonzero entry of v != 0."""
+        return ((v & -v).bit_length() - 1) // self.w
+
+    def drop(self, v: int, k: int) -> int:
+        """v without its first k entries."""
+        return v >> (k * self.w)
+
+    def unit(self, i: int) -> int:
+        return 1 << (i * self.w)
+
+    def add(self, u: int, v: int) -> int:
+        s = u + v
+        return s - (((s + self.hm) >> (self.w - 1)) & self.ones) * self.p
+
+    def sub(self, u: int, v: int) -> int:
+        s = u + self.pones - v
+        return s - (((s + self.hm) >> (self.w - 1)) & self.ones) * self.p
+
+    def scale(self, v: int, c: int) -> int:
+        """c * v, by doubling."""
+        c %= self.p
+        out = 0
+        while c:
+            if c & 1:
+                out = self.add(out, v)
+            c >>= 1
+            if c:
+                v = self.add(v, v)
+        return out
+
+    def combine(self, vectors, coeffs) -> int:
+        """sum_i coeffs[i] * vectors[i]: the vectors with equal coefficient
+        are summed first, so each coefficient scales once."""
+        p = self.p
+        sums = [0] * p
+        for v, c in zip(vectors, coeffs):
+            c %= p
+            if c:
+                sums[c] = self.add(sums[c], v)
+        out = sums[1]
+        for c in range(2, p):
+            if sums[c]:
+                out = self.add(out, self.scale(sums[c], c))
+        return out
 
 
-def _eliminate(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """RREF of a (entries in 0..p-1, modified in place); each pivot step
-    updates only the rows with a nonzero in its column."""
-    nrows, ncols = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
+@functools.cache
+def space(n: int, p: int) -> Space:
+    return Space(n, p)
+
+
+def _fields(rows, p: int) -> int:
+    """The number of entries up to the last nonzero one in any row."""
+    return -(-max(rows, default=0).bit_length() // _width(p))
+
+
+def transpose(rows, ncols: int, p: int) -> list[int]:
+    """The columns of a matrix of packed rows with ncols entries each, as
+    packed vectors over the rows. Each row costs one step per nonzero
+    entry, so a sparse matrix transposes in time linear in its entries."""
+    w = _width(p)
+    mask = (1 << w) - 1
+    cols = [0] * ncols
+    for r, v in enumerate(rows):
+        shift = r * w
+        while v:
+            c = ((v & -v).bit_length() - 1) // w
+            e = (v >> (c * w)) & mask
+            cols[c] |= e << shift
+            v ^= e << (c * w)
+    return cols
+
+
+def rref(rows, p: int) -> tuple[list[int], list[int]]:
+    """Reduced row echelon form mod p of a list of packed rows. Returns
+    (R, pivot column list), R's rows in pivot order; zero rows are
+    dropped."""
+    S = space(_fields(rows, p), p)
+    # Space.add, inlined in the two hot loops
+    w, mask, add, hm, ones = S.w, S.mask, S.add, S.hm, S.ones
+    top = w - 1
+    inverse = [0] + [pow(e, -1, p) for e in range(1, p)]
+    basis: dict[int, list[int]] = {}   # pivot -> [0, r, 2r, .., (p-1)r]
+    at_pivots = 0                      # every field of a pivot column
+    for v in rows:
+        t = v & at_pivots
+        while t:
+            c = ((t & -t).bit_length() - 1) // w
+            e = (t >> (c * w)) & mask
+            t ^= e << (c * w)
+            s = v + basis[c][p - e]
+            v = s - (((s + hm) >> top) & ones) * p
+        if not v:
+            continue
+        c = S.first(v)
+        multiples = [0, v]
+        for _ in range(2, p):
+            multiples.append(add(multiples[-1], v))
+        inv = inverse[S.entry(v, c)]
+        new = [multiples[k * inv % p] for k in range(p)]
+        for b in basis.values():
+            f = (b[1] >> (c * w)) & mask
+            if f:
+                for k in range(1, p):
+                    s = b[k] + new[k * (p - f) % p]
+                    b[k] = s - (((s + hm) >> top) & ones) * p
+        basis[c] = new
+        at_pivots |= mask << (c * w)
+        if len(basis) == S.n:
             break
-        nz = a[r:, c].nonzero()[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        # rows r.. are zero left of c, so the pivot row is too
-        a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
-        hit = a[:, c].nonzero()[0]
-        hit = hit[hit != r]
-        if hit.size:
-            a[hit, c:] = (a[hit, c:] - a[hit, c:c + 1] * a[r, c:]) % p
-        pivots.append(c)
-        r += 1
-    return a[:r], pivots
-
-
-def rref(rows, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod p. Returns (R, pivot column list);
-    zero rows are dropped. Each block is reduced mod p as it is read, so
-    the input is neither copied whole nor written."""
-    a = _as_matrix(rows)
-    if a.size == 0:
-        return a.reshape(0, a.shape[1] if a.ndim == 2 else 0), []
-    nrows, ncols = a.shape
-    block = max(ncols, _MIN_BLOCK)
-    R = a[:0]
-    pivots: list[int] = []
-    for start in range(0, nrows, block):
-        if len(pivots) == ncols:
-            break
-        b = a[start:start + block] % p
-        if pivots:
-            b = (b - _matmul(b[:, pivots], R, p)) % p
-        b = b[b.any(axis=1)]
-        if not b.size:
-            continue
-        Rb, new = _eliminate(b, p)
-        if not pivots:
-            R, pivots = Rb, new
-            continue
-        R = (R - _matmul(R[:, new], Rb, p)) % p
-        pivots += new
-        order = np.argsort(pivots)
-        R = np.concatenate([R, Rb])[order]
-        pivots = [pivots[i] for i in order]
-    return R, pivots
+    pivots = sorted(basis)
+    return [basis[c][1] for c in pivots], pivots
 
 
 def rank(rows, p: int) -> int:
     return len(rref(rows, p)[1])
 
 
-def reduce_vector(v, R: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
+def reduce_vector(v: int, R, pivots, p: int) -> int:
     """Residual of v modulo the row space given in rref form.  The residual
     is the canonical coset representative (zeros in all pivot positions)."""
-    v = np.asarray(v, dtype=np.int64) % p
-    for i, c in enumerate(pivots):
-        if v[c]:
-            v = (v - v[c] * R[i]) % p
+    S = space(_fields([v, *R], p), p)
+    for r, c in zip(R, pivots):
+        e = S.entry(v, c)
+        if e:
+            v = S.sub(v, S.scale(r, e))
     return v
 
 
-def in_row_space(v, R: np.ndarray, pivots: list[int], p: int) -> bool:
-    return not reduce_vector(v, R, pivots, p).any()
+def in_row_space(v: int, R, pivots, p: int) -> bool:
+    return not reduce_vector(v, R, pivots, p)
 
 
-def nullspace(rows, p: int) -> list[np.ndarray]:
-    """Basis of the right nullspace in the standard rref parametrization,
-    one vector per free column, in ascending free-column order."""
-    a = _as_matrix(rows)
-    if a.size == 0:
-        ncols = a.shape[1] if a.ndim == 2 else 0
-        return [np.eye(ncols, dtype=np.int64)[i] for i in range(ncols)]
-    R, pivots = rref(a, p)
-    ncols = a.shape[1]
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = np.zeros(ncols, dtype=np.int64)
-        v[f] = 1
-        for i, c in enumerate(pivots):
-            v[c] = (-R[i, f]) % p
-        basis.append(v)
-    return basis
+def nullspace(rows, ncols: int, p: int) -> list[int]:
+    """Basis of the right nullspace of packed rows with ncols entries, in the
+    standard rref parametrization: one vector per free column, in ascending
+    free-column order."""
+    S = space(ncols, p)
+    if not rows or not ncols:
+        return [S.unit(f) for f in range(ncols)]
+    R, pivots = rref(rows, p)
+    pivot_set = set(pivots)
+    return [S.unit(f) | S.sparse((c, -S.entry(r, f))
+                                 for r, c in zip(R, pivots))
+            for f in range(ncols) if f not in pivot_set]
 
 
-def solve(A, b, p: int):
-    """One solution of A x = b mod p with free variables set to 0, or None."""
-    A = _as_matrix(A) % p
-    b = np.asarray(b, dtype=np.int64) % p
-    aug = np.concatenate([A, b.reshape(-1, 1)], axis=1)
+def solve(A, b: int, ncols: int, p: int):
+    """One solution of A x = b mod p, A a list of packed rows with ncols
+    entries and b packed over the rows, with free variables set to 0; None
+    if there is none."""
+    S = space(ncols, p)
+    B = space(len(A), p)
+    aug = [a | S.unit(ncols) * B.entry(b, i) for i, a in enumerate(A)]
     R, pivots = rref(aug, p)
-    ncols = A.shape[1]
     if ncols in pivots:
         return None
-    x = np.zeros(ncols, dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c] = R[i, ncols]
-    return x
+    return S.sparse((c, S.drop(r, ncols)) for r, c in zip(R, pivots))
 
 
-def solve_affine(A, b, p: int):
+def solve_affine(A, b: int, ncols: int, p: int):
     """All solutions of A x = b mod p as (particular, nullspace basis); None
     if inconsistent."""
-    x0 = solve(A, b, p)
+    x0 = solve(A, b, ncols, p)
     if x0 is None:
         return None
-    return x0, nullspace(A, p)
+    return x0, nullspace(A, ncols, p)

@@ -12,10 +12,9 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
-
-import numpy as np
 
 from .errors import (
     BadParameter,
@@ -170,34 +169,36 @@ def table_from_action(action) -> list[tuple]:
     """The multiplication table of a group from its generators' right
     action, action[x][s] = x*g_s, with index 0 the identity.
 
-    Column y of the table is right multiplication by y.  Column 0 is the
-    identity map, and on each breadth-first edge (x, s, x*g_s) the column of
-    x*g_s is the column of x followed by g_s: one gather of length n per
-    element.  Raises GeneratorsDontGenerate unless the walk reaches every
-    element.  The rows' cells share one int object per element."""
-    action = np.asarray(action, dtype=np.intp)
-    n, d = action.shape
+    Row x of the table is left multiplication by x, and row(x*g) is row(x)
+    read at g*y for each y.  One walk of the breadth-first edges per
+    generator gives left multiplication by g_s: g_s*1 = g_s, and on an
+    edge (x, t, x*g_t), g_s*(x*g_t) = (g_s*x)*g_t.  Row 0 is the identity
+    map, and on each edge (x, s, x*g_s) the row of x*g_s is one gather of
+    row(x) by left multiplication by g_s.  Raises GeneratorsDontGenerate
+    unless the walk reaches every element.  Every cell is an object of
+    row 0, so the cells share one int object per element."""
+    n = len(action)
+    d = len(action[0]) if n else 0
     if n > CONTAINER_LIMIT:
         raise SizeLimit(f"order {n} exceeds {CONTAINER_LIMIT}")
-    reached, edges = _bfs(action.tolist(), range(d))
+    reached, edges = _bfs(action, range(d))
     if len(reached) != n:
         raise GeneratorsDontGenerate(
             f"the action of {d} generators spans only {len(reached)} of "
             f"{n} elements")
-    steps = [np.ascontiguousarray(action[:, s], dtype=np.uint16)
-             for s in range(d)]
-    # n <= CONTAINER_LIMIT = 4096, so uint16 holds every index
-    columns = np.empty((n, n), dtype=np.uint16)
-    columns[0] = np.arange(n)
-    done = [False] * n
-    done[0] = True
+    gathers = []
+    for s in range(d):
+        left = [0] * n
+        left[0] = action[0][s]
+        for x, t, y in edges:
+            left[y] = action[left[x]][t]
+        gathers.append(operator.itemgetter(*left))
+    rows = [None] * n
+    rows[0] = tuple(range(n))
     for x, s, y in edges:
-        if not done[y]:
-            done[y] = True
-            columns[y] = steps[s][columns[x]]
-    # one int object per element: fresh ints would cost 28 bytes a cell
-    elements = np.array(range(n), dtype=object)
-    return [tuple(elements[row].tolist()) for row in columns.T]
+        if rows[y] is None:
+            rows[y] = gathers[s](rows[x])
+    return rows
 
 
 def group_from_action(action, generators, label: str) -> FiniteGroup:
@@ -205,10 +206,9 @@ def group_from_action(action, generators, label: str) -> FiniteGroup:
     action[x][s] = x*g_s, its table closed by `table_from_action`.  Raises
     BadParameter unless each generator's column of that table is its
     stated action."""
-    action = np.asarray(action, dtype=np.intp)
     table = table_from_action(action)
     for s, g in enumerate(generators):
-        if [row[g] for row in table] != action[:, s].tolist():
+        if [row[g] for row in table] != [a[s] for a in action]:
             raise BadParameter(f"column {s} of the action is not right "
                                f"multiplication by element {g}")
     return _raw_group(table, generators, label)
@@ -265,16 +265,16 @@ def build_from_table(table, generators=None, label="G") -> FiniteGroup:
     return G
 
 
-def _action(order: int, columns) -> np.ndarray:
-    """The [order, d] action array whose column s is x -> x*g_s."""
-    return np.array(columns, dtype=np.intp).reshape(len(columns), order).T
+def _action(order: int, columns) -> list[tuple]:
+    """The action rows (x*g_0, x*g_1, ...) from the columns x -> x*g_s."""
+    return list(zip(*columns)) if columns else [()] * order
 
 
 def build_cyclic(n: int, label: Optional[str] = None) -> FiniteGroup:
     if not 1 <= n <= FULL_GROUP_LIMIT:
         raise SizeLimit(f"cyclic order {n} out of range 1..{FULL_GROUP_LIMIT}")
     gens = (1,) if n > 1 else ()
-    columns = [(np.arange(n) + 1) % n] if n > 1 else []
+    columns = [[(x + 1) % n for x in range(n)]] if n > 1 else []
     return group_from_action(_action(n, columns), gens, label or f"Z{n}")
 
 
@@ -286,12 +286,10 @@ def build_direct_product(G: FiniteGroup, H: FiniteGroup,
     if n > CONTAINER_LIMIT:
         raise SizeLimit(f"product order {n} exceeds {CONTAINER_LIMIT}")
     hn = H.order
-    a, b = np.divmod(np.arange(n), hn)
-
-    def times(K, k):
-        return np.array([row[k] for row in K.mul])
-    columns = [times(G, g)[a] * hn + b for g in G.generators] + \
-        [a * hn + times(H, h)[b] for h in H.generators]
+    pairs = [divmod(x, hn) for x in range(n)]
+    columns = [[G.mul[a][g] * hn + b for a, b in pairs]
+               for g in G.generators] + \
+        [[a * hn + H.mul[b][h] for a, b in pairs] for h in H.generators]
     gens = [g * hn for g in G.generators] + list(H.generators)
     return group_from_action(_action(n, columns), gens,
                              label or f"{G.label}x{H.label}")
@@ -303,10 +301,10 @@ def build_vector_group(p: int, n: int) -> FiniteGroup:
     order = p ** n
     if order > CONTAINER_LIMIT:
         raise SizeLimit(f"(Z/{p})^{n} has order {order} > {CONTAINER_LIMIT}")
-    x = np.arange(order)
     gens = [p ** (n - 1 - i) for i in range(n)]
     # the i-th unit vector adds 1 to digit i, which wraps p - 1 to 0
-    columns = [x + w * np.where(x // w % p == p - 1, 1 - p, 1) for w in gens]
+    columns = [[x + w * (1 - p if x // w % p == p - 1 else 1)
+                for x in range(order)] for w in gens]
     return group_from_action(_action(order, columns), gens, f"(Z/{p})^{n}")
 
 
@@ -340,10 +338,9 @@ def build_semidirect_cyclic(l: int, k: int, p: int) -> FiniteGroup:
     if p % l == 0 or pow(p, m, m) != 1 % m:
         raise BadParameter(
             f"x -> {p}*x mod {m} is not an order-dividing-{m} automorphism")
-    a, b = np.divmod(np.arange(m * m), m)
-    powers = np.array([pow(p, e, m) for e in range(m)])
-    columns = [(a + powers[b]) % m * m + b,     # times (1, 0)
-               a * m + (b + 1) % m]             # times (0, 1)
+    pairs = [divmod(x, m) for x in range(m * m)]
+    columns = [[(a + pow(p, b, m)) % m * m + b for a, b in pairs],  # (1, 0)
+               [a * m + (b + 1) % m for a, b in pairs]]            # (0, 1)
     return group_from_action(_action(m * m, columns), (m, 1),
                              f"Z{m}:Z{m}(p={p})")
 
@@ -354,9 +351,9 @@ def build_dihedral(n: int) -> FiniteGroup:
     order = 2 * n
     if order > FULL_GROUP_LIMIT:
         raise SizeLimit(f"order {order} exceeds {FULL_GROUP_LIMIT}")
-    e, i = np.divmod(np.arange(order), n)
-    times_r = (i + 1 - 2 * e) % n + n * e
-    times_s = i + n * (1 - e)
+    pairs = [divmod(x, n) for x in range(order)]
+    times_r = [(i + 1 - 2 * e) % n + n * e for e, i in pairs]
+    times_s = [i + n * (1 - e) for e, i in pairs]
     gens, columns = ((1, n), [times_r, times_s]) if n > 1 else \
         ((1,), [times_s])
     return group_from_action(_action(order, columns), gens, f"D{n}")

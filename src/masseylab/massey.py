@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from . import cochains as cc
+from . import gfp
 from .cochains import Cochain, CohomologyClass, complex_data
 from .errors import (
     BadParameter,
@@ -147,6 +148,7 @@ def _iter_defining_systems(q: MasseyQuery) -> Iterator[DefiningSystem]:
     slot, solved exactly."""
     G, p, n = q.group, q.p, q.n
     data = complex_data(G, p)
+    S = gfp.space(G.order - 1, p)
     slots = [(i, j) for (i, j) in system_positions(n) if j - i >= 2]
     base = {(i, i + 1): q.chars[i - 1] for i in range(1, n + 1)}
 
@@ -161,10 +163,8 @@ def _iter_defining_systems(q: MasseyQuery) -> Iterator[DefiningSystem]:
             return
         x0, basis = sol
         for coeffs in itertools.product(range(p), repeat=len(basis)):
-            v = x0.copy()
-            for c, b in zip(coeffs, basis):
-                v = (v + c * b) % p
-            entries[(i, j)] = Cochain(G, p, 1, tuple(int(t) for t in v))
+            v = S.add(x0, S.combine(basis, coeffs))
+            entries[(i, j)] = Cochain(G, p, 1, tuple(S.unpack(v)))
             yield from rec(idx + 1, entries)
         del entries[(i, j)]
 

@@ -12,8 +12,6 @@ import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .errors import (
     BadParameter,
     IndexOutOfRange,
@@ -47,8 +45,7 @@ def _product_plan(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 def _product(a, b, plan, p: int) -> list:
     """The product rule of U_n(p) on packed entries:
-    (AB)_ij = a_ij + b_ij + sum_k a_ik b_kj.  Each argument holds ints, or
-    numpy columns to multiply a batch of elements at once."""
+    (AB)_ij = a_ij + b_ij + sum_k a_ik b_kj."""
     out = []
     for t, terms in enumerate(plan):
         v = a[t] + b[t]
@@ -233,21 +230,29 @@ class UniTriGroup:
     @functools.cache
     def as_finite_group(self) -> FiniteGroup:
         """The multiplication table, closed from the right action of the
-        superdiagonal generators: the product rule runs once per generator
-        on the columns of the [order, n(n-1)/2] array of every element's
-        packed entries, and the products' indices are packed back
-        arithmetically."""
-        n, p = self.n, self.p
-        digits = np.array(self.elements())[:, None] // \
-            np.array(self.weights, dtype=np.int64)
-        digits %= p
-        columns = list(digits.T)
-        plan = _product_plan(n)
+        superdiagonal generators.  Right multiplication by I + e_{i,i+1}
+        adds column i to column i+1, so x*g_i changes only the digits
+        (a, i+1), a <= i, of x's index, each by x_{a,i} (x_{i,i} = 1)
+        mod p."""
+        n, p, wt = self.n, self.p, self.weights
+        pidx = _pos_index(n)
         gens = tuple(self.elementary_index(i, i + 1) for i in range(1, n))
-        action = np.zeros((self.order, len(gens)), dtype=np.int64)
-        for s, g in enumerate(gens):
-            for v in _product(columns, digits[g].tolist(), plan, p):
-                action[:, s] = action[:, s] * p + v
+        # per generator: (place value of x_{a,i}, or None for x_{i,i} = 1,
+        # place value of x_{a,i+1}) for a = 1..i
+        steps = [[(wt[pidx[(a, i)]] if a < i else None, wt[pidx[(a, i + 1)]])
+                  for a in range(1, i + 1)] for i in range(1, n)]
+        action = []
+        for x in self.elements():
+            row = []
+            for step in steps:
+                y = x
+                for src, dst in step:
+                    v = x // src % p if src else 1
+                    if v:
+                        d = x // dst % p
+                        y += ((d + v) % p - d) * dst
+                row.append(y)
+            action.append(row)
         return group_from_action(action, gens, f"U{n}({p})")
 
     def elementary_index(self, i: int, j: int, v: int = 1) -> int:

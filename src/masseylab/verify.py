@@ -297,15 +297,12 @@ def _h2_coordinate(klass, gen) -> int:
     p = gen.p
     # canonical representatives are linear in the class: solve
     # t * gen_canon = klass_canon
-    import numpy as np
-    gv = np.array(gen.canon, dtype=np.int64)
-    kv = np.array(klass.canon, dtype=np.int64)
-    nz = np.nonzero(gv)[0]
-    if len(nz) == 0:
+    gv, kv = gen.canon, klass.canon
+    i = next((i for i, g in enumerate(gv) if g % p), None)
+    if i is None:
         raise FormDegenerate("zero generator for H^2")
-    i = nz[0]
-    t = (int(kv[i]) * pow(int(gv[i]), -1, p)) % p
-    if not np.array_equal((t * gv) % p, kv % p):
+    t = (kv[i] * pow(gv[i], -1, p)) % p
+    if len(gv) != len(kv) or any((t * g - k) % p for g, k in zip(gv, kv)):
         raise MasseyLabError("class outside the 1-dimensional H^2 span")
     return t
 

@@ -376,10 +376,33 @@ def test_cohomology_loads_only_the_modules_it_runs():
         assert f"masseylab.{name}" not in loaded
 
 
-def test_idle_openblas_workers_sleep_unless_the_user_says_otherwise():
-    show = "import masseylab, os; print(os.environ['OPENBLAS_THREAD_TIMEOUT'])"
-    env = {k: v for k, v in os.environ.items()
-           if k != "OPENBLAS_THREAD_TIMEOUT"}
-    assert _fresh_python(show, env).strip() == "4"
-    assert _fresh_python(show, {**env, "OPENBLAS_THREAD_TIMEOUT": "8"}) \
-        .strip() == "8"
+NUMPY_FREE_COMMANDS = {
+    "cohomology": ["cohomology", "--group", "Q8", "--p", "2"],
+    "group show": ["group", "show", "D4"],
+    "massey": ["massey", "{query}"],
+    "verify dwyer": ["verify", "dwyer", "--group", "Z3", "--p", "3",
+                     "--n", "3"],
+    "verify twisting": ["verify", "twisting", "--group", "V4", "--p", "2",
+                        "--n", "3", "--k", "2", "--sample", "3",
+                        "--seed", "1"],
+    "verify easy-vanishing": ["verify", "easy-vanishing", "--group", "Z3",
+                              "--p", "2", "--n", "3"],
+    "verify strong-vanishing": ["verify", "strong-vanishing", "--group",
+                                "Z2", "--p", "2", "--n", "4"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(NUMPY_FREE_COMMANDS))
+def test_commands_run_without_numpy(command, tmp_path):
+    """The runtime needs no numpy: a fresh interpreter runs each command
+    to exit 0 and never imports it."""
+    query = tmp_path / "q.msq"
+    query.write_text("group Z2\np 2\nn 3\na 1\na 0\na 1\n")
+    argv = [a.format(query=query) for a in NUMPY_FREE_COMMANDS[command]]
+    out = _fresh_python(
+        "import sys\n"
+        "from masseylab import cli\n"
+        f"code = cli.main({argv!r} + ['--no-cache', '--format', 'records'])\n"
+        "print(code, 'numpy' in sys.modules)"
+    ).splitlines()[-1]
+    assert out == "0 False"

@@ -3,15 +3,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from masseylab import gfp
-from masseylab.errors import SizeLimit
+
+PRIMES = [2, 3, 5, 7, 11, 13]
+
+
+def as_matrix(rows) -> np.ndarray:
+    a = np.asarray(rows, dtype=np.int64)
+    if a.ndim == 1:
+        a = a.reshape(1, -1) if a.size else a.reshape(0, 0)
+    return a
 
 
 def dense_rref(rows, p):
-    """The unblocked elimination that rewrites the whole matrix at every
-    pivot: the reference the blocked `gfp.rref` must agree with."""
-    a = gfp._as_matrix(rows) % p
+    """The reference: a numpy elimination that rewrites the whole matrix at
+    every pivot."""
+    a = as_matrix(rows) % p
     if a.size == 0:
-        return a.reshape(0, a.shape[1] if a.ndim == 2 else 0), []
+        return a.reshape(0, a.shape[1]), []
     nrows, ncols = a.shape
     pivots = []
     r = 0
@@ -33,25 +41,71 @@ def dense_rref(rows, p):
     return a[:r], pivots
 
 
+def dense_nullspace(a, p):
+    """The rref parametrization of the nullspace, read off `dense_rref`."""
+    R, pivots = dense_rref(a, p)
+    ncols = a.shape[1]
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = np.zeros(ncols, dtype=np.int64)
+        v[f] = 1
+        for i, c in enumerate(pivots):
+            v[c] = (-R[i, f]) % p
+        basis.append(v)
+    return basis
+
+
+def dense_solve(a, b, p):
+    """The solution with free variables 0, read off the RREF of [a | b]."""
+    ncols = a.shape[1]
+    R, pivots = dense_rref(np.concatenate([a, b.reshape(-1, 1)], axis=1), p)
+    if ncols in pivots:
+        return None
+    x = np.zeros(ncols, dtype=np.int64)
+    for i, c in enumerate(pivots):
+        x[c] = R[i, ncols]
+    return x
+
+
+def dense_reduce(v, R, pivots, p):
+    v = np.asarray(v, dtype=np.int64) % p
+    for i, c in enumerate(pivots):
+        v = (v - v[c] * R[i]) % p
+    return v
+
+
+def packed(a, p) -> list[int]:
+    a = as_matrix(a)
+    S = gfp.space(a.shape[1], p)
+    return [S.pack(row.tolist()) for row in a]
+
+
+def unpacked(rows, ncols, p) -> np.ndarray:
+    S = gfp.space(ncols, p)
+    return np.array([S.unpack(r) for r in rows],
+                    dtype=np.int64).reshape(len(rows), ncols)
+
+
 def assert_same_rref(rows, p):
-    R, piv = gfp.rref(rows, p)
-    R0, piv0 = dense_rref(rows, p)
+    a = as_matrix(rows)
+    R, piv = gfp.rref(packed(a, p), p)
+    R0, piv0 = dense_rref(a, p)
     assert piv == piv0 and all(type(c) is int for c in piv)
-    assert R.dtype == R0.dtype and R.shape == R0.shape
-    assert (R == R0).all()
+    assert all(type(r) is int for r in R)
+    assert (unpacked(R, a.shape[1], p) == R0).all()
 
 
 @st.composite
 def blocked_matrices(draw):
-    """A matrix whose row blocks (of gfp.rref's block height) each span a
-    random subspace of drawn rank: rank 0 gives an all-zero block, rank
-    ncols in an early block a full rank reached before the last block.
-    Entries are shifted by multiples of p, so the input is not reduced."""
-    p = draw(st.sampled_from([2, 3, 5, 7, 13]))
-    ncols = draw(st.integers(1, 90))
-    block = max(ncols, 64)
-    nrows = draw(st.sampled_from([1, block - 1, block, block + 1,
-                                  3 * block + 7]) | st.integers(0, 2 * block))
+    """A matrix made of row blocks that each span a random subspace of
+    drawn rank: rank 0 gives all-zero rows, rank ncols in an early block a
+    full rank reached before the last row. Entries are shifted by multiples
+    of p, so packing has to reduce them."""
+    p = draw(st.sampled_from(PRIMES))
+    ncols = draw(st.integers(0, 90))
+    block = draw(st.sampled_from([1, 7, 64]))
+    nrows = draw(st.sampled_from([0, 1, block, block + 1, 3 * block + 7]) |
+                 st.integers(0, 2 * block))
     nblocks = -(-nrows // block)
     ranks = draw(st.lists(st.integers(0, ncols), min_size=nblocks,
                           max_size=nblocks))
@@ -69,116 +123,132 @@ def test_blocked_rref_agrees_with_dense_elimination(case):
     assert_same_rref(a, p)
 
 
+@settings(max_examples=100, deadline=None)
+@given(blocked_matrices(), st.integers(0, 2 ** 32 - 1))
+def test_nullspace_solve_and_reduce_agree_with_the_reference(case, seed):
+    a, p = case
+    nrows, ncols = a.shape
+    rows = packed(a, p)
+    got = gfp.nullspace(rows, ncols, p)
+    want = dense_nullspace(a, p)
+    assert len(got) == len(want)
+    assert all((unpacked([v], ncols, p)[0] == w).all()
+               for v, w in zip(got, want))
+    rng = np.random.default_rng(seed)
+    # a consistent right-hand side, and one that is usually not
+    for b in (a @ rng.integers(0, p, ncols), rng.integers(-p, 2 * p, nrows)):
+        x = gfp.solve(rows, gfp.space(nrows, p).pack(b.tolist()), ncols, p)
+        x0 = dense_solve(a % p, b % p, p)
+        assert (x is None) == (x0 is None)
+        if x is not None:
+            assert (unpacked([x], ncols, p)[0] == x0).all()
+    R, piv = gfp.rref(rows, p)
+    R0, _ = dense_rref(a, p)
+    S = gfp.space(ncols, p)
+    for v in rng.integers(0, p, (3, ncols)).tolist() + \
+            (a[:2] % p).tolist():
+        r = gfp.reduce_vector(S.pack(v), R, piv, p)
+        assert S.unpack(r) == dense_reduce(v, R0, piv, p).tolist()
+        assert gfp.in_row_space(S.pack(v), R, piv, p) == (not any(S.unpack(r)))
+
+
 @pytest.mark.parametrize("rows", [
     np.zeros((0, 5), dtype=np.int64),             # 0 x n
     np.zeros((3, 0), dtype=np.int64),             # n x 0
-    [1, 2, 0, 1],                                 # 1-D input
-    [],                                           # empty 1-D input
+    [1, 2, 0, 1],                                 # one row
+    [],                                           # no rows, no columns
     np.arange(5 * 200).reshape(5, 200) % 11,      # wide
-    np.arange(70 * 70).reshape(70, 70) ** 2,      # exactly one wide block
+    np.arange(70 * 70).reshape(70, 70) ** 2,      # square, past 64 columns
 ])
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
 def test_blocked_rref_edge_shapes(rows, p):
     assert_same_rref(rows, p)
 
 
-@st.composite
-def unreduced_systems(draw):
-    """(A, b, p) with entries far outside 0..p-1 on both sides, over one or
-    several row blocks of gfp.rref."""
-    p = draw(st.sampled_from([2, 3, 5, 7, 13]))
-    ncols = draw(st.integers(1, 12))
-    nrows = draw(st.sampled_from([1, 5, 63, 64, 65, 150]))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    rank = draw(st.integers(0, ncols))
-    A = rng.integers(0, p, (nrows, rank)) @ rng.integers(0, p, (rank, ncols))
-    A = A + p * rng.integers(-3, 4, A.shape) - p * (A == 0)
-    b = rng.integers(-3 * p, 3 * p, nrows)
-    return A, b, p
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(PRIMES), st.integers(0, 150), st.data())
+def test_packed_arithmetic_agrees_with_integer_arithmetic(p, n, data):
+    S = gfp.space(n, p)
+    draw = st.lists(st.integers(-3 * p, 3 * p), min_size=n, max_size=n)
+    u, v = data.draw(draw), data.draw(draw)
+    c = data.draw(st.integers(-2 * p, 2 * p))
+    pu, pv = S.pack(u), S.pack(v)
+    assert S.unpack(pu) == [x % p for x in u]
+    assert S.unpack(S.add(pu, pv)) == [(x + y) % p for x, y in zip(u, v)]
+    assert S.unpack(S.sub(pu, pv)) == [(x - y) % p for x, y in zip(u, v)]
+    assert S.unpack(S.scale(pu, c)) == [c * x % p for x in u]
+    assert all(S.entry(pu, i) == x % p for i, x in enumerate(u))
+    assert S.unpack(S.combine([pu, pv, pu], [c, 1, 2])) == \
+        [(c * x + y + 2 * x) % p for x, y in zip(u, v)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(blocked_matrices())
+def test_transpose_agrees_with_numpy(case):
+    a, p = case
+    cols = gfp.transpose(packed(a, p), a.shape[1], p)
+    assert (unpacked(cols, a.shape[0], p) == (a % p).T).all()
 
 
 @settings(max_examples=60, deadline=None)
-@given(unreduced_systems())
-def test_unreduced_input_agrees_with_the_reduced_matrix(case):
-    A, b, p = case
-    A_before = A.copy()
-    R, piv = gfp.rref(A, p)
-    assert (A == A_before).all()
-    R0, piv0 = dense_rref(A % p, p)
-    assert piv == piv0 and (R == R0).all()
-    free = [c for c in range(A.shape[1]) if c not in piv0]
-    null = gfp.nullspace(A, p)
-    assert len(null) == len(free)
-    for f, v in zip(free, null):
-        assert v[f] == 1 and not (A % p @ v % p).any()
-        assert all(v[c] == (-R0[i, f]) % p for i, c in enumerate(piv0))
-    aug = np.concatenate([A % p, (b % p).reshape(-1, 1)], axis=1)
-    Ra, pa = dense_rref(aug, p)
-    x = gfp.solve(A, b, p)
-    if A.shape[1] in pa:
-        assert x is None
-    else:
-        assert x is not None and ((A @ x - b) % p == 0).all()
-        assert all(x[c] == Ra[i, -1] for i, c in enumerate(pa))
-        assert not x[free].any()
-    assert (A == A_before).all()
-
-
-def test_float64_product_guard():
-    # (q - 1)^2 = 2^52: one term is exact, two reach 2^53 and are refused
-    q = 2 ** 26 + 1
-    one = np.full((1, 1), q - 1, dtype=np.int64)
-    assert gfp._matmul(one, one, q)[0, 0] == 2 ** 52
-    two = np.full((1, 2), q - 1, dtype=np.int64)
-    with pytest.raises(SizeLimit):
-        gfp._matmul(two, two.T, q)
+@given(st.sampled_from(PRIMES), st.integers(0, 12),
+       st.sampled_from([1, 5, 63, 64, 65, 150]), st.integers(0, 2 ** 32 - 1))
+def test_unreduced_input_agrees_with_the_reduced_matrix(p, ncols, nrows,
+                                                        seed):
+    """Entries far outside 0..p-1 pack to the reduced matrix."""
+    rng = np.random.default_rng(seed)
+    A = rng.integers(0, p, (nrows, ncols))
+    A = A + p * rng.integers(-3, 4, A.shape) - p * (A == 0)
+    assert packed(A, p) == packed(A % p, p)
+    assert_same_rref(A, p)
 
 
 def test_rref_rank_f2():
-    A = np.array([[1, 1, 0], [1, 1, 0], [0, 1, 1]], dtype=np.int64)
-    R, piv = gfp.rref(A, 2)
-    assert list(piv) == [0, 1]
-    assert gfp.rank(A, 2) == 2
+    rows = packed([[1, 1, 0], [1, 1, 0], [0, 1, 1]], 2)
+    R, piv = gfp.rref(rows, 2)
+    assert piv == [0, 1]
+    assert gfp.rank(rows, 2) == 2
 
 
 def test_nullspace_annihilates():
     rng = np.random.default_rng(5)
     for p in (2, 3, 5):
-        A = rng.integers(0, p, size=(6, 9)).astype(np.int64)
-        for v in gfp.nullspace(A, p):
-            assert not (A @ v % p).any()
+        A = rng.integers(0, p, size=(6, 9))
+        for v in gfp.nullspace(packed(A, p), 9, p):
+            assert not (A @ unpacked([v], 9, p)[0] % p).any()
 
 
 def test_solve_roundtrip():
     rng = np.random.default_rng(11)
     for p in (2, 3):
-        A = rng.integers(0, p, size=(7, 5)).astype(np.int64)
-        x = rng.integers(0, p, size=5).astype(np.int64)
+        A = rng.integers(0, p, size=(7, 5))
+        x = rng.integers(0, p, size=5)
         b = A @ x % p
-        y = gfp.solve(A, b, p)
+        y = gfp.solve(packed(A, p), gfp.space(7, p).pack(b.tolist()), 5, p)
         assert y is not None
-        assert ((A @ y - b) % p == 0).all()
+        assert ((A @ unpacked([y], 5, p)[0] - b) % p == 0).all()
 
 
 def test_solve_inconsistent():
-    A = np.array([[1, 0], [1, 0]], dtype=np.int64)
-    b = np.array([0, 1], dtype=np.int64)
-    assert gfp.solve(A, b, 2) is None
+    assert gfp.solve(packed([[1, 0], [1, 0]], 2),
+                     gfp.space(2, 2).pack([0, 1]), 2, 2) is None
 
 
 def test_reduce_vector_canonical():
     # reduction against a row space is idempotent and a coset invariant
-    rows = np.array([[1, 1, 0], [0, 1, 1]], dtype=np.int64)
     p = 2
+    S = gfp.space(3, p)
+    rows = packed([[1, 1, 0], [0, 1, 1]], p)
     R, piv = gfp.rref(rows, p)
-    v = np.array([1, 0, 1], dtype=np.int64)
+    v = S.pack([1, 0, 1])
     r1 = gfp.reduce_vector(v, R, piv, p)
-    r2 = gfp.reduce_vector((v + rows[0]) % p, R, piv, p)
-    assert (r1 == r2).all()
-    assert (gfp.reduce_vector(r1, R, piv, p) == r1).all()
+    r2 = gfp.reduce_vector(S.add(v, rows[0]), R, piv, p)
+    assert r1 == r2
+    assert gfp.reduce_vector(r1, R, piv, p) == r1
 
 
 def test_in_row_space():
-    R, piv = gfp.rref(np.array([[1, 1, 0]], dtype=np.int64), 2)
-    assert gfp.in_row_space(np.array([1, 1, 0]), R, piv, 2)
-    assert not gfp.in_row_space(np.array([1, 0, 0]), R, piv, 2)
+    S = gfp.space(3, 2)
+    R, piv = gfp.rref([S.pack([1, 1, 0])], 2)
+    assert gfp.in_row_space(S.pack([1, 1, 0]), R, piv, 2)
+    assert not gfp.in_row_space(S.pack([1, 0, 0]), R, piv, 2)

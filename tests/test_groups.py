@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -390,6 +391,55 @@ def test_closure_of_the_generators_action_is_the_table(G):
     action = [[G.mul[x][g] for g in G.generators] for x in G.elements()]
     table = gr.table_from_action(action)
     assert tuple(table) == G.mul
+    assert all(c is table[0][c] for row in table for c in row)
+
+
+def column_gather_table(action):
+    """The reference: column y of the table is right multiplication by y,
+    column 0 is the identity map, and on each breadth-first edge
+    (x, s, x*g_s) the column of x*g_s is the column of x followed by g_s."""
+    action = np.asarray(action, dtype=np.uint16)
+    n, d = action.shape
+    _, edges = gr._bfs(action.tolist(), range(d))
+    columns = np.empty((n, n), dtype=np.uint16)
+    columns[0] = np.arange(n)
+    done = [False] * n
+    done[0] = True
+    for x, s, y in edges:
+        if not done[y]:
+            done[y] = True
+            columns[y] = action[:, s][columns[x]]
+    return columns.T
+
+
+GATHER_CASES = (
+    [("fixture", name) for name in sorted(FIXTURES)]
+    + [("U", c) for c in [(3, 2), (4, 2), (5, 2), (3, 3), (4, 3), (3, 5)]]
+    + [("Q", c) for c in [(1, 3, 2), (2, 4, 2), (1, 4, 3), (2, 4, 3),
+                          (2, 5, 2), (3, 5, 2)]]
+    + [("(Z/2)^12", None)])
+
+
+def gather_case_action(kind, arg):
+    """The generators' right action of one case; (Z/2)^12 is stated
+    directly, so that only one 4096 x 4096 table is built."""
+    if kind == "(Z/2)^12":
+        return [[x ^ (1 << i) for i in range(12)] for x in range(4096)]
+    G = FIXTURES[arg]() if kind == "fixture" else \
+        unitri_group(*arg).as_finite_group() if kind == "U" else \
+        fiber_quotient(*arg).group
+    return [[G.mul[x][g] for g in G.generators] for x in G.elements()]
+
+
+@pytest.mark.parametrize("kind,arg", GATHER_CASES,
+                         ids=[f"{k} {a}" if a else k for k, a in GATHER_CASES])
+def test_row_gathers_match_the_column_gather_table(kind, arg):
+    action = gather_case_action(kind, arg)
+    table = gr.table_from_action(action)
+    want = column_gather_table(action)
+    assert len(table) == len(want)
+    assert all(type(row) is tuple and row == tuple(col.tolist())
+               for row, col in zip(table, want))
     assert all(c is table[0][c] for row in table for c in row)
 
 
