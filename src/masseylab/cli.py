@@ -5,12 +5,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from . import __version__
 from . import cochains as cc
@@ -18,9 +16,10 @@ from . import gfp
 from . import groups as gr
 from .errors import BadParameter, MasseyLabError, ParseError
 
-# Every command needs the modules above. `massey`, `embedding`, `verify` and
-# `unitri` are imported inside the functions that use them, so a cold
-# `cohomology` job does not load and compile them.
+# Every command needs the modules above; none imports dataclasses or numpy.
+# `massey`, `embedding`, `verify` and `unitri` are imported inside the
+# functions that use them, so a cold `cohomology` job does not load and
+# compile them, and `hashlib` only where a key or fingerprint is computed.
 
 SCHEMA_VERSION = 1
 
@@ -30,11 +29,11 @@ EXIT_BUDGET = 2
 EXIT_USAGE = 3
 
 
-@dataclass
 class RunConfig:
-    fmt: str = "text"
-    seed: int = 0
-    no_cache: bool = False
+    __slots__ = ("fmt", "seed", "no_cache")
+
+    def __init__(self, fmt="text", seed=0, no_cache=False):
+        self.fmt, self.seed, self.no_cache = fmt, seed, no_cache
 
 
 # -- fixtures ------------------------------------------------------------------
@@ -142,18 +141,23 @@ def _cache_dir() -> str:
                                        ".cache", "masseylab"))
 
 
-def _cache_key(command: str, ref: str, G: gr.FiniteGroup, params) -> str:
+def _cache_key(cfg: RunConfig, command: str, ref: str, G: gr.FiniteGroup,
+               params):
     """Everything a command's records depend on: the command, the
     `--group` string (records echo it), the group's table, the other
-    parameters, and the program and record-schema versions."""
+    parameters, and the program and record-schema versions. None for a
+    `--no-cache` run, which then never loads hashlib (and OpenSSL)."""
+    if cfg.no_cache:
+        return None
+    import hashlib
     parts = [command, ref, G.fingerprint(), params, __version__,
              SCHEMA_VERSION]
     blob = json.dumps(parts, sort_keys=True, default=_jsonable)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def cache_get(key: str, cfg: RunConfig):
-    if cfg.no_cache:
+def cache_get(key):
+    if key is None:
         return None
     path = os.path.join(_cache_dir(), key + ".json")
     if not os.path.exists(path):
@@ -165,10 +169,10 @@ def cache_get(key: str, cfg: RunConfig):
         return None
 
 
-def cache_put(key: str, records, cfg: RunConfig):
+def cache_put(key, records):
     """Store records under key. A cache that cannot be written is a miss:
     the run's records and exit code stay those of a `--no-cache` run."""
-    if cfg.no_cache:
+    if key is None:
         return
     d = _cache_dir()
     path = os.path.join(d, key + ".json")
@@ -211,8 +215,8 @@ def cmd_cohomology(args, cfg: RunConfig) -> Report:
     G = get_group(args.group)
     p = args.p
     rep = Report(f"cohomology {args.group} p={p}")
-    key = _cache_key("cohomology", args.group, G, [p])
-    hit = cache_get(key, cfg)
+    key = _cache_key(cfg, "cohomology", args.group, G, [p])
+    hit = cache_get(key)
     if hit is not None:
         rep.records = hit
         return rep
@@ -221,7 +225,7 @@ def cmd_cohomology(args, cfg: RunConfig) -> Report:
             dim_h2=report["dim_h2"],
             cup_form_nondegenerate=report["nondegenerate"],
             demushkin=report["verdict"])
-    cache_put(key, rep.records, cfg)
+    cache_put(key, rep.records)
     return rep
 
 
@@ -253,10 +257,16 @@ def parse_query_file(text: str):
     except ValueError:
         raise ParseError(f"`p` and `n` must be integers, got {kv['p']!r} "
                          f"and {kv['n']!r}")
+    _check_massey_length(n)
     if len(rows) != n:
         raise ParseError(f"expected {n} character rows, got {len(rows)}")
     chars = tuple(_char_from_gen_values(G, p, row) for row in rows)
     return ms.query(G, p, chars), kv["group"]
+
+
+def _check_massey_length(n: int) -> None:
+    if n < 2:
+        raise BadParameter(f"a Massey product needs n >= 2, got {n}")
 
 
 def _char_from_gen_values(G: gr.FiniteGroup, p: int, row) -> cc.Cochain:
@@ -301,6 +311,7 @@ def cmd_massey(args, cfg: RunConfig) -> Report:
 def _suite_dwyer(args, cfg, G) -> list[dict]:
     from . import embedding as em
     from . import massey as ms
+    _check_massey_length(args.n)
     out = []
     for chars in ms.h1_tuples(G, args.p, args.n):
         q = ms.MasseyQuery(G, args.p, chars)
@@ -377,15 +388,15 @@ SUITES = {
 def cmd_verify(args, cfg: RunConfig) -> Report:
     rep = Report(f"verify {args.suite}")
     G = get_group(args.group)
-    key = _cache_key(f"verify {args.suite}", args.group, G,
+    key = _cache_key(cfg, f"verify {args.suite}", args.group, G,
                      [args.p, args.n, args.k, args.sample, args.tuple_budget,
                       cfg.seed])
-    hit = cache_get(key, cfg)
+    hit = cache_get(key)
     if hit is not None:
         rep.records = hit
         return rep
     rep.records = SUITES[args.suite](args, cfg, G)
-    cache_put(key, rep.records, cfg)
+    cache_put(key, rep.records)
     return rep
 
 

@@ -22,23 +22,25 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from . import gfp
 from .errors import DegreeLimit, NotACocycle, NotApplicable, ShapeMismatch, \
     SizeLimit
-from .groups import FiniteGroup, GroupHom, _edges
+from .groups import FiniteGroup, GroupHom, Value, _edges
 
 MAX_COHOMOLOGY_ORDER = 32
 MAX_DEGREE = 3
 
 
-@dataclass(frozen=True)
-class Cochain:
-    group: FiniteGroup
-    p: int
-    degree: int
-    values: tuple  # length (N-1)^degree
+class Cochain(Value):
+    __slots__ = ("group", "p", "degree", "values")
+
+    def __init__(self, group, p, degree, values):
+        self.group, self.p, self.degree = group, p, degree
+        self.values = values  # length (N-1)^degree
+
+    def _key(self) -> tuple:
+        return self.group, self.p, self.degree, self.values
 
     def value(self, *gs: int) -> int:
         if len(gs) != self.degree:
@@ -267,24 +269,18 @@ def complex_data(G: FiniteGroup, p: int) -> ComplexData:
 
 # -- cohomology classes --------------------------------------------------------
 
-@dataclass(frozen=True)
-class CohomologyClass:
-    group: FiniteGroup
-    p: int
-    degree: int
-    representative: Cochain
-    canon: tuple
+class CohomologyClass(Value):
+    __slots__ = ("group", "p", "degree", "representative", "canon")
+
+    def __init__(self, group, p, degree, representative, canon):
+        self.group, self.p, self.degree = group, p, degree
+        self.representative, self.canon = representative, canon
+
+    def _key(self) -> tuple:
+        return self.degree, self.p, self.canon
 
     def is_zero(self) -> bool:
         return not any(self.canon)
-
-    def __eq__(self, other):
-        return isinstance(other, CohomologyClass) and \
-            self.degree == other.degree and self.p == other.p and \
-            self.canon == other.canon
-
-    def __hash__(self):
-        return hash((self.degree, self.p, self.canon))
 
     # The canonical reduction is linear, so the sum's canonical vector is
     # the sum of the canonical vectors; the representatives' sum checks
@@ -357,13 +353,14 @@ def h2(G: FiniteGroup, p: int):
     return dim, classes
 
 
-@dataclass(frozen=True)
 class CupForm:
-    group: FiniteGroup
-    p: int
-    basis: tuple           # H^1 basis cochains
-    gram: tuple            # Gram matrix of the pairing, values in Z/p
-    h2_canon: tuple        # canonical vector of the H^2 basis class
+    __slots__ = ("group", "p", "basis", "gram", "h2_canon")
+
+    def __init__(self, group, p, basis, gram, h2_canon):
+        self.group, self.p = group, p
+        self.basis = basis          # H^1 basis cochains
+        self.gram = gram            # Gram matrix of the pairing, in Z/p
+        self.h2_canon = h2_canon    # canonical vector of the H^2 basis class
 
     def is_nondegenerate(self) -> bool:
         n = len(self.basis)

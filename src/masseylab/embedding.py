@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 from typing import Optional
 
 from . import cochains as cc
@@ -25,14 +24,12 @@ from .unitri import FiberQuotient, UniTriMatrix, fiber_quotient, unitri_group, \
     zeta_kappa_targets
 
 
-@dataclass(frozen=True)
 class EmbeddingProblem:
     """phi : G -> A to be lifted through the surjection alpha : B -> A."""
-    G: FiniteGroup
-    A: FiniteGroup
-    B: FiniteGroup
-    alpha: GroupHom
-    phi: GroupHom
+    __slots__ = ("G", "A", "B", "alpha", "phi")
+
+    def __init__(self, G, A, B, alpha, phi):
+        self.G, self.A, self.B, self.alpha, self.phi = G, A, B, alpha, phi
 
     def validate(self) -> "EmbeddingProblem":
         if self.alpha.domain != self.B or self.alpha.codomain != self.A:
@@ -165,11 +162,13 @@ def dwyer_solvable(q: MasseyQuery) -> bool:
 # functools.cache stores no exception, so a check that fails raises again on
 # every call.
 
-@dataclass(frozen=True)
 class CentralProblemData:
-    problem: EmbeddingProblem
-    kernel: tuple           # element indices of Ker(alpha) in B
-    ident: dict             # kernel element -> residue mod p
+    __slots__ = ("problem", "kernel", "ident")
+
+    def __init__(self, problem, kernel, ident):
+        self.problem = problem
+        self.kernel = kernel    # element indices of Ker(alpha) in B
+        self.ident = ident      # kernel element -> residue mod p
 
     @property
     def p(self) -> int:

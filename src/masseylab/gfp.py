@@ -1,22 +1,24 @@
 """Linear algebra over the prime field F_p on packed vectors.
 
 A vector of n entries over F_p is one Python int: entry i sits in the w-bit
-field at bits [i*w, (i+1)*w), with w = (2p-2).bit_length() + 1, and every
+field at bits [i*w, (i+1)*w), with w = (2p-2).bit_length(), and every
 field holds a value in 0..p-1. A matrix is a list of such ints, one per row.
 `space(n, p)` holds the constants for vectors of n entries.
 
-Addition is exact field by field ("SWAR", SIMD within a register). Two
-fields sum to at most 2p-2 < 2^(w-1), so one big-int addition adds every
-field with no carry between fields. With HM holding 2^(w-1) - p in every
-field, field i of s + HM is at most 2^(w-1) + p - 2 < 2^w, again with no
-carry, and its top bit is set exactly when s_i >= p. So
+Addition is exact field by field ("SWAR", SIMD within a register). The
+width gives 2p-2 < 2^w, hence p <= 2^(w-1), and 2p-1 < 2^w as 2^w is even.
+A sum of two fields is at most 2p-2, and a subtraction adds p to every
+field first, giving at most 2p-1; so every field sum s_i fits in w bits and
+one big-int operation acts on all fields with no carry between them. HM
+holds 2^(w-1) - p >= 0 in every field, so field i of s + HM is at most
+2^(w-1) + p - 1 < 2^w, again with no carry, and its top bit is set exactly
+when s_i >= p. So
 
     s - (((s + HM) >> (w-1)) & ONES) * p
 
 subtracts p from exactly the fields that reached p, where ONES holds 1 in
-every field. Subtraction adds p to every field first, giving at most 2p-1,
-which the same bound covers. A scalar multiple is a sum of doublings. Every
-step is integer arithmetic, so nothing rounds.
+every field. A scalar multiple is a sum of doublings. Every step is integer
+arithmetic, so nothing rounds.
 
 `rref` inserts each row into a fully reduced echelon basis. It clears the
 row's entries at the basis pivots with the pivot rows' precomputed multiples
@@ -42,8 +44,8 @@ def check_prime(p: int) -> None:
 
 
 def _width(p: int) -> int:
-    """Bits per packed entry."""
-    return (2 * p - 2).bit_length() + 1
+    """Bits per packed entry: the least w with p <= 2^(w-1), 2p-1 < 2^w."""
+    return (2 * p - 2).bit_length()
 
 
 class Space:

@@ -10,10 +10,8 @@ up to 4096.
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 import operator
-from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 from .errors import (
@@ -32,19 +30,29 @@ FULL_GROUP_LIMIT = 64
 CONTAINER_LIMIT = 4096
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
-    order: int
-    mul: tuple  # tuple of tuples, mul[x][y]
-    inv: tuple
-    generators: tuple
-    label: str = "G"
-    # hash((order, mul)), computed once: every functools.cache lookup keyed
-    # on a group hashes it, and rehashing the table costs O(order^2).
-    _hash: int = field(init=False, compare=False, repr=False)
+class Value:
+    """Equality and hash over the tuple `_key()`, for the types that callers
+    compare or use as cache keys; other classes compare by identity."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.order, self.mul)))
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class FiniteGroup(Value):
+    __slots__ = ("order", "mul", "inv", "generators", "label", "_hash")
+
+    def __init__(self, order, mul, inv, generators, label="G"):
+        self.order, self.mul, self.inv = order, mul, inv  # mul[x][y]
+        self.generators, self.label = generators, label
+        # hashed once: each functools.cache lookup keyed on a group hashes it
+        self._hash = hash((order, mul))
+
+    def _key(self) -> tuple:
+        return self.order, self.mul, self.inv, self.generators, self.label
 
     def elements(self) -> range:
         return range(self.order)
@@ -71,6 +79,7 @@ class FiniteGroup:
         return self.mul[self.mul[g][x]][self.inv[g]]
 
     def fingerprint(self) -> str:
+        import hashlib  # here, not at module level: it loads OpenSSL
         h = hashlib.sha256()
         h.update(str(self.order).encode())
         for row in self.mul:
@@ -379,11 +388,14 @@ def build_symmetric3() -> FiniteGroup:
 
 # -- homomorphisms ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GroupHom:
-    domain: FiniteGroup
-    codomain: FiniteGroup
-    images: tuple
+class GroupHom(Value):
+    __slots__ = ("domain", "codomain", "images")
+
+    def __init__(self, domain, codomain, images):
+        self.domain, self.codomain, self.images = domain, codomain, images
+
+    def _key(self) -> tuple:
+        return self.domain, self.codomain, self.images
 
     def __call__(self, x: int) -> int:
         return self.images[x]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from . import cochains as cc
@@ -25,8 +24,8 @@ from .errors import (
     ShapeMismatch,
     SizeLimit,
 )
-from .groups import FiniteGroup, GroupHom, build_vector_group, enumerate_homs, \
-    vec_to_index
+from .groups import FiniteGroup, GroupHom, Value, build_vector_group, \
+    enumerate_homs, vec_to_index
 from .unitri import CosetQuotient, UniTriGroup, unitri_group, \
     zeta_kappa_targets
 
@@ -34,11 +33,15 @@ EXHAUSTIVE_GROUP_LIMIT = 8
 EXHAUSTIVE_N_LIMIT = 4
 
 
-@dataclass(frozen=True)
-class MasseyQuery:
-    group: FiniteGroup
-    p: int
-    chars: tuple  # degree-1 cocycles a_1 ... a_n
+class MasseyQuery(Value):
+    __slots__ = ("group", "p", "chars", "__dict__")  # __dict__: forced_hom
+
+    def __init__(self, group, p, chars):
+        self.group, self.p = group, p
+        self.chars = chars  # degree-1 cocycles a_1 ... a_n
+
+    def _key(self) -> tuple:
+        return self.group, self.p, self.chars
 
     @property
     def n(self) -> int:
@@ -63,12 +66,13 @@ def query(G: FiniteGroup, p: int, chars) -> MasseyQuery:
     return MasseyQuery(G, p, chars)
 
 
-@dataclass(frozen=True)
 class DefiningSystem:
-    group: FiniteGroup
-    p: int
-    n: int
-    entries: dict  # (i, j) -> Cochain, 1 <= i < j <= n+1, (i,j) != (1, n+1)
+    __slots__ = ("group", "p", "n", "entries")
+
+    def __init__(self, group, p, n, entries):
+        self.group, self.p, self.n = group, p, n
+        # (i, j) -> Cochain, 1 <= i < j <= n+1, (i,j) != (1, n+1)
+        self.entries = entries
 
     def entry(self, i: int, j: int) -> Cochain:
         return self.entries[(i, j)]

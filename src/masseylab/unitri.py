@@ -9,7 +9,6 @@ entries are stored packed in row-major order.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .errors import (
@@ -20,7 +19,7 @@ from .errors import (
     SizeLimit,
 )
 from .gfp import check_prime
-from .groups import CONTAINER_LIMIT, FiniteGroup, GroupHom, \
+from .groups import CONTAINER_LIMIT, FiniteGroup, GroupHom, Value, \
     build_vector_group, group_from_action, index_to_vec, vec_to_index
 
 
@@ -65,13 +64,17 @@ def _block_positions(n: int, a: int, off: int) -> tuple[int, ...]:
     return tuple(pidx[(off + i, off + j)] for (i, j) in _positions(a))
 
 
-@dataclass(frozen=True)
-class UniTriMatrix:
+class UniTriMatrix(Value):
     """One element of U_n(p) as a matrix, for parsing, printing and
     witnesses; inside the lab an element is its index in `UniTriGroup`."""
-    n: int
-    p: int
-    entries: tuple  # strictly-upper entries, row-major
+    __slots__ = ("n", "p", "entries")
+
+    def __init__(self, n, p, entries):
+        self.n, self.p = n, p
+        self.entries = entries  # strictly-upper entries, row-major
+
+    def _key(self) -> tuple:
+        return self.n, self.p, self.entries
 
     def entry(self, i: int, j: int) -> int:
         if not (1 <= i <= self.n and 1 <= j <= self.n):
@@ -282,11 +285,14 @@ def unitri_group(n: int, p: int) -> UniTriGroup:
 
 # -- named subgroups -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class NamedSubgroup:
-    parent: UniTriGroup
-    kind: str           # "Z", "P" or "M"
-    k: Optional[int] = None
+class NamedSubgroup(Value):
+    __slots__ = ("parent", "kind", "k")
+
+    def __init__(self, parent, kind, k=None):
+        self.parent, self.kind, self.k = parent, kind, k  # kind: Z, P or M
+
+    def _key(self) -> tuple:
+        return self.parent, self.kind, self.k
 
     def zero_positions(self) -> tuple[int, ...]:
         """The packed positions where every member has entry 0."""

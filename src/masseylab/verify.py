@@ -5,7 +5,6 @@ central-step obstruction audits, and the descending-induction solver."""
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from . import cochains as cc
 from . import embedding as em
@@ -35,14 +34,14 @@ from .unitri import (
 )
 
 
-@dataclass(frozen=True)
 class SignPattern:
     """The row vector (a_1(g), ..., a_n(g)) for G = Z/2, p = 2."""
-    bits: tuple
+    __slots__ = ("bits",)
 
-    def __post_init__(self):
-        if len(self.bits) < 1 or any(b not in (0, 1) for b in self.bits):
+    def __init__(self, bits):
+        if len(bits) < 1 or any(b not in (0, 1) for b in bits):
             raise BadParameter("pattern must be a nonempty 0/1 vector")
+        self.bits = bits
 
     @property
     def n(self) -> int:

@@ -274,6 +274,20 @@ def test_bad_sizes_raise_bad_parameter(argv, capsys):
     assert err.startswith("error: BadParameter: ")
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_massey_lengths_below_two_raise_bad_parameter(n, tmp_path, capsys):
+    """A Massey product of fewer than two classes is not defined: both
+    commands refuse it instead of reporting a verdict."""
+    q = tmp_path / "q.msq"
+    q.write_text("group V4\np 2\n" + f"n {n}\n" + "a 1 0\n" * n)
+    for argv in (["verify", "dwyer", "--n", str(n)], ["massey", str(q)]):
+        code = cli.main([*argv, "--format", "records", "--no-cache"])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_FAIL and out == ""
+        assert err == f"error: BadParameter: a Massey product needs " \
+            f"n >= 2, got {n}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "dwyer", "--group", "Z1", "--p", "2", "--n", "3"],
     ["verify", "easy-vanishing", "--group", "Z1", "--p", "2", "--n", "3"],
@@ -406,3 +420,37 @@ def test_commands_run_without_numpy(command, tmp_path):
         "print(code, 'numpy' in sys.modules)"
     ).splitlines()[-1]
     assert out == "0 False"
+
+
+COLD_START_SKIPS = ("dataclasses", "inspect", "hashlib")
+
+
+@pytest.mark.parametrize("command", sorted(NUMPY_FREE_COMMANDS))
+def test_cold_commands_skip_dataclasses_and_hashlib(command, tmp_path):
+    """A fresh `--no-cache` run loads none of COLD_START_SKIPS beyond what
+    a bare interpreter starts with, except hashlib where the record holds
+    a table fingerprint; a cache miss and then a hit print the same bytes
+    as `--no-cache`."""
+    query = tmp_path / "q.msq"
+    query.write_text("group Z2\np 2\nn 3\na 1\na 0\na 1\n")
+    argv = [a.format(query=query) for a in NUMPY_FREE_COMMANDS[command]]
+    bare = set(_fresh_python("import sys; print(*sys.modules)").split())
+    out = _fresh_python(
+        "import contextlib, io, sys\n"
+        "from masseylab import cli\n"
+        "def run(extra):\n"
+        "    buf = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(buf):\n"
+        f"        assert cli.main({argv!r} + extra) == 0\n"
+        "    return buf.getvalue()\n"
+        "plain = run(['--no-cache', '--format', 'records'])\n"
+        f"print(*[m for m in {COLD_START_SKIPS!r} if m in sys.modules])\n"
+        "miss = run(['--format', 'records'])\n"
+        "hit = run(['--format', 'records'])\n"
+        "print(plain == miss == hit)"
+    ).splitlines()
+    loaded = set(out[-2].split()) - bare
+    assert loaded == ({"hashlib"} if command == "group show" else set())
+    assert out[-1] == "True"
+    cached = command.split()[0] in ("cohomology", "verify")
+    assert len(list(tmp_path.glob("cache/*.json"))) == cached

@@ -182,6 +182,16 @@ def test_packed_arithmetic_agrees_with_integer_arithmetic(p, n, data):
         [(c * x + y + 2 * x) % p for x, y in zip(u, v)]
 
 
+@pytest.mark.parametrize("p", PRIMES)
+def test_field_width_is_the_least_that_keeps_fields_apart(p):
+    """SWAR is exact when HM = 2^(w-1) - p >= 0 and every field sum, at
+    most 2p - 1, fits in w bits; one bit fewer breaks one of the two."""
+    def exact(w):
+        return 2 ** (w - 1) >= p and 2 * p - 1 < 2 ** w
+    w = gfp._width(p)
+    assert exact(w) and not exact(w - 1)
+
+
 @settings(max_examples=50, deadline=None)
 @given(blocked_matrices())
 def test_transpose_agrees_with_numpy(case):

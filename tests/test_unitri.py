@@ -23,6 +23,16 @@ def test_matrix_mul_inverse_order():
     assert B.order() == 3
 
 
+def test_matrices_and_subgroups_built_twice_are_equal_values():
+    U = ut.unitri_group(4, 2)
+    for make in (lambda: ut.UniTriMatrix(3, 2, (1, 0, 1)),
+                 lambda: ut.named_subgroup(U, "M", 2)):
+        x, y = make(), make()
+        assert x is not y and x == y and hash(x) == hash(y)
+    assert ut.UniTriMatrix(3, 2, (1, 0, 1)) != ut.UniTriMatrix(3, 3, (1, 0, 1))
+    assert ut.named_subgroup(U, "M", 2) != ut.named_subgroup(U, "M", 1)
+
+
 def test_matrix_literal_roundtrip():
     A = ut.unitri_group(3, 2).elementary(1, 3)
     text = ut.format_matrix_literal(A)
