@@ -1,5 +1,8 @@
 """Command-line entry point: fixtures, cohomology reports, Massey queries,
-and the verification suites, with text or line-delimited record output."""
+and the verification suites, with text or line-delimited record output.
+Commands read the parsed `args`. `cohomology` and `verify` get their records
+through `_cached_records`, the one cache path, so a hit prints what a miss
+printed; README lists the exit codes."""
 
 from __future__ import annotations
 
@@ -12,7 +15,6 @@ import time
 
 from . import __version__
 from . import cochains as cc
-from . import gfp
 from . import groups as gr
 from .errors import BadParameter, MasseyLabError, ParseError
 
@@ -22,18 +24,13 @@ from .errors import BadParameter, MasseyLabError, ParseError
 # compile them, and `hashlib` only where a key or fingerprint is computed.
 
 SCHEMA_VERSION = 1
+CACHE_LAYOUT = "emission-order"  # a key part, so older sorted entries miss
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_BUDGET = 2
 EXIT_USAGE = 3
-
-
-class RunConfig:
-    __slots__ = ("fmt", "seed", "no_cache")
-
-    def __init__(self, fmt="text", seed=0, no_cache=False):
-        self.fmt, self.seed, self.no_cache = fmt, seed, no_cache
+EXIT_PIPE = 4
 
 
 # -- fixtures ------------------------------------------------------------------
@@ -97,15 +94,14 @@ class Report:
             return EXIT_BUDGET
         return EXIT_OK
 
-    def emit(self, cfg: RunConfig, out=None):
+    def emit(self, args, out=None):
         out = out or sys.stdout
-        if cfg.fmt == "records":
+        if args.format == "records":
             header = {"schema-version": SCHEMA_VERSION, "command": self.command,
-                      "seed": cfg.seed}
+                      "seed": args.seed}
             out.write(json.dumps(header, sort_keys=True) + "\n")
             for rec in self.records:
-                out.write(json.dumps(rec, sort_keys=True, default=_jsonable)
-                          + "\n")
+                out.write(json.dumps(rec, sort_keys=True) + "\n")
             counts = {}
             for v in self.verdicts():
                 counts[v] = counts.get(v, 0) + 1
@@ -117,14 +113,7 @@ class Report:
                 out.write(f"  {bits}\n")
             dt = time.time() - self.t0
             out.write(f"  ({len(self.records)} records, {dt:.2f}s)\n")
-
-
-def _jsonable(x):
-    if isinstance(x, (set, frozenset)):
-        return sorted(x)
-    if isinstance(x, tuple):
-        return list(x)
-    return str(x)
+        out.flush()
 
 
 def _txt(v):
@@ -141,18 +130,18 @@ def _cache_dir() -> str:
                                        ".cache", "masseylab"))
 
 
-def _cache_key(cfg: RunConfig, command: str, ref: str, G: gr.FiniteGroup,
-               params):
+def _cache_key(args, command: str, G: gr.FiniteGroup, params):
     """Everything a command's records depend on: the command, the
     `--group` string (records echo it), the group's table, the other
-    parameters, and the program and record-schema versions. None for a
-    `--no-cache` run, which then never loads hashlib (and OpenSSL)."""
-    if cfg.no_cache:
+    parameters, and the program, record-schema and entry-layout versions.
+    None for a `--no-cache` run, which then never loads hashlib (and
+    OpenSSL)."""
+    if args.no_cache:
         return None
     import hashlib
-    parts = [command, ref, G.fingerprint(), params, __version__,
-             SCHEMA_VERSION]
-    blob = json.dumps(parts, sort_keys=True, default=_jsonable)
+    parts = [command, args.group, G.fingerprint(), params, __version__,
+             SCHEMA_VERSION, CACHE_LAYOUT]
+    blob = json.dumps(parts, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -169,9 +158,10 @@ def cache_get(key):
         return None
 
 
-def cache_put(key, records):
-    """Store records under key. A cache that cannot be written is a miss:
-    the run's records and exit code stay those of a `--no-cache` run."""
+def cache_put(key, blob: str):
+    """Store the JSON text of a command's records under key. A cache that
+    cannot be written is a miss: the run's records and exit code stay those
+    of a `--no-cache` run."""
     if key is None:
         return
     d = _cache_dir()
@@ -180,16 +170,29 @@ def cache_put(key, records):
     try:
         os.makedirs(d, exist_ok=True)
         with open(tmp, "w") as fh:
-            json.dump(records, fh, sort_keys=True, default=_jsonable)
+            fh.write(blob)
         os.replace(tmp, path)
     except OSError:
         with contextlib.suppress(OSError):
             os.remove(tmp)
 
 
+def _cached_records(args, command: str, G: gr.FiniteGroup, params,
+                    compute) -> list[dict]:
+    """compute()'s records from the cache, or passed through JSON once and
+    stored as that text, so a miss holds exactly what a hit would."""
+    key = _cache_key(args, command, G, params)
+    hit = cache_get(key)
+    if hit is not None:
+        return hit
+    blob = json.dumps(compute())
+    cache_put(key, blob)
+    return json.loads(blob)
+
+
 # -- commands ------------------------------------------------------------------
 
-def cmd_group(args, cfg: RunConfig) -> Report:
+def cmd_group(args) -> Report:
     rep = Report(f"group {args.action}")
     if args.action == "list":
         for name in sorted(FIXTURES):
@@ -211,21 +214,18 @@ def cmd_group(args, cfg: RunConfig) -> Report:
     return rep
 
 
-def cmd_cohomology(args, cfg: RunConfig) -> Report:
+def cmd_cohomology(args) -> Report:
     G = get_group(args.group)
     p = args.p
     rep = Report(f"cohomology {args.group} p={p}")
-    key = _cache_key(cfg, "cohomology", args.group, G, [p])
-    hit = cache_get(key)
-    if hit is not None:
-        rep.records = hit
-        return rep
-    report = cc.demushkin_check(G, p)
-    rep.add(group=args.group, p=p, dim_h1=report["dim_h1"],
-            dim_h2=report["dim_h2"],
-            cup_form_nondegenerate=report["nondegenerate"],
-            demushkin=report["verdict"])
-    cache_put(key, rep.records)
+
+    def compute():
+        report = cc.demushkin_check(G, p)
+        return [{"group": args.group, "p": p, "dim_h1": report["dim_h1"],
+                 "dim_h2": report["dim_h2"],
+                 "cup_form_nondegenerate": report["nondegenerate"],
+                 "demushkin": report["verdict"]}]
+    rep.records = _cached_records(args, "cohomology", G, [p], compute)
     return rep
 
 
@@ -270,20 +270,20 @@ def _check_massey_length(n: int) -> None:
 
 
 def _char_from_gen_values(G: gr.FiniteGroup, p: int, row) -> cc.Cochain:
-    basis = cc.h1(G, p)
+    """The character with the given values (mod p) on G's generators."""
+    chars = cc.characters(G, p)
     gens = G.generators
     if len(row) != len(gens):
         raise ParseError(f"character row has {len(row)} values for "
                          f"{len(gens)} generators")
-    S = gfp.space(len(basis), p)
-    B = [S.pack([b.value(g) for b in basis]) for g in gens]
-    x = gfp.solve(B, gfp.space(len(gens), p).pack(row), len(basis), p)
-    if x is None:
-        raise ParseError("generator values do not extend to a character")
-    return cc.h1_combination(G, p, S.unpack(x))
+    row = [v % p for v in row]
+    for a in chars:
+        if [a.value(g) for g in gens] == row:
+            return a
+    raise ParseError("generator values do not extend to a character")
 
 
-def cmd_massey(args, cfg: RunConfig) -> Report:
+def cmd_massey(args) -> Report:
     from . import embedding as em
     from . import massey as ms
     from .unitri import unitri_group
@@ -308,7 +308,7 @@ def cmd_massey(args, cfg: RunConfig) -> Report:
 
 # -- verify suites -------------------------------------------------------------
 
-def _suite_dwyer(args, cfg, G) -> list[dict]:
+def _suite_dwyer(args, G) -> list[dict]:
     from . import embedding as em
     from . import massey as ms
     _check_massey_length(args.n)
@@ -328,15 +328,15 @@ def _suite_dwyer(args, cfg, G) -> list[dict]:
     return out
 
 
-def _suite_twisting(args, cfg, G) -> list[dict]:
+def _suite_twisting(args, G) -> list[dict]:
     from . import embedding as em
     recs = em.verify_twisting(G, args.p, args.n, args.k,
-                              sample=args.sample, seed=cfg.seed)
+                              sample=args.sample, seed=args.seed)
     return [{"psi": list(r["psi"]), "chi": list(r["chi"]),
              "verdict": "holds" if r["holds"] else "fails"} for r in recs]
 
 
-def _suite_strong_vanishing(args, cfg, G) -> list[dict]:
+def _suite_strong_vanishing(args, G) -> list[dict]:
     from . import massey as ms
     if args.n < 3:
         raise BadParameter(f"strong vanishing needs n >= 3, got {args.n}")
@@ -348,14 +348,14 @@ def _suite_strong_vanishing(args, cfg, G) -> list[dict]:
              "verdict": r["verdict"]} for r in reports]
 
 
-def _suite_easy_vanishing(args, cfg, G) -> list[dict]:
+def _suite_easy_vanishing(args, G) -> list[dict]:
     from . import verify as vf
     rec = vf.easy_vanishing_drill(G, args.p, args.n)
     rec["verdict"] = "holds" if rec["verified"] else "fails"
     return [rec]
 
 
-def _suite_case_by_case(args, cfg, G) -> list[dict]:
+def _suite_case_by_case(args, G) -> list[dict]:
     from . import verify as vf
     audit = vf.case_by_case_audit()
     out = []
@@ -368,7 +368,7 @@ def _suite_case_by_case(args, cfg, G) -> list[dict]:
     return out
 
 
-def _suite_fiber_quotient(args, cfg, G) -> list[dict]:
+def _suite_fiber_quotient(args, G) -> list[dict]:
     from . import verify as vf
     recs = vf.structure_audit(args.n, args.p)
     return [dict(r, verdict="holds" if r["holds"] else "fails")
@@ -385,18 +385,13 @@ SUITES = {
 }
 
 
-def cmd_verify(args, cfg: RunConfig) -> Report:
+def cmd_verify(args) -> Report:
     rep = Report(f"verify {args.suite}")
     G = get_group(args.group)
-    key = _cache_key(cfg, f"verify {args.suite}", args.group, G,
-                     [args.p, args.n, args.k, args.sample, args.tuple_budget,
-                      cfg.seed])
-    hit = cache_get(key)
-    if hit is not None:
-        rep.records = hit
-        return rep
-    rep.records = SUITES[args.suite](args, cfg, G)
-    cache_put(key, rep.records)
+    rep.records = _cached_records(
+        args, f"verify {args.suite}", G,
+        [args.p, args.n, args.k, args.sample, args.tuple_budget, args.seed],
+        lambda: SUITES[args.suite](args, G))
     return rep
 
 
@@ -442,19 +437,18 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code else EXIT_OK
-    cfg = RunConfig(fmt=args.format, seed=args.seed, no_cache=args.no_cache)
     try:
         if args.cmd == "group":
             if args.action in ("show", "check") and not args.target:
                 sys.stderr.write("group show/check needs a target\n")
                 return EXIT_USAGE
-            rep = cmd_group(args, cfg)
+            rep = cmd_group(args)
         elif args.cmd == "cohomology":
-            rep = cmd_cohomology(args, cfg)
+            rep = cmd_cohomology(args)
         elif args.cmd == "massey":
-            rep = cmd_massey(args, cfg)
+            rep = cmd_massey(args)
         else:
-            rep = cmd_verify(args, cfg)
+            rep = cmd_verify(args)
     except ParseError as e:
         sys.stderr.write(f"parse error: {e}\n")
         return EXIT_USAGE
@@ -464,7 +458,12 @@ def main(argv=None) -> int:
     except OSError as e:
         sys.stderr.write(f"io error: {e}\n")
         return EXIT_USAGE
-    rep.emit(cfg)
+    try:
+        rep.emit(args)
+    except BrokenPipeError:
+        # the reader has gone: keep the interpreter's final flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     return rep.exit_code()
 
 

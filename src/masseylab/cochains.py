@@ -246,20 +246,18 @@ class ComplexData:
         return T, pivots[:rank], rank
 
     def solve_delta1(self, rhs: int):
-        """All 1-cochains f with delta(f) = rhs (a packed 2-cochain vector),
-        as (particular, Z^1 basis); None when rhs is not a coboundary. With
-        y = T rhs, rhs is a coboundary iff y vanishes past the rank, and the
-        particular solution puts y[:rank] on the pivots and 0 on the free
-        columns: the solution `gfp.solve` returns, since the RREF of
-        [d1 | rhs] is unique."""
+        """A 1-cochain x0 with delta(x0) = rhs (both packed vectors), or
+        None when rhs is not a coboundary; the solutions are x0 + Z^1. With
+        y = T rhs, rhs is a coboundary iff y vanishes past the rank, and x0
+        puts y[:rank] on the pivots and 0 on the free columns: the solution
+        `gfp.solve` returns, since the RREF of [d1 | rhs] is unique."""
         T, pivots, rank = self._d1_factor
         S = gfp.space(len(self.d1), self.p)
         y = S.combine(T, S.unpack(rhs))
         if S.drop(y, rank):
             return None
-        x0 = gfp.space(self.G.order - 1, self.p).sparse(
+        return gfp.space(self.G.order - 1, self.p).sparse(
             (c, S.entry(y, k)) for k, c in enumerate(pivots))
-        return x0, self.z1_basis
 
 
 @functools.cache
@@ -343,6 +341,15 @@ def h1_combination(G: FiniteGroup, p: int, coeffs) -> Cochain:
     S = gfp.space(G.order - 1, p)
     v = S.combine(complex_data(G, p).z1_basis, [int(c) for c in coeffs])
     return Cochain(G, p, 1, tuple(S.unpack(v)))
+
+
+@functools.cache
+def characters(G: FiniteGroup, p: int) -> tuple[Cochain, ...]:
+    """Every element of H^1 = Hom(G, Z/p), lexicographic in its coordinates
+    in the basis `h1(G, p)`; listed once per (G, p)."""
+    dim = len(complex_data(G, p).z1_basis)
+    return tuple(h1_combination(G, p, coeffs)
+                 for coeffs in itertools.product(range(p), repeat=dim))
 
 
 def h2(G: FiniteGroup, p: int):

@@ -19,9 +19,8 @@ from .errors import (
 )
 from .groups import FiniteGroup, GroupHom, enumerate_homs, extend_hom, \
     fibers
-from .massey import MasseyQuery, h1_tuples
-from .unitri import FiberQuotient, UniTriMatrix, fiber_quotient, unitri_group, \
-    zeta_kappa_targets
+from .massey import MasseyQuery
+from .unitri import FiberQuotient, UniTriMatrix, fiber_quotient, unitri_group
 
 
 class EmbeddingProblem:
@@ -67,19 +66,9 @@ def is_real(E: EmbeddingProblem):
 
 def build_dwyer_problem(q: MasseyQuery, target: str = "U") -> EmbeddingProblem:
     """The lifting problem for -a_1 x ... x -a_n through the superdiagonal
-    map, with B = U_{n+1}(p) (or its quotient by Z / by P)."""
-    n, p = q.n, q.p
-    U = unitri_group(n + 1, p)
-    if not U.materializable():
-        raise SizeLimit(f"U_{n + 1}({p}) has order {U.order}")
-    phi = q.forced_hom
-    if target == "U":
-        alpha = U.phi_hom()
-    elif target in ("U/Z", "U/P"):
-        (qz, zeta), (qp, kappa) = zeta_kappa_targets(n, p)
-        alpha = zeta if target == "U/Z" else kappa
-    else:
-        raise BadParameter(f"unknown target {target!r}")
+    map, with B = U_{n+1}(p) (or its quotient by Z / by P); its solutions
+    are `q.lifts(target)`."""
+    phi, alpha = q.forced_hom, q.dwyer_map(target)
     return EmbeddingProblem(q.group, phi.codomain, alpha.domain,
                             alpha, phi).validate()
 
@@ -328,7 +317,7 @@ def verify_twisting(G: FiniteGroup, p: int, n: int, k: int,
         raise BadParameter(f"sample size {sample} must be >= 1")
     m = n + 1
     tgt = fiber_quotient(k, m, p)
-    chis = [chars[0] for chars in h1_tuples(G, p, 1)]
+    chis = cc.characters(G, p)
     if sample is None:
         pairs = [(psi, chi) for psi in enumerate_homs(G, tgt.group)
                  for chi in chis]

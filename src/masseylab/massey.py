@@ -32,6 +32,15 @@ from .unitri import CosetQuotient, UniTriGroup, unitri_group, \
 EXHAUSTIVE_GROUP_LIMIT = 8
 EXHAUSTIVE_N_LIMIT = 4
 
+# Dwyer's dictionary: the forced map G -> (Z/p)^n lifts through phi from
+# U = U_{n+1}(p) iff <a_1, ..., a_n> vanishes, through zeta from U/Z iff it
+# is defined, and through kappa from U/P iff the consecutive cups vanish.
+DWYER_TARGETS = {
+    "U": lambda n, p: unitri_group(n + 1, p).phi_hom(),
+    "U/Z": lambda n, p: zeta_kappa_targets(n, p)[0][1],
+    "U/P": lambda n, p: zeta_kappa_targets(n, p)[1][1],
+}
+
 
 class MasseyQuery(Value):
     __slots__ = ("group", "p", "chars", "__dict__")  # __dict__: forced_hom
@@ -56,6 +65,23 @@ class MasseyQuery(Value):
             vec_to_index(self.p, [(-a.value(g)) % self.p for a in self.chars])
             for g in self.group.elements())
         return GroupHom(self.group, target, images)
+
+    def dwyer_map(self, target: str = "U") -> GroupHom:
+        """The map onto (Z/p)^n of a Dwyer target (see DWYER_TARGETS)."""
+        U = unitri_group(self.n + 1, self.p)
+        if not U.materializable():
+            raise SizeLimit(f"U_{self.n + 1}({self.p}) has order {U.order}, "
+                            "too large to materialize")
+        if target not in DWYER_TARGETS:
+            raise BadParameter(f"unknown target {target!r}")
+        return DWYER_TARGETS[target](self.n, self.p)
+
+    def lifts(self, target: str = "U") -> Iterator[GroupHom]:
+        """Every lift of the forced map through `dwyer_map(target)`, in the
+        deterministic order of `enumerate_homs`."""
+        alpha = self.dwyer_map(target)
+        return enumerate_homs(self.group, alpha.domain,
+                              fiber=(alpha, self.forced_hom))
 
 
 def query(G: FiniteGroup, p: int, chars) -> MasseyQuery:
@@ -135,13 +161,12 @@ def coset_entry_reader(U: UniTriGroup, quot: CosetQuotient
 
 
 def massey_value(ds: DefiningSystem) -> CohomologyClass:
+    """The class of the defining equation's right-hand side at the corner
+    (1, n+1)."""
     ok, witness = is_defining_system(ds)
     if not ok:
         raise NotADefiningSystem(f"defining equation fails at {witness}")
-    total = cc.zero_cochain(ds.group, ds.p, 2)
-    for k in range(2, ds.n + 1):
-        total = total + cc.cup(ds.entries[(1, k)], ds.entries[(k, ds.n + 1)])
-    return cc.class_of(total)
+    return cc.class_of(_rhs_cochain(ds.entries, ds.group, ds.p, 1, ds.n + 1))
 
 
 # -- set computation -----------------------------------------------------------
@@ -153,6 +178,7 @@ def _iter_defining_systems(q: MasseyQuery) -> Iterator[DefiningSystem]:
     G, p, n = q.group, q.p, q.n
     data = complex_data(G, p)
     S = gfp.space(G.order - 1, p)
+    chars = cc.characters(G, p)
     slots = [(i, j) for (i, j) in system_positions(n) if j - i >= 2]
     base = {(i, i + 1): q.chars[i - 1] for i in range(1, n + 1)}
 
@@ -162,83 +188,64 @@ def _iter_defining_systems(q: MasseyQuery) -> Iterator[DefiningSystem]:
             return
         i, j = slots[idx]
         rhs = _rhs_cochain(entries, G, p, i, j)
-        sol = data.solve_delta1(rhs.vector())
-        if sol is None:
+        x0 = data.solve_delta1(rhs.vector())
+        if x0 is None:
             return
-        x0, basis = sol
-        for coeffs in itertools.product(range(p), repeat=len(basis)):
-            v = S.add(x0, S.combine(basis, coeffs))
-            entries[(i, j)] = Cochain(G, p, 1, tuple(S.unpack(v)))
+        x0 = Cochain(G, p, 1, tuple(S.unpack(x0)))
+        for chi in chars:  # B^1 = 0, so x0 + Z^1 = x0 + H^1
+            entries[(i, j)] = x0 + chi
             yield from rec(idx + 1, entries)
         del entries[(i, j)]
 
     yield from rec(0, base)
 
 
-def _values_exhaustive(q: MasseyQuery, stop_at_zero: bool) -> set:
+def _values_exhaustive(q: MasseyQuery) -> Iterator[CohomologyClass]:
+    """q's Massey values, one per defining system in backtracking order."""
     if q.group.order > EXHAUSTIVE_GROUP_LIMIT or q.n > EXHAUSTIVE_N_LIMIT:
         raise SizeLimit("exhaustive-cochain strategy out of budget")
-    out: set[CohomologyClass] = set()
-    for ds in _iter_defining_systems(q):
-        val = massey_value(ds)
-        out.add(val)
-        if stop_at_zero and val.is_zero():
-            return out
-    return out
+    return map(massey_value, _iter_defining_systems(q))
 
 
-def _uz_quotient(n: int, p: int):
-    (quotZ, zeta), _ = zeta_kappa_targets(n, p)
-    return quotZ, zeta
+def _uz_quotient(n: int, p: int) -> CosetQuotient:
+    return zeta_kappa_targets(n, p)[0][0]
 
 
-def _values_hom_lift(q: MasseyQuery, stop_at_zero: bool) -> set:
+def _values_hom_lift(q: MasseyQuery) -> Iterator[CohomologyClass]:
+    """q's Massey values, one per lift into U/Z in search order."""
     n, p = q.n, q.p
-    U = unitri_group(n + 1, p)
-    if not U.materializable():
-        raise SizeLimit("hom-lift strategy needs a materializable U_{n+1}(p)")
-    quotZ, zeta = _uz_quotient(n, p)
-    reader = coset_entry_reader(U, quotZ)
-    forced = q.forced_hom
-    out: set[CohomologyClass] = set()
-    for psi in enumerate_homs(q.group, quotZ.group, fiber=(zeta, forced)):
-        ds = defining_system_from_hom(psi, n, p, reader)
-        val = massey_value(ds)
-        out.add(val)
-        if stop_at_zero and val.is_zero():
-            return out
-    return out
+    lifts = q.lifts("U/Z")
+    reader = coset_entry_reader(unitri_group(n + 1, p), _uz_quotient(n, p))
+    return (massey_value(defining_system_from_hom(psi, n, p, reader))
+            for psi in lifts)
+
+
+def _values(q: MasseyQuery, strategy: str) -> Iterator[CohomologyClass]:
+    if strategy == "exhaustive":
+        return _values_exhaustive(q)
+    if strategy == "hom-lift":
+        return _values_hom_lift(q)
+    raise MasseyLabError(f"unknown strategy {strategy!r}")
 
 
 def massey_product_set(q: MasseyQuery, strategy: str = "exhaustive") -> set:
     """The set of n-fold Massey values over all defining systems; empty set
     means the product is not defined."""
-    if strategy == "exhaustive":
-        return _values_exhaustive(q, stop_at_zero=False)
-    if strategy == "hom-lift":
-        return _values_hom_lift(q, stop_at_zero=False)
-    raise MasseyLabError(f"unknown strategy {strategy!r}")
+    return set(_values(q, strategy))
 
 
 def massey_vanishes(q: MasseyQuery, strategy: str = "exhaustive") -> bool:
-    if strategy == "exhaustive":
-        vals = _values_exhaustive(q, stop_at_zero=True)
-    elif strategy == "hom-lift":
-        vals = _values_hom_lift(q, stop_at_zero=True)
-    else:
-        raise MasseyLabError(f"unknown strategy {strategy!r}")
-    return any(v.is_zero() for v in vals)
+    return any(v.is_zero() for v in _values(q, strategy))
 
 
 def massey_defined(q: MasseyQuery, strategy: str = "exhaustive") -> bool:
     if strategy == "exhaustive":
-        return next(_iter_defining_systems(q), None) is not None
-    if strategy == "hom-lift":
-        quotZ, zeta = _uz_quotient(q.n, q.p)
-        forced = q.forced_hom
-        return next(enumerate_homs(q.group, quotZ.group,
-                                   fiber=(zeta, forced)), None) is not None
-    raise MasseyLabError(f"unknown strategy {strategy!r}")
+        systems = _iter_defining_systems(q)
+    elif strategy == "hom-lift":
+        systems = q.lifts("U/Z")
+    else:
+        raise MasseyLabError(f"unknown strategy {strategy!r}")
+    return next(systems, None) is not None
 
 
 # -- predicates ----------------------------------------------------------------
@@ -248,12 +255,8 @@ def consecutive_cups_zero(q: MasseyQuery, cross_check: bool = True) -> bool:
     the equivalent lift criterion is computed too and must agree."""
     direct = all(cc.is_coboundary(cc.cup(q.chars[i], q.chars[i + 1]))
                  for i in range(q.n - 1))
-    U = unitri_group(q.n + 1, q.p)
-    if cross_check and U.materializable():
-        _, (quotP, kappa) = zeta_kappa_targets(q.n, q.p)
-        forced = q.forced_hom
-        via_lift = next(enumerate_homs(q.group, quotP.group,
-                                       fiber=(kappa, forced)), None) is not None
+    if cross_check and unitri_group(q.n + 1, q.p).materializable():
+        via_lift = next(q.lifts("U/P"), None) is not None
         if via_lift != direct:
             raise MasseyLabError(
                 "U/P lift criterion disagrees with the direct cup check")
@@ -264,10 +267,7 @@ def h1_tuples(G: FiniteGroup, p: int, n: int) -> Iterator[tuple]:
     """All n-tuples of H^1 elements, lexicographic in basis coordinates."""
     if n < 0:
         raise BadParameter(f"tuple length n = {n} must be >= 0")
-    dim = len(cc.h1(G, p))
-    chars = [cc.h1_combination(G, p, coeffs)
-             for coeffs in itertools.product(range(p), repeat=dim)]
-    return itertools.product(chars, repeat=n)
+    return itertools.product(cc.characters(G, p), repeat=n)
 
 
 def strong_massey_vanishing(G: FiniteGroup, p: int, n_range,

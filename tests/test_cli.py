@@ -1,12 +1,17 @@
 import hashlib
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 from masseylab import cli
+from masseylab import cochains as cc
+from masseylab import gfp
+from masseylab.errors import ParseError
 
 
 @pytest.fixture(autouse=True)
@@ -114,6 +119,79 @@ def test_verify_deterministic_and_cache_transparent(capsys):
     _, out2 = run(argv, capsys)          # cache hit
     _, out3 = run(argv + ["--no-cache"], capsys)
     assert out1 == out2 == out3
+
+
+def _text_without_timing(out):
+    """Text output with the run time of its closing line blanked."""
+    return re.sub(r"records, [0-9.]+s\)", "records, _s)", out)
+
+
+@pytest.mark.parametrize("argv, exit_code, shown", [
+    (["cohomology", "--group", "Q8", "--p", "2"], 0,
+     "group=Q8 p=2 dim_h1=2 dim_h2=2"),
+    (["verify", "strong-vanishing", "--group", "Z4", "--p", "2", "--n", "4"],
+     1, "counterexample=[[1, 0, 1], [1, 0, 1], [1, 0, 1], [1, 0, 1]]"),
+])
+def test_a_cache_hit_prints_the_text_of_a_miss(argv, exit_code, shown,
+                                               capsys):
+    """A miss, a hit and a `--no-cache` run print the same text: the
+    fields in emission order, and JSON lists where a record held tuples."""
+    outs = []
+    for extra in ([], [], ["--no-cache"]):
+        code, out = run(argv + ["--format", "text"] + extra, capsys)
+        assert code == exit_code
+        outs.append(_text_without_timing(out))
+    assert outs[0] == outs[1] == outs[2]
+    assert shown in outs[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["cohomology", "--group", "Q8", "--p", "2"],
+    ["verify", "dwyer", "--group", "Z2", "--p", "2", "--n", "3",
+     "--format", "records"],
+])
+def test_a_closed_stdout_exits_4_quietly(argv):
+    """A reader that has gone (say `| head -1`) ends the run with exit 4
+    and nothing on stderr: no traceback, and no exit 1, which means that
+    some record fails."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "masseylab.cli", *argv, "--no-cache"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_PIPE, "")
+
+
+def _char_by_solve(G, p, row):
+    """The character with the given generator values by a linear solve in
+    H^1 coordinates, or None where the values do not extend."""
+    basis = cc.h1(G, p)
+    S = gfp.space(len(basis), p)
+    B = [S.pack([b.value(g) for b in basis]) for g in G.generators]
+    x = gfp.solve(B, gfp.space(len(B), p).pack(row), len(basis), p)
+    return None if x is None else cc.h1_combination(G, p, S.unpack(x))
+
+
+@pytest.mark.parametrize("name, p", [("V4", 2), ("Q8", 2), ("D4", 2),
+                                     ("S3", 2), ("S3", 3), ("Z3xZ3", 3)])
+def test_query_rows_are_looked_up_among_the_characters(name, p):
+    """Every row of generator values in F_p^d (and its shift by p) gives the
+    character the linear solve gives, or a ParseError where it has none."""
+    G = cli.FIXTURES[name]()
+    extend = 0
+    for row in itertools.product(range(p), repeat=len(G.generators)):
+        want = _char_by_solve(G, p, row)
+        for values in (row, [v + p for v in row]):
+            if want is None:
+                with pytest.raises(ParseError, match="do not extend"):
+                    cli._char_from_gen_values(G, p, values)
+            else:
+                assert cli._char_from_gen_values(G, p, values) == want
+        extend += want is not None
+    assert extend == p ** len(cc.h1(G, p))
 
 
 def test_verify_twisting_seeded(capsys):

@@ -480,12 +480,24 @@ def test_solve_delta1_agrees_with_gfp_solve(name, p):
         got = data.solve_delta1(b)
         assert (got is None) == (want is None)
         if want is not None:
-            x0, basis = got
-            assert x0 == want
-            assert basis is data.z1_basis
-            x = np.array(gfp.space(m, p).unpack(x0))
+            assert got == want
+            x = np.array(gfp.space(m, p).unpack(got))
             assert (dense(data.d1, m, p) @ x % p ==
                     gfp.space(m * m, p).unpack(b)).all()
+
+
+@pytest.mark.parametrize("name", COHOMOLOGY_FIXTURES)
+@pytest.mark.parametrize("p", [2, 3])
+def test_characters_list_h1_in_coordinate_order_once(name, p):
+    """`characters` is every H^1 element, lexicographic in its basis
+    coordinates, and a second call returns the same cached tuple."""
+    G = FIXTURES[name]()
+    dim = len(cc.h1(G, p))
+    want = [cc.h1_combination(G, p, c)
+            for c in itertools.product(range(p), repeat=dim)]
+    chars = cc.characters(G, p)
+    assert list(chars) == want
+    assert cc.characters(FIXTURES[name](), p) is chars
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),

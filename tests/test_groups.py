@@ -10,6 +10,7 @@ from masseylab import groups as gr
 from masseylab import massey as ms
 from masseylab.cli import FIXTURES
 from masseylab.errors import (
+    BadParameter,
     GeneratorsDontGenerate,
     NoInverse,
     NonAssociative,
@@ -262,15 +263,21 @@ def test_enumerate_homs_matches_the_backtracking_oracle(gname, hname):
     assert len(set(got)) == len(got)
 
 
-def dwyer_problems():
-    """Fiber-constrained lifting problems into U, U/Z and U/P for every
-    n-tuple of H^1 elements of a few fixtures (n = 2, 3)."""
+def dwyer_queries():
+    """(query, Dwyer target) for every n-tuple of H^1 elements of a few
+    fixtures (n = 2, 3) and each target U, U/Z and U/P."""
     for G, p, n in ((V4, 2, 2), (Q8, 2, 2), (D4, 2, 2),
                     (gr.build_cyclic(3), 3, 2), (V4, 2, 3)):
         for chars in ms.h1_tuples(G, p, n):
             q = ms.MasseyQuery(G, p, chars)
             for target in ("U", "U/Z", "U/P"):
-                yield em.build_dwyer_problem(q, target)
+                yield q, target
+
+
+def dwyer_problems():
+    """The fiber-constrained lifting problems of `dwyer_queries`."""
+    for q, target in dwyer_queries():
+        yield em.build_dwyer_problem(q, target)
 
 
 def test_fiber_constrained_search_matches_the_oracle():
@@ -284,6 +291,25 @@ def test_fiber_constrained_search_matches_the_oracle():
         solved += bool(got)
     assert solved  # some problem has solutions, and some has none
     assert solved < len(list(dwyer_problems()))
+
+
+def test_query_lifts_are_the_dwyer_problems_solutions():
+    """`MasseyQuery.lifts(target)` walks the same Hom(G, B) search as the
+    embedding problem `build_dwyer_problem(q, target)`."""
+    for q, target in dwyer_queries():
+        E = em.build_dwyer_problem(q, target)
+        assert images(q.lifts(target)) == \
+            images(gr.enumerate_homs(E.G, E.B, fiber=(E.alpha, E.phi)))
+
+
+def test_query_lifts_refuse_an_unknown_target_and_a_large_u():
+    q = ms.MasseyQuery(V4, 2, next(ms.h1_tuples(V4, 2, 2)))
+    with pytest.raises(BadParameter, match="unknown target 'U/M'"):
+        q.lifts("U/M")
+    big = ms.MasseyQuery(V4, 2, next(ms.h1_tuples(V4, 2, 6)))
+    for target in ("U", "U/Z", "U/P"):
+        with pytest.raises(SizeLimit, match="U_7"):
+            big.lifts(target)
 
 
 @pytest.mark.parametrize("gname, hname", [("V4", "U4(2)"), ("D4", "D4"),
