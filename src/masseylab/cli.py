@@ -350,6 +350,7 @@ def _suite_strong_vanishing(args, G) -> list[dict]:
 
 def _suite_easy_vanishing(args, G) -> list[dict]:
     from . import verify as vf
+    _check_massey_length(args.n)
     rec = vf.easy_vanishing_drill(G, args.p, args.n)
     rec["verdict"] = "holds" if rec["verified"] else "fails"
     return [rec]

@@ -4,6 +4,7 @@ problems, and the twisting identity machinery."""
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from typing import Optional
 
@@ -20,7 +21,8 @@ from .errors import (
 from .groups import FiniteGroup, GroupHom, enumerate_homs, extend_hom, \
     fibers
 from .massey import MasseyQuery
-from .unitri import FiberQuotient, UniTriMatrix, fiber_quotient, unitri_group
+from .unitri import FiberQuotient, UniTriMatrix, _positions, _product_plan, \
+    fiber_quotient, unitri_group
 
 
 class EmbeddingProblem:
@@ -77,53 +79,34 @@ def find_order2_preimage(n: int, pattern) -> Optional[UniTriMatrix]:
     """Complete search for A in U_{n+1}(2) with A^2 = I and superdiagonal
     equal to the given 0/1 pattern, without materializing the group.
 
-    Over F_2, A = I + N squares to I + N^2, so the constraint is N^2 = 0;
-    entries are assigned diagonal by diagonal and every (i,j)-component of
-    N^2 is checked as soon as its factors exist.
+    By the product rule, (A^2)_t = 2 a_t + sum over plan[t] of a_s a_u,
+    which over F_2 is the plan sum alone and reads only entries of shorter
+    span than t.  So the span-d entries of A^2 are checked before the
+    span-d entries of A are chosen, and those are tried in lexicographic
+    order, span by span.
     """
-    size = n + 1
     pattern = tuple(v % 2 for v in pattern)
     if len(pattern) != n:
         raise BadParameter(f"pattern length {len(pattern)} != {n}")
-    N = [[0] * (size + 1) for _ in range(size + 1)]  # 1-based
-    for i in range(1, size):
-        N[i][i + 1] = pattern[i - 1]
+    positions, plan = _positions(n + 1), _product_plan(n + 1)
+    a = [pattern[i - 1] if j == i + 1 else 0 for (i, j) in positions]
+    spans = [[t for t, (i, j) in enumerate(positions) if j - i == d]
+             for d in range(2, n + 1)]
 
-    def square_entry(i, j):
-        return sum(N[i][k] * N[k][j] for k in range(i + 1, j)) % 2
-
-    spans = list(range(2, size))
-
-    def rec(d_idx, pos_idx):
-        if d_idx == len(spans):
+    def rec(k):
+        """Complete the entries of spans[k:], given those of shorter span."""
+        if k == len(spans):
             return True
-        d = spans[d_idx]
-        positions = [(i, i + d) for i in range(1, size - d + 1)]
-        if pos_idx == len(positions):
-            # all span-d entries of N fixed: N^2 on span-d positions is
-            # determined by strictly shorter spans, so check and descend
-            for (i, j) in positions:
-                if square_entry(i, j):
-                    return False
-            return rec(d_idx + 1, 0)
-        i, j = positions[pos_idx]
-        for v in (0, 1):
-            N[i][j] = v
-            if rec(d_idx, pos_idx + 1):
+        if any(sum(a[s] * a[u] for s, u in plan[t]) % 2 for t in spans[k]):
+            return False
+        for values in itertools.product((0, 1), repeat=len(spans[k])):
+            for t, v in zip(spans[k], values):
+                a[t] = v
+            if rec(k + 1):
                 return True
-        N[i][j] = 0
         return False
 
-    # span-2 constraints involve only the fixed superdiagonal
-    for i in range(1, size - 1):
-        if pattern[i - 1] and pattern[i]:
-            return None
-    if not rec(0, 0):
-        return None
-    from .unitri import from_rows
-    rows = [[1 if i == j else (N[i][j] if j > i else 0)
-             for j in range(1, size + 1)] for i in range(1, size + 1)]
-    return from_rows(rows, 2)
+    return UniTriMatrix(n + 1, 2, tuple(a)) if rec(0) else None
 
 
 def dwyer_solvable(q: MasseyQuery) -> bool:
@@ -151,19 +134,6 @@ def dwyer_solvable(q: MasseyQuery) -> bool:
 # functools.cache stores no exception, so a check that fails raises again on
 # every call.
 
-class CentralProblemData:
-    __slots__ = ("problem", "kernel", "ident")
-
-    def __init__(self, problem, kernel, ident):
-        self.problem = problem
-        self.kernel = kernel    # element indices of Ker(alpha) in B
-        self.ident = ident      # kernel element -> residue mod p
-
-    @property
-    def p(self) -> int:
-        return len(self.kernel)
-
-
 @functools.cache
 def _section(alpha: GroupHom, lift_policy: str) -> dict:
     """The least ("min") or greatest ("max") element of each fiber."""
@@ -174,10 +144,16 @@ def _section(alpha: GroupHom, lift_policy: str) -> dict:
 
 
 @functools.cache
-def _central(alpha: GroupHom, ident) -> tuple:
-    """Ker(alpha), checked to be central of prime order, and its
-    identification with Z/p through ident, checked to be a bijection fixing
-    1; with ident None, powers of the smallest-index generator are used."""
+def central_data(alpha: GroupHom, ident=None) -> tuple:
+    """(kernel, ident): Ker(alpha), checked to be central of prime order p,
+    and its identification with Z/p, a dict from kernel elements to
+    residues checked to be a bijection fixing 1.
+
+    ident, when given, is a function from kernel elements to residues (e.g.
+    the iota coordinates of a fiber-quotient step); otherwise powers of the
+    smallest-index generator are used.  It is part of the cache key, so it
+    must be hashable and give the same residues on every call.
+    """
     kernel = fibers(alpha)[0]
     B = alpha.domain
     for z in kernel:
@@ -202,24 +178,13 @@ def _central(alpha: GroupHom, ident) -> tuple:
     return kernel, ident
 
 
-def central_data(E: EmbeddingProblem, ident=None) -> CentralProblemData:
-    """Kernel of alpha, centrality check, and an identification with Z/p.
-
-    ident, when given, is a function from kernel elements to residues (e.g.
-    the iota coordinates of a fiber-quotient step); otherwise powers of the
-    smallest-index generator are used.  It is part of the cache key, so it
-    must be hashable and give the same residues on every call.
-    """
-    return CentralProblemData(E, *_central(E.alpha, ident))
-
-
-def obstruction(E: EmbeddingProblem, data: Optional[CentralProblemData] = None,
+def obstruction(E: EmbeddingProblem, ident=None,
                 lift_policy: str = "min") -> CohomologyClass:
     """The class of c(x,y) = lift(xy) lift(y)^-1 lift(x)^-1 in
-    H^2(G, Z/p)."""
-    if data is None:
-        data = central_data(E)
-    G, B, ident = E.G, E.B, data.ident
+    H^2(G, Z/p), in the kernel coordinates of `central_data(E.alpha,
+    ident)`."""
+    kernel, coord = central_data(E.alpha, ident)
+    G, B = E.G, E.B
     pick = _section(E.alpha, lift_policy)
     lift = [pick[a] for a in E.phi.images]
     lift[0] = 0
@@ -229,16 +194,14 @@ def obstruction(E: EmbeddingProblem, data: Optional[CentralProblemData] = None,
             bxy = lift[G.mul[x][y]]
             prod = B.mul[lift[x]][lift[y]]
             c = B.mul[bxy][B.inv[prod]]
-            vals.append(ident[c])
-    z = Cochain(G, data.p, 2, tuple(vals))
+            vals.append(coord[c])
+    z = Cochain(G, len(kernel), 2, tuple(vals))
     return cc.class_of(z)
 
 
-def solvable_iff_obstruction_zero(E: EmbeddingProblem,
-                                  data: Optional[CentralProblemData] = None
-                                  ) -> dict:
+def solvable_iff_obstruction_zero(E: EmbeddingProblem, ident=None) -> dict:
     """Double-path report for a central problem: blind solve vs obstruction."""
-    o = obstruction(E, data)
+    o = obstruction(E, ident)
     sol = solve(E)
     return {"obstruction_zero": o.is_zero(),
             "solvable": sol is not None,
@@ -285,9 +248,7 @@ def rho_step_obstruction(psi: GroupHom, k: int, m: int, p: int,
                          lift_policy: str = "min") -> CohomologyClass:
     """Obstruction of E(psi) in the iota coordinates of Ker(rho_{k-1,m})."""
     E = rho_step_problem(psi, k, m, p)
-    src = fiber_quotient(k - 1, m, p)
-    data = central_data(E, ident=src.iota)
-    return obstruction(E, data, lift_policy)
+    return obstruction(E, fiber_quotient(k - 1, m, p).iota, lift_policy)
 
 
 def chars_of_quotient_hom(psi: GroupHom, fq: FiberQuotient) -> tuple:

@@ -35,8 +35,11 @@ def _pos_index(n: int) -> dict:
 
 @functools.cache
 def _product_plan(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """For each packed position (i, j), the packed positions of its
-    (i, k), (k, j) factor pairs, i < k < j."""
+    """The product rule of U_n(p), (AB)_ij = a_ij + b_ij + sum_k a_ik b_kj:
+    for each packed position (i, j), the packed positions of its (i, k),
+    (k, j) factor pairs, i < k < j.  It is the one statement of the rule;
+    `_product`, the table closure of `UniTriGroup.as_finite_group` and the
+    table-free order-2 search of `embedding.find_order2_preimage` read it."""
     pidx = _pos_index(n)
     return tuple(tuple((pidx[(i, k)], pidx[(k, j)]) for k in range(i + 1, j))
                  for (i, j) in _positions(n))
@@ -91,13 +94,6 @@ class UniTriMatrix(Value):
         return UniTriMatrix(self.n, self.p, tuple(_product(
             self.entries, other.entries, _product_plan(self.n), self.p)))
 
-    def inverse(self) -> "UniTriMatrix":
-        """U^-1 = U^(k-1), where k is the order of U."""
-        prev, power = identity_matrix(self.n, self.p), self
-        while not power.is_identity():
-            prev, power = power, power.mul(self)
-        return prev
-
     def phi(self) -> tuple:
         """Superdiagonal vector (e_12, e_23, ..., e_{n-1,n})."""
         return tuple(self.entry(i, i + 1) for i in range(1, self.n))
@@ -108,17 +104,6 @@ class UniTriMatrix(Value):
 
     def is_identity(self) -> bool:
         return not any(self.entries)
-
-    def order(self) -> int:
-        k, m = 1, self
-        while not m.is_identity():
-            m = m.mul(self)
-            k += 1
-        return k
-
-
-def identity_matrix(n: int, p: int) -> UniTriMatrix:
-    return UniTriMatrix(n, p, (0,) * (n * (n - 1) // 2))
 
 
 def from_rows(rows: Sequence[Sequence[int]], p: int) -> UniTriMatrix:
@@ -233,17 +218,20 @@ class UniTriGroup:
     @functools.cache
     def as_finite_group(self) -> FiniteGroup:
         """The multiplication table, closed from the right action of the
-        superdiagonal generators.  Right multiplication by I + e_{i,i+1}
-        adds column i to column i+1, so x*g_i changes only the digits
-        (a, i+1), a <= i, of x's index, each by x_{a,i} (x_{i,i} = 1)
-        mod p."""
+        superdiagonal generators.  A generator g = I + e_q has entry 1 at
+        its own packed position q and 0 elsewhere, so by the product rule
+        x*g differs from x by 1 at q, and by x_s at each position t whose
+        plan terms include the pair (s, q), mod p."""
         n, p, wt = self.n, self.p, self.weights
-        pidx = _pos_index(n)
-        gens = tuple(self.elementary_index(i, i + 1) for i in range(1, n))
-        # per generator: (place value of x_{a,i}, or None for x_{i,i} = 1,
-        # place value of x_{a,i+1}) for a = 1..i
-        steps = [[(wt[pidx[(a, i)]] if a < i else None, wt[pidx[(a, i + 1)]])
-                  for a in range(1, i + 1)] for i in range(1, n)]
+        plan = _product_plan(n)
+        own = [_pos_index(n)[(i, i + 1)] for i in range(1, n)]
+        gens = tuple(wt[q] for q in own)
+        # per generator: (place value of the added x_s, or None for the
+        # added 1, place value of the digit it is added to)
+        steps = [[(None, wt[q])] + [(wt[s], wt[t])
+                                    for t, terms in enumerate(plan)
+                                    for s, u in terms if u == q]
+                 for q in own]
         action = []
         for x in self.elements():
             row = []
@@ -375,20 +363,13 @@ def zeta_kappa_targets(n: int, p: int):
     phi = U.phi_hom()
     out = []
     for kind in ("Z", "P"):
-        sub = named_subgroup(U, kind)
-        quot = CosetQuotient(G, sub.element_indices(),
-                             label=f"U{n + 1}({p})/{kind}")
-        # induced map: well-defined iff phi is constant on cosets
-        images = [None] * quot.group.order
-        for x in G.elements():
-            c = quot.coset_of[x]
-            v = phi(x)
-            if images[c] is None:
-                images[c] = v
-            elif images[c] != v:
-                raise BadParameter(
-                    f"superdiagonal map not constant on cosets of {kind}")
-        induced = GroupHom(quot.group, phi.codomain, tuple(images))
+        members = named_subgroup(U, kind).element_indices()
+        # the induced map is well-defined iff the hom phi kills the subgroup
+        if any(phi(z) for z in members):
+            raise BadParameter(f"superdiagonal map does not vanish on {kind}")
+        quot = CosetQuotient(G, members, label=f"U{n + 1}({p})/{kind}")
+        induced = GroupHom(quot.group, phi.codomain,
+                           tuple(phi(r) for r in quot.reps))
         out.append((quot, induced))
     return out[0], out[1]
 

@@ -27,7 +27,6 @@ from .unitri import (
     UniTriMatrix,
     central_series_ker_phi,
     fiber_quotient,
-    identity_matrix,
     named_subgroup,
     unitri_group,
     CosetQuotient,
@@ -58,11 +57,8 @@ def block_lift(pattern: SignPattern) -> UniTriMatrix:
     if pattern.has_adjacent_ones():
         raise AdjacentOnes(f"pattern {pattern.bits} has adjacent ones")
     U = unitri_group(pattern.n + 1, 2)
-    A = identity_matrix(pattern.n + 1, 2)
-    for i, b in enumerate(pattern.bits, start=1):
-        if b:
-            A = A.mul(U.elementary(i, i + 1))
-    return A
+    return U.matrix_of(U.index_from(
+        lambda i, j: pattern.bits[i - 1] if j == i + 1 else 0))
 
 
 def real_check_z2(pattern: SignPattern):
@@ -201,9 +197,8 @@ def _audit_step(G: FiniteGroup, alpha: GroupHom):
     records = []
     for phi in enumerate_homs(G, alpha.codomain):
         E = EmbeddingProblem(G, alpha.codomain, alpha.domain, alpha, phi)
-        data = em.central_data(E)
-        o_min = em.obstruction(E, data, "min")
-        o_max = em.obstruction(E, data, "max")
+        o_min = em.obstruction(E, lift_policy="min")
+        o_max = em.obstruction(E, lift_policy="max")
         sol = em.solve(E)
         records.append({
             "phi": phi.gen_images(),

@@ -12,7 +12,6 @@ from masseylab import embedding as em
 from masseylab import groups as gr
 from masseylab import massey as ms
 from masseylab import verify as vf
-from masseylab.unitri import identity_matrix, unitri_group
 
 Z2 = gr.build_cyclic(2)
 Z3 = gr.build_cyclic(3)

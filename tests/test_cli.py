@@ -337,6 +337,7 @@ def test_query_file_with_a_non_integer_p_or_n_is_a_parse_error(
 
 @pytest.mark.parametrize("argv", [
     ["verify", "dwyer", "--n", "-1"],
+    ["verify", "easy-vanishing", "--group", "Z3", "--p", "2", "--n", "-1"],
     ["verify", "twisting", "--sample", "-1"],
     ["verify", "twisting", "--sample", "0"],
     ["verify", "fiber-quotient", "--n", "0"],
@@ -352,13 +353,15 @@ def test_bad_sizes_raise_bad_parameter(argv, capsys):
     assert err.startswith("error: BadParameter: ")
 
 
-@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("n", [-1, 0, 1])
 def test_massey_lengths_below_two_raise_bad_parameter(n, tmp_path, capsys):
-    """A Massey product of fewer than two classes is not defined: both
-    commands refuse it instead of reporting a verdict."""
+    """A Massey product of fewer than two classes is not defined: every
+    command refuses it instead of reporting a verdict."""
     q = tmp_path / "q.msq"
     q.write_text("group V4\np 2\n" + f"n {n}\n" + "a 1 0\n" * n)
-    for argv in (["verify", "dwyer", "--n", str(n)], ["massey", str(q)]):
+    for argv in (["verify", "dwyer", "--n", str(n)], ["massey", str(q)],
+                 ["verify", "easy-vanishing", "--group", "Z3", "--p", "2",
+                  "--n", str(n)]):
         code = cli.main([*argv, "--format", "records", "--no-cache"])
         out, err = capsys.readouterr()
         assert code == cli.EXIT_FAIL and out == ""

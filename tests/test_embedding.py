@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from masseylab import cochains as cc
@@ -12,7 +14,7 @@ from masseylab.errors import (
     SizeLimit,
     TargetMismatch,
 )
-from masseylab.unitri import fiber_quotient, unitri_group
+from masseylab.unitri import UniTriMatrix, fiber_quotient, from_rows
 
 Z2 = gr.build_cyclic(2)
 Z4 = gr.build_cyclic(4)
@@ -39,17 +41,16 @@ def z4_to_z2_problem():
 def test_central_z4_over_z2_obstructed():
     # Z/2 does not lift through Z/4 -> Z/2
     E = z4_to_z2_problem()
-    data = em.central_data(E)
-    o = em.obstruction(E, data)
+    o = em.obstruction(E)
     assert not o.is_zero()
     assert em.solve(E) is None
-    rep = em.solvable_iff_obstruction_zero(E, data)
+    rep = em.solvable_iff_obstruction_zero(E)
     assert rep["agree"] and not rep["solvable"]
 
 
 def test_central_data_errors():
     with pytest.raises(KernelNotOrderP):
-        em.central_data(identity_problem(V4))  # trivial kernel
+        em.central_data(identity_problem(V4).alpha)  # trivial kernel
     # kernel Z/2 inside S3 is not central
     S3 = gr.build_symmetric3()
     quot = gr.GroupHom(S3, Z2, tuple(0 if S3.element_order(x) in (1, 3) else 1
@@ -57,7 +58,7 @@ def test_central_data_errors():
     # alpha: S3 -> S3/A3 = Z2 has kernel A3 of order 3: central_data rejects
     with pytest.raises((NotCentral, KernelNotOrderP)):
         em.central_data(em.EmbeddingProblem(
-            Z2, Z2, S3, quot, gr.GroupHom(Z2, Z2, (0, 1))).validate())
+            Z2, Z2, S3, quot, gr.GroupHom(Z2, Z2, (0, 1))).validate().alpha)
 
 
 def test_obstruction_lift_policies_agree():
@@ -65,8 +66,8 @@ def test_obstruction_lift_policies_agree():
     fq1 = fiber_quotient(1, 3, 2)
     for psi in gr.enumerate_homs(Z2, fiber_quotient(2, 3, 2).group):
         E = em.rho_step_problem(psi, 2, 3, 2)
-        data = em.central_data(E, ident=fq1.iota)
-        assert em.obstruction(E, data, "min") == em.obstruction(E, data, "max")
+        assert em.obstruction(E, fq1.iota, "min") == \
+            em.obstruction(E, fq1.iota, "max")
 
 
 def test_dwyer_problem_targets():
@@ -100,8 +101,6 @@ def test_dwyer_solvable_size_limit():
 
 
 def test_find_order2_preimage_properties():
-    from masseylab.unitri import identity_matrix
-    import itertools
     for n in (3, 5, 8):
         for bits in itertools.product((0, 1), repeat=n):
             A = em.find_order2_preimage(n, bits)
@@ -110,8 +109,62 @@ def test_find_order2_preimage_properties():
                 assert A is None
             else:
                 assert A is not None
-                assert A.mul(A) == identity_matrix(n + 1, 2)
+                assert A.mul(A).is_identity()
                 assert A.phi() == bits
+
+
+def old_find_order2_preimage(n, pattern):
+    """The replaced search: a 1-based matrix N = A - I whose square is
+    checked entry by entry once its span's entries are all chosen."""
+    size = n + 1
+    pattern = tuple(v % 2 for v in pattern)
+    N = [[0] * (size + 1) for _ in range(size + 1)]  # 1-based
+    for i in range(1, size):
+        N[i][i + 1] = pattern[i - 1]
+
+    def square_entry(i, j):
+        return sum(N[i][k] * N[k][j] for k in range(i + 1, j)) % 2
+
+    spans = list(range(2, size))
+
+    def rec(d_idx, pos_idx):
+        if d_idx == len(spans):
+            return True
+        d = spans[d_idx]
+        positions = [(i, i + d) for i in range(1, size - d + 1)]
+        if pos_idx == len(positions):
+            for (i, j) in positions:
+                if square_entry(i, j):
+                    return False
+            return rec(d_idx + 1, 0)
+        i, j = positions[pos_idx]
+        for v in (0, 1):
+            N[i][j] = v
+            if rec(d_idx, pos_idx + 1):
+                return True
+        N[i][j] = 0
+        return False
+
+    for i in range(1, size - 1):
+        if pattern[i - 1] and pattern[i]:
+            return None
+    if not rec(0, 0):
+        return None
+    rows = [[1 if i == j else (N[i][j] if j > i else 0)
+             for j in range(1, size + 1)] for i in range(1, size + 1)]
+    return from_rows(rows, 2)
+
+
+def test_find_order2_preimage_matches_the_matrix_search():
+    found = 0
+    for n in range(10):
+        for bits in itertools.product((0, 1), repeat=n):
+            A = em.find_order2_preimage(n, bits)
+            assert A == old_find_order2_preimage(n, bits)
+            found += A is not None
+    # the no-adjacent-ones patterns: Fibonacci numbers F(n + 2), n = 0..9
+    assert found == sum((1, 2, 3, 5, 8, 13, 21, 34, 55, 89))
+    assert em.find_order2_preimage(0, ()) == UniTriMatrix(1, 2, ())
 
 
 def test_is_real_frozen():
@@ -154,6 +207,7 @@ def oracle_fibers(E):
 
 
 def oracle_central_data(E, ident=None):
+    """(kernel, ident) of E's central kernel, recomputed on every call."""
     kernel = tuple(E.alpha.kernel())
     B = E.B
     for z in kernel:
@@ -175,13 +229,12 @@ def oracle_central_data(E, ident=None):
         ident = {z: ident(z) for z in kernel}
     if sorted(ident.values()) != list(range(p)) or ident[0] != 0:
         raise BadParameter("kernel identification is not a bijection fixing 1")
-    return em.CentralProblemData(E, kernel, ident)
+    return kernel, ident
 
 
-def oracle_obstruction(E, data=None, lift_policy="min"):
-    if data is None:
-        data = oracle_central_data(E)
-    G, B, p = E.G, E.B, data.p
+def oracle_obstruction(E, central=None, lift_policy="min"):
+    kernel, ident = central or oracle_central_data(E)
+    G, B, p = E.G, E.B, len(kernel)
     fibers = oracle_fibers(E)
     if lift_policy == "min":
         pick = {a: min(bs) for a, bs in fibers.items() if bs}
@@ -197,18 +250,18 @@ def oracle_obstruction(E, data=None, lift_policy="min"):
             bxy = lift[G.mul[x][y]]
             prod = B.mul[lift[x]][lift[y]]
             c = B.mul[bxy][B.inv[prod]]
-            vals.append(data.ident[c])
+            vals.append(ident[c])
     return cc.class_of(cc.Cochain(G, p, 2, tuple(vals)))
 
 
 def assert_cached_path_matches_oracle(E, ident=None):
     assert gr.fibers(E.alpha) == \
         tuple(tuple(bs) for bs in oracle_fibers(E).values())
-    data = em.central_data(E, ident)
+    kernel, coord = em.central_data(E.alpha, ident)
     slow = oracle_central_data(E, ident)
-    assert (data.kernel, data.ident) == (slow.kernel, slow.ident)
+    assert (kernel, coord) == slow
     for policy in ("min", "max"):
-        fast, oracle = em.obstruction(E, data, policy), \
+        fast, oracle = em.obstruction(E, ident, policy), \
             oracle_obstruction(E, slow, policy)
         # the cocycles too, since the class is the same under both sections
         assert fast == oracle
@@ -248,7 +301,7 @@ def test_problems_on_one_surjection_share_its_fibers():
                                   phi)
               for phi in list(gr.enumerate_homs(Z2, alpha.codomain))[:2])
     assert gr.fibers(E1.alpha) is gr.fibers(E2.alpha)
-    assert em.central_data(E1).ident is em.central_data(E2).ident
+    assert em.central_data(E1.alpha)[1] is em.central_data(E2.alpha)[1]
 
 
 def _everything_to_zero(z):
@@ -272,10 +325,9 @@ def test_failed_checks_raise_again_on_every_call():
     for E, ident, error in cases:
         for _ in range(2):
             with pytest.raises(error):
-                em.central_data(E, ident)
-            if ident is None:
-                with pytest.raises(error):
-                    em.obstruction(E)
+                em.central_data(E.alpha, ident)
+            with pytest.raises(error):
+                em.obstruction(E, ident)
     E = z4_to_z2_problem()
     for _ in range(2):
         with pytest.raises(BadParameter):

@@ -14,15 +14,6 @@ from masseylab.errors import (
 )
 
 
-def test_matrix_mul_inverse_order():
-    U = ut.unitri_group(4, 3)
-    A = U.elementary(1, 2).mul(U.elementary(2, 3, 2))
-    I = ut.identity_matrix(4, 3)
-    assert A.mul(A.inverse()) == I
-    B = U.elementary(1, 2)
-    assert B.order() == 3
-
-
 def test_matrices_and_subgroups_built_twice_are_equal_values():
     U = ut.unitri_group(4, 2)
     for make in (lambda: ut.UniTriMatrix(3, 2, (1, 0, 1)),
@@ -227,23 +218,6 @@ def test_table_cells_match_matrix_products(size, data):
     assert mul[x][y] == U.index_of(A.mul(B)) == U.index_of(matmul(A, B))
     # one int object per element, so a 4096-element table stays small
     assert mul[x][y] is mul[0][mul[x][y]]
-
-
-def neumann_inverse(A):
-    """(I + N)^-1 = I - N + N^2 - ..., the replaced inverse."""
-    n, p = A.n, A.p
-    N = np.array(A.to_rows(), dtype=np.int64) - np.eye(n, dtype=np.int64)
-    acc = term = np.eye(n, dtype=np.int64)
-    for _ in range(n - 1):
-        term = (-term @ N) % p
-        acc = (acc + term) % p
-    return ut.from_rows(acc.tolist(), p)
-
-
-@pytest.mark.parametrize("n,p", [(2, 3), (3, 5), (4, 2), (4, 3)])
-def test_inverse_matches_the_neumann_series(n, p):
-    for A in old_elements(n, p):
-        assert A.inverse() == neumann_inverse(A)
 
 
 def old_contains(kind, k, mat):

@@ -17,7 +17,6 @@ from masseylab.errors import (
 from masseylab.unitri import (
     CosetQuotient,
     central_series_ker_phi,
-    identity_matrix,
     unitri_group,
 )
 
@@ -40,8 +39,27 @@ def test_block_lift_all_valid_patterns():
                     vf.block_lift(p)
             else:
                 A = vf.block_lift(p)
-                assert A.mul(A) == identity_matrix(n + 1, 2)
+                assert A.mul(A).is_identity()
                 assert A.phi() == bits
+
+
+def old_block_lift(pattern):
+    """The replaced block lift: the product of I + e_{i,i+1} over the ones
+    of the pattern."""
+    U = unitri_group(pattern.n + 1, 2)
+    A = U.matrix_of(0)
+    for i, b in enumerate(pattern.bits, start=1):
+        if b:
+            A = A.mul(U.elementary(i, i + 1))
+    return A
+
+
+def test_block_lift_matches_the_elementary_product():
+    for n in range(1, 9):
+        for bits in itertools.product((0, 1), repeat=n):
+            p = vf.SignPattern(bits)
+            if not p.has_adjacent_ones():
+                assert vf.block_lift(p) == old_block_lift(p)
 
 
 def test_case_by_case_audit_frozen():
