@@ -13,7 +13,6 @@ import os
 import sys
 import time
 
-from . import __version__
 from . import cochains as cc
 from . import groups as gr
 from .errors import BadParameter, MasseyLabError, ParseError
@@ -24,7 +23,6 @@ from .errors import BadParameter, MasseyLabError, ParseError
 # compile them, and `hashlib` only where a key or fingerprint is computed.
 
 SCHEMA_VERSION = 1
-CACHE_LAYOUT = "emission-order"  # a key part, so older sorted entries miss
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -133,16 +131,22 @@ def _cache_dir() -> str:
 def _cache_key(args, command: str, G: gr.FiniteGroup, params):
     """Everything a command's records depend on: the command, the
     `--group` string (records echo it), the group's table, the other
-    parameters, and the program, record-schema and entry-layout versions.
-    None for a `--no-cache` run, which then never loads hashlib (and
-    OpenSSL)."""
+    parameters, and the program itself, as the name and bytes of each of
+    masseylab's `*.py` files in name order, so an entry stored by other
+    code is never served. None for a `--no-cache` run, which then never
+    loads hashlib (and OpenSSL)."""
     if args.no_cache:
         return None
     import hashlib
-    parts = [command, args.group, G.fingerprint(), params, __version__,
-             SCHEMA_VERSION, CACHE_LAYOUT]
-    blob = json.dumps(parts, sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
+    parts = [command, args.group, G.fingerprint(), params]
+    h = hashlib.sha256(json.dumps(parts, sort_keys=True).encode())
+    here = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(os.listdir(here)):
+        if name.endswith(".py"):
+            with open(os.path.join(here, name), "rb") as fh:
+                data = fh.read()
+            h.update(f"\0{name}\0{len(data)}\0".encode() + data)
+    return h.hexdigest()
 
 
 def cache_get(key):

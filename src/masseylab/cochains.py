@@ -360,14 +360,34 @@ def h2(G: FiniteGroup, p: int):
     return dim, classes
 
 
-class CupForm:
-    __slots__ = ("group", "p", "basis", "gram", "h2_canon")
+def h2_coordinate(klass: CohomologyClass) -> int:
+    """The t with klass = t g, where g is the basis class of a
+    one-dimensional H^2, the representative `h2_data` gives. That
+    representative is an RREF row, so its first nonzero entry is 1, and
+    canonical vectors are linear in the class."""
+    if klass.degree != 2:
+        raise ShapeMismatch(
+            f"a degree-{klass.degree} class has no H^2 coordinate")
+    G, p = klass.group, klass.p
+    dim2, reps = complex_data(G, p).h2_data()
+    if dim2 != 1:
+        raise NotApplicable(f"dim H^2 = {dim2}, a coordinate needs 1")
+    g = reps[0]
+    S = gfp.space((G.order - 1) ** 2, p)
+    z = S.pack(klass.canon)
+    t = S.entry(z, S.first(g))
+    if S.sub(z, S.scale(g, t)):
+        raise NotACocycle("class escapes the 1-dim H^2")  # impossible
+    return t
 
-    def __init__(self, group, p, basis, gram, h2_canon):
+
+class CupForm:
+    __slots__ = ("group", "p", "basis", "gram")
+
+    def __init__(self, group, p, basis, gram):
         self.group, self.p = group, p
         self.basis = basis          # H^1 basis cochains
         self.gram = gram            # Gram matrix of the pairing, in Z/p
-        self.h2_canon = h2_canon    # canonical vector of the H^2 basis class
 
     def is_nondegenerate(self) -> bool:
         n = len(self.basis)
@@ -378,26 +398,13 @@ class CupForm:
 
 
 def cup_form(G: FiniteGroup, p: int) -> CupForm:
-    data = complex_data(G, p)
-    dim2, reps = data.h2_data()
+    dim2, _ = complex_data(G, p).h2_data()
     if dim2 != 1:
         raise NotApplicable(f"dim H^2 = {dim2}, cup form needs 1")
-    v0 = reps[0]
-    S = gfp.space((G.order - 1) ** 2, p)
-    pivot = S.first(v0)
-    pivot_inv = pow(S.entry(v0, pivot), -1, p)
-    basis = h1(G, p)
-    gram = []
-    for a in basis:
-        row = []
-        for b in basis:
-            z = data.canonical_2cocycle(cup(a, b).vector())
-            t = (S.entry(z, pivot) * pivot_inv) % p
-            if S.sub(z, S.scale(v0, t)):
-                raise NotACocycle("cup value escapes the 1-dim H^2")  # impossible
-            row.append(t)
-        gram.append(tuple(row))
-    return CupForm(G, p, tuple(basis), tuple(gram), tuple(S.unpack(v0)))
+    basis = tuple(h1(G, p))
+    gram = tuple(tuple(h2_coordinate(class_of(cup(a, b))) for b in basis)
+                 for a in basis)
+    return CupForm(G, p, basis, gram)
 
 
 def demushkin_check(G: FiniteGroup, p: int) -> dict:

@@ -75,9 +75,10 @@ def build_dwyer_problem(q: MasseyQuery, target: str = "U") -> EmbeddingProblem:
                             alpha, phi).validate()
 
 
-def find_order2_preimage(n: int, pattern) -> Optional[UniTriMatrix]:
-    """Complete search for A in U_{n+1}(2) with A^2 = I and superdiagonal
-    equal to the given 0/1 pattern, without materializing the group.
+def find_order2_preimage(pattern) -> Optional[UniTriMatrix]:
+    """Complete search for A in U_{n+1}(2), n = len(pattern), with A^2 = I
+    and superdiagonal equal to the given 0/1 pattern, without
+    materializing the group.
 
     By the product rule, (A^2)_t = 2 a_t + sum over plan[t] of a_s a_u,
     which over F_2 is the plan sum alone and reads only entries of shorter
@@ -86,8 +87,7 @@ def find_order2_preimage(n: int, pattern) -> Optional[UniTriMatrix]:
     order, span by span.
     """
     pattern = tuple(v % 2 for v in pattern)
-    if len(pattern) != n:
-        raise BadParameter(f"pattern length {len(pattern)} != {n}")
+    n = len(pattern)
     positions, plan = _positions(n + 1), _product_plan(n + 1)
     a = [pattern[i - 1] if j == i + 1 else 0 for (i, j) in positions]
     spans = [[t for t, (i, j) in enumerate(positions) if j - i == d]
@@ -119,7 +119,7 @@ def dwyer_solvable(q: MasseyQuery) -> bool:
     if p == 2 and q.group.order == 2:
         g = 1
         pattern = tuple(a.value(g) % 2 for a in q.chars)
-        return find_order2_preimage(n, pattern) is not None
+        return find_order2_preimage(pattern) is not None
     raise SizeLimit(
         f"U_{n + 1}({p}) not materializable and no special solver applies")
 
@@ -144,15 +144,14 @@ def _section(alpha: GroupHom, lift_policy: str) -> dict:
 
 
 @functools.cache
-def central_data(alpha: GroupHom, ident=None) -> tuple:
-    """(kernel, ident): Ker(alpha), checked to be central of prime order p,
-    and its identification with Z/p, a dict from kernel elements to
-    residues checked to be a bijection fixing 1.
+def central_data(alpha: GroupHom) -> tuple:
+    """(kernel, coord): Ker(alpha), checked to be central of prime order p,
+    and its identification with Z/p, the dict that sends the c-th power of
+    the least non-identity kernel element, kernel[1], to c.
 
-    ident, when given, is a function from kernel elements to residues (e.g.
-    the iota coordinates of a fiber-quotient step); otherwise powers of the
-    smallest-index generator are used.  It is part of the cache key, so it
-    must be hashable and give the same residues on every call.
+    On the kernel {(I, I + c e_corner)} of rho_{k-1,m} that element is the
+    c = 1 pair (pairs are numbered a-major, b ascending), so coord is
+    `FiberQuotient.iota` there.
     """
     kernel = fibers(alpha)[0]
     B = alpha.domain
@@ -163,27 +162,18 @@ def central_data(alpha: GroupHom, ident=None) -> tuple:
     p = len(kernel)
     if p < 2 or any(p % d == 0 for d in range(2, p)):
         raise KernelNotOrderP(f"kernel order {p} is not prime")
-    if ident is None:
-        gen = min(z for z in kernel if z != 0)
-        ident = {}
-        x, c = 0, 0
-        for _ in range(p):
-            ident[x] = c
-            x = B.mul[x][gen]
-            c += 1
-    else:
-        ident = {z: ident(z) for z in kernel}
-    if sorted(ident.values()) != list(range(p)) or ident[0] != 0:
-        raise BadParameter("kernel identification is not a bijection fixing 1")
-    return kernel, ident
+    coord, x = {}, 0
+    for c in range(p):
+        coord[x] = c
+        x = B.mul[x][kernel[1]]
+    return kernel, coord
 
 
-def obstruction(E: EmbeddingProblem, ident=None,
+def obstruction(E: EmbeddingProblem,
                 lift_policy: str = "min") -> CohomologyClass:
     """The class of c(x,y) = lift(xy) lift(y)^-1 lift(x)^-1 in
-    H^2(G, Z/p), in the kernel coordinates of `central_data(E.alpha,
-    ident)`."""
-    kernel, coord = central_data(E.alpha, ident)
+    H^2(G, Z/p), in the kernel coordinates of `central_data(E.alpha)`."""
+    kernel, coord = central_data(E.alpha)
     G, B = E.G, E.B
     pick = _section(E.alpha, lift_policy)
     lift = [pick[a] for a in E.phi.images]
@@ -199,9 +189,9 @@ def obstruction(E: EmbeddingProblem, ident=None,
     return cc.class_of(z)
 
 
-def solvable_iff_obstruction_zero(E: EmbeddingProblem, ident=None) -> dict:
+def solvable_iff_obstruction_zero(E: EmbeddingProblem) -> dict:
     """Double-path report for a central problem: blind solve vs obstruction."""
-    o = obstruction(E, ident)
+    o = obstruction(E)
     sol = solve(E)
     return {"obstruction_zero": o.is_zero(),
             "solvable": sol is not None,
@@ -246,9 +236,9 @@ def rho_step_problem(psi: GroupHom, k: int, m: int, p: int) -> EmbeddingProblem:
 
 def rho_step_obstruction(psi: GroupHom, k: int, m: int, p: int,
                          lift_policy: str = "min") -> CohomologyClass:
-    """Obstruction of E(psi) in the iota coordinates of Ker(rho_{k-1,m})."""
-    E = rho_step_problem(psi, k, m, p)
-    return obstruction(E, fiber_quotient(k - 1, m, p).iota, lift_policy)
+    """Obstruction of E(psi) in the iota coordinates of Ker(rho_{k-1,m}),
+    which are those of `central_data`."""
+    return obstruction(rho_step_problem(psi, k, m, p), lift_policy)
 
 
 def chars_of_quotient_hom(psi: GroupHom, fq: FiberQuotient) -> tuple:

@@ -65,7 +65,7 @@ def real_check_z2(pattern: SignPattern):
     """Is the order-2 lifting problem for this pattern solvable in
     U_{n+1}(2)?  Returns (verdict, witness matrix or None); complete search
     that does not materialize the group."""
-    A = em.find_order2_preimage(pattern.n, pattern.bits)
+    A = em.find_order2_preimage(pattern.bits)
     return A is not None, A
 
 
@@ -286,29 +286,12 @@ def structure_audit(m: int, p: int) -> list[dict]:
 
 # -- descending-induction solver ------------------------------------------------
 
-def _h2_coordinate(klass, gen) -> int:
-    """Coordinate of a class in the 1-dimensional H^2 spanned by gen."""
-    p = gen.p
-    # canonical representatives are linear in the class: solve
-    # t * gen_canon = klass_canon
-    gv, kv = gen.canon, klass.canon
-    i = next((i for i, g in enumerate(gv) if g % p), None)
-    if i is None:
-        raise FormDegenerate("zero generator for H^2")
-    t = (kv[i] * pow(gv[i], -1, p)) % p
-    if len(gv) != len(kv) or any((t * g - k) % p for g, k in zip(gv, kv)):
-        raise MasseyLabError("class outside the 1-dimensional H^2 span")
-    return t
-
-
 def _solve_chi(G: FiniteGroup, p: int, a_prev: Cochain, target_klass):
     """Lexicographically least chi in H^1 coordinates with
     class(a_prev cup chi) = target_klass, using dim H^2 = 1."""
     basis = cc.h1(G, p)
-    _, classes = cc.h2(G, p)
-    gen = next(c for c in classes if not c.is_zero())
-    t_target = _h2_coordinate(target_klass, gen)
-    coeffs = [_h2_coordinate(cc.class_of(cc.cup(a_prev, b)), gen)
+    t_target = cc.h2_coordinate(target_klass)
+    coeffs = [cc.h2_coordinate(cc.class_of(cc.cup(a_prev, b)))
               for b in basis]
     if t_target == 0:
         xs = [0] * len(basis)

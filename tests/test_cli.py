@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 
@@ -416,6 +417,11 @@ GOLDEN_RECORDS = {
         "4a020d3129117f231f3c4465d116eadd7c832392394d3135fa9d561bacd708cd",
     "cohomology --group Z3xZ3 --p 3":
         "a2d7c8db68aeac8322f424009b962b5e5e6c1cb46feb0179991dda79fe5dff80",
+    # the cup-form path: nondegenerate on Z2, degenerate on Z3
+    "cohomology --group Z2 --p 2":
+        "2c6d6bd3273b5e779f0e818a0219fad2bdd82cd5bd5844238cdf25acb6b59d58",
+    "cohomology --group Z3 --p 3":
+        "5c92bf05d381fc159f5372f64979af80a1308b0977346445d19ae754fb160823",
     "verify case-by-case":
         "c78e87bd97bf4429e88dc8ddb687f8600ce1d2940a9d496c15e2771b8f31f5d4",
     "verify fiber-quotient --n 4 --p 2":
@@ -455,6 +461,29 @@ def _fresh_python(code, env=None):
     """stdout of `python -c code` in a fresh interpreter."""
     return subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True).stdout
+
+
+def test_an_edited_program_misses_the_cache(tmp_path):
+    """The cache key names the program's sources: a copy of the package
+    with one comment added to one module stores a second entry rather than
+    serving the first, and prints the same records."""
+    pkg = tmp_path / "src" / "masseylab"
+    shutil.copytree(os.path.dirname(cli.__file__), pkg,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    env = dict(os.environ, PYTHONPATH=str(pkg.parent),
+               MASSEYLAB_CACHE_DIR=str(tmp_path / "cache"))
+    argv = [sys.executable, "-m", "masseylab.cli", "cohomology", "--group",
+            "Q8", "--p", "2", "--format", "records"]
+    outs = []
+    for edit in ("", "\n# an edit\n"):
+        with open(pkg / "gfp.py", "a") as fh:
+            fh.write(edit)
+        outs.append(subprocess.run(argv, env=env, check=True,
+                                   capture_output=True, text=True).stdout)
+        entries = list((tmp_path / "cache").glob("*.json"))
+        assert len(entries) == len(outs)
+    assert outs[0] == outs[1]
+    assert records(outs[0])[1]["dim_h2"] == 2
 
 
 def test_cohomology_loads_only_the_modules_it_runs():

@@ -156,6 +156,71 @@ def test_cup_form_not_applicable():
         cc.cup_form(GROUPS["V4"], 2)  # dim H^2 = 3
 
 
+def old_h2_coordinate(klass, gen):
+    """The replaced `verify._h2_coordinate`: the coordinate of klass in the
+    1-dimensional H^2 spanned by gen, read off the canonical vectors."""
+    p = gen.p
+    gv, kv = gen.canon, klass.canon
+    i = next(i for i, g in enumerate(gv) if g % p)
+    t = (kv[i] * pow(gv[i], -1, p)) % p
+    assert not any((t * g - k) % p for g, k in zip(gv, kv))
+    return t
+
+
+def old_cup_form_gram(G, p):
+    """The replaced inline arithmetic of `cup_form`: each cup's canonical
+    vector divided by the H^2 representative at that representative's
+    pivot."""
+    data = cc.complex_data(G, p)
+    _, (v0,) = data.h2_data()
+    S = gfp.space((G.order - 1) ** 2, p)
+    pivot = S.first(v0)
+    pivot_inv = pow(S.entry(v0, pivot), -1, p)
+    basis = cc.h1(G, p)
+    gram = []
+    for a in basis:
+        row = []
+        for b in basis:
+            z = data.canonical_2cocycle(cc.cup(a, b).vector())
+            t = (S.entry(z, pivot) * pivot_inv) % p
+            assert not S.sub(z, S.scale(v0, t))
+            row.append(t)
+        gram.append(tuple(row))
+    return tuple(gram)
+
+
+ONE_DIMENSIONAL_H2 = [("S3", 2), ("Z2", 2), ("Z4", 2), ("Z6", 2), ("Z8", 2),
+                      ("Z3", 3), ("Z6", 3), ("Z9", 3), ("Z5", 5)]
+
+
+@pytest.mark.parametrize("name,p", ONE_DIMENSIONAL_H2)
+def test_h2_coordinate_and_cup_form_match_the_replaced_arithmetic(name, p):
+    G = FIXTURES[name]()
+    dim, (gen,) = cc.h2(G, p)
+    assert dim == 1
+    rng = random.Random(f"{name}:{p}")
+    for t in range(p):
+        # t times the generator, moved by a coboundary
+        z = gen.representative.scale(t) + \
+            cc.coboundary(random_cochain(G, p, 1, rng))
+        klass = cc.class_of(z)
+        assert cc.h2_coordinate(klass) == old_h2_coordinate(klass, gen) == t
+    basis = cc.h1(G, p)
+    for a, b in itertools.product(basis, repeat=2):
+        klass = cc.class_of(cc.cup(a, b))
+        assert cc.h2_coordinate(klass) == old_h2_coordinate(klass, gen)
+    assert cc.cup_form(G, p).gram == old_cup_form_gram(G, p)
+
+
+def test_h2_coordinate_needs_a_degree_2_class_and_a_one_dimensional_h2():
+    G = GROUPS["V4"]
+    a, b = cc.h1(G, 2)
+    with pytest.raises(NotApplicable):
+        cc.h2_coordinate(cc.class_of(cc.cup(a, b)))  # dim H^2 = 3
+    with pytest.raises(ShapeMismatch):
+        cc.h2_coordinate(cc.class_of(cc.h1(GROUPS["Z2"], 2)[0]))
+
+
 def test_cohomology_size_limit():
     with pytest.raises(SizeLimit):
         cc.complex_data(gr.build_cyclic(33), 2)

@@ -63,11 +63,9 @@ def test_central_data_errors():
 
 def test_obstruction_lift_policies_agree():
     q = ms.MasseyQuery(Z2, 2, (cc.h1(Z2, 2)[0],) * 2)
-    fq1 = fiber_quotient(1, 3, 2)
     for psi in gr.enumerate_homs(Z2, fiber_quotient(2, 3, 2).group):
         E = em.rho_step_problem(psi, 2, 3, 2)
-        assert em.obstruction(E, fq1.iota, "min") == \
-            em.obstruction(E, fq1.iota, "max")
+        assert em.obstruction(E, "min") == em.obstruction(E, "max")
 
 
 def test_dwyer_problem_targets():
@@ -103,7 +101,7 @@ def test_dwyer_solvable_size_limit():
 def test_find_order2_preimage_properties():
     for n in (3, 5, 8):
         for bits in itertools.product((0, 1), repeat=n):
-            A = em.find_order2_preimage(n, bits)
+            A = em.find_order2_preimage(bits)
             adjacent = any(bits[i] and bits[i + 1] for i in range(n - 1))
             if adjacent:
                 assert A is None
@@ -159,12 +157,12 @@ def test_find_order2_preimage_matches_the_matrix_search():
     found = 0
     for n in range(10):
         for bits in itertools.product((0, 1), repeat=n):
-            A = em.find_order2_preimage(n, bits)
+            A = em.find_order2_preimage(bits)
             assert A == old_find_order2_preimage(n, bits)
             found += A is not None
     # the no-adjacent-ones patterns: Fibonacci numbers F(n + 2), n = 0..9
     assert found == sum((1, 2, 3, 5, 8, 13, 21, 34, 55, 89))
-    assert em.find_order2_preimage(0, ()) == UniTriMatrix(1, 2, ())
+    assert em.find_order2_preimage(()) == UniTriMatrix(1, 2, ())
 
 
 def test_is_real_frozen():
@@ -207,7 +205,8 @@ def oracle_fibers(E):
 
 
 def oracle_central_data(E, ident=None):
-    """(kernel, ident) of E's central kernel, recomputed on every call."""
+    """(kernel, ident) of E's central kernel, recomputed on every call:
+    ident defaults to powers of the least non-identity kernel element."""
     kernel = tuple(E.alpha.kernel())
     B = E.B
     for z in kernel:
@@ -227,8 +226,7 @@ def oracle_central_data(E, ident=None):
             c += 1
     else:
         ident = {z: ident(z) for z in kernel}
-    if sorted(ident.values()) != list(range(p)) or ident[0] != 0:
-        raise BadParameter("kernel identification is not a bijection fixing 1")
+    assert sorted(ident.values()) == list(range(p)) and ident[0] == 0
     return kernel, ident
 
 
@@ -255,13 +253,15 @@ def oracle_obstruction(E, central=None, lift_policy="min"):
 
 
 def assert_cached_path_matches_oracle(E, ident=None):
+    """The cached kernel data and obstructions equal the oracle's, whose
+    identification is `ident` (a function on kernel elements) when given."""
     assert gr.fibers(E.alpha) == \
         tuple(tuple(bs) for bs in oracle_fibers(E).values())
-    kernel, coord = em.central_data(E.alpha, ident)
+    kernel, coord = em.central_data(E.alpha)
     slow = oracle_central_data(E, ident)
     assert (kernel, coord) == slow
     for policy in ("min", "max"):
-        fast, oracle = em.obstruction(E, ident, policy), \
+        fast, oracle = em.obstruction(E, lift_policy=policy), \
             oracle_obstruction(E, slow, policy)
         # the cocycles too, since the class is the same under both sections
         assert fast == oracle
@@ -304,10 +304,6 @@ def test_problems_on_one_surjection_share_its_fibers():
     assert em.central_data(E1.alpha)[1] is em.central_data(E2.alpha)[1]
 
 
-def _everything_to_zero(z):
-    return 0
-
-
 def test_failed_checks_raise_again_on_every_call():
     S3 = gr.build_symmetric3()
     sign = gr.GroupHom(S3, Z2, tuple(0 if S3.element_order(x) in (1, 3)
@@ -316,22 +312,36 @@ def test_failed_checks_raise_again_on_every_call():
     to_trivial = gr.GroupHom(V4, Z1, (0,) * 4).check()
     cases = [
         (em.EmbeddingProblem(Z2, Z2, S3, sign, gr.GroupHom(Z2, Z2, (0, 1))),
-         None, NotCentral),
+         NotCentral),
         (em.EmbeddingProblem(Z1, Z1, V4, to_trivial,
                              gr.GroupHom(Z1, Z1, (0,))),
-         None, KernelNotOrderP),
-        (z4_to_z2_problem(), _everything_to_zero, BadParameter),
+         KernelNotOrderP),
     ]
-    for E, ident, error in cases:
+    for E, error in cases:
         for _ in range(2):
             with pytest.raises(error):
-                em.central_data(E.alpha, ident)
+                em.central_data(E.alpha)
             with pytest.raises(error):
-                em.obstruction(E, ident)
+                em.obstruction(E)
     E = z4_to_z2_problem()
     for _ in range(2):
         with pytest.raises(BadParameter):
             em.obstruction(E, lift_policy="bogus")
+
+
+# rho_{k,m} for every k at p = 2 with m = 3..5 and at p = 3 with m = 3..4,
+# and the two at p = 5 with m <= 4 whose Q_{k,m} fits the container limit.
+RHO_KERNELS = [(k, m, 2) for m in (3, 4, 5) for k in range(1, m - 1)] + \
+    [(k, m, 3) for m in (3, 4) for k in range(1, m - 1)] + \
+    [(1, 3, 5), (2, 4, 5)]
+
+
+@pytest.mark.parametrize("k,m,p", RHO_KERNELS)
+def test_central_data_on_a_rho_kernel_is_iota(k, m, p):
+    fq = fiber_quotient(k, m, p)
+    kernel, coord = em.central_data(fq.rho_hom())
+    assert len(kernel) == p
+    assert coord == {z: fq.iota(z) for z in kernel}
 
 
 def test_verify_twisting_bad_k():
