@@ -4,8 +4,8 @@ F_p, and the cup-form / Demushkin checker.
 
 A degree-d cochain on a group of order N stores its (N-1)^d values on the
 d-tuples of non-identity elements (value 0 whenever any argument is the
-identity), flattened in lexicographic element-index order: one value in
-degree 0, none on the trivial group in degree >= 1.
+identity) as one packed F_p vector (see `gfp`), in lexicographic order:
+one value in degree 0, none on the trivial group in degree >= 1.
 
 Cocycles are read off the generator rows of delta. Let f be a d-cochain and
 c = delta f, and suppose c(s, ...) = 0 for every listed generator s. Then:
@@ -33,14 +33,24 @@ MAX_DEGREE = 3
 
 
 class Cochain(Value):
-    __slots__ = ("group", "p", "degree", "values")
+    __slots__ = ("group", "p", "degree", "vec")
 
-    def __init__(self, group, p, degree, values):
+    def __init__(self, group, p, degree, vec):
         self.group, self.p, self.degree = group, p, degree
-        self.values = values  # length (N-1)^degree
+        self.vec = vec  # packed over `space`
 
     def _key(self) -> tuple:
-        return self.group, self.p, self.degree, self.values
+        return self.group, self.p, self.degree, self.vec
+
+    @property
+    def space(self) -> gfp.Space:
+        """F_p^((N-1)^degree), the space `vec` is packed over."""
+        return gfp.space((self.group.order - 1) ** self.degree, self.p)
+
+    @property
+    def values(self) -> tuple:
+        """The values as a tuple, for records."""
+        return tuple(self.space.unpack(self.vec))
 
     def value(self, *gs: int) -> int:
         if len(gs) != self.degree:
@@ -50,49 +60,49 @@ class Cochain(Value):
             if g == 0:
                 return 0
             idx = idx * (self.group.order - 1) + (g - 1)
-        return self.values[idx]
+        return self.space.entry(self.vec, idx)
 
     def __add__(self, other: "Cochain") -> "Cochain":
         self._match(other)
         return Cochain(self.group, self.p, self.degree,
-                       tuple((a + b) % self.p
-                             for a, b in zip(self.values, other.values)))
+                       self.space.add(self.vec, other.vec))
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         self._match(other)
         return Cochain(self.group, self.p, self.degree,
-                       tuple((a - b) % self.p
-                             for a, b in zip(self.values, other.values)))
+                       self.space.sub(self.vec, other.vec))
 
     def __neg__(self) -> "Cochain":
         return self.scale(-1)
 
     def scale(self, c: int) -> "Cochain":
         return Cochain(self.group, self.p, self.degree,
-                       tuple((c * v) % self.p for v in self.values))
+                       self.space.scale(self.vec, c))
 
     def is_zero(self) -> bool:
-        return not any(self.values)
+        return not self.vec
 
     def _match(self, other: "Cochain") -> None:
         if (self.group is not other.group and self.group != other.group) or \
                 self.p != other.p or self.degree != other.degree:
             raise ShapeMismatch("cochain shapes differ")
 
-    def vector(self) -> int:
-        """The values as one packed F_p vector (see `gfp`)."""
-        return gfp.space(len(self.values), self.p).pack(self.values)
-
     def as_hom(self) -> GroupHom:
         """Interpret a degree-1 cocycle as a homomorphism G -> Z/p."""
         from .groups import build_cyclic
         Zp = build_cyclic(self.p)
-        return GroupHom(self.group, Zp,
-                        (0,) + tuple(v % self.p for v in self.values)).check()
+        return GroupHom(self.group, Zp, (0,) + self.values).check()
+
+
+def cochain(G: FiniteGroup, p: int, degree: int, values) -> Cochain:
+    """The degree-d cochain with the given (N-1)^d values, each reduced
+    mod p."""
+    return Cochain(G, p, degree,
+                   gfp.space((G.order - 1) ** degree, p).pack(values))
 
 
 def zero_cochain(G: FiniteGroup, p: int, degree: int) -> Cochain:
-    return Cochain(G, p, degree, (0,) * (G.order - 1) ** degree)
+    return Cochain(G, p, degree, 0)
 
 
 def coboundary(f: Cochain) -> Cochain:
@@ -103,22 +113,26 @@ def coboundary(f: Cochain) -> Cochain:
         raise DegreeLimit(f"coboundary of degree {f.degree} not supported")
     columns = complex_data(f.group, f.p).delta_columns(f.degree)
     S = gfp.space((f.group.order - 1) ** (f.degree + 1), f.p)
-    return Cochain(f.group, f.p, f.degree + 1,
-                   tuple(S.unpack(S.combine(columns, f.values))))
+    return Cochain(f.group, f.p, f.degree + 1, S.combine(columns, f.vec))
 
 
 def cup(a: Cochain, b: Cochain) -> Cochain:
     """(a cup b)(g_1..g_r, h_1..h_s) = a(g) b(h): with the values in
     lexicographic tuple order this is the Kronecker product of the value
-    vectors, i.e. their outer product read row by row."""
+    vectors, i.e. block i of the product is a's i-th value times b."""
     if a.group != b.group or a.p != b.p:
         raise ShapeMismatch("cup factors live over different data")
     r, s = a.degree, b.degree
     if r + s > MAX_DEGREE:
         raise DegreeLimit(f"cup into degree {r + s} not supported")
-    p = a.p
-    return Cochain(a.group, p, r + s,
-                   tuple([x * y % p for x in a.values for y in b.values]))
+    Sb = b.space
+    multiples = [Sb.scale(b.vec, c) for c in range(a.p)]
+    block = Sb.n * Sb.w
+    vec = 0
+    for i, x in enumerate(a.space.unpack(a.vec)):
+        if x:
+            vec |= multiples[x] << (i * block)
+    return Cochain(a.group, a.p, r + s, vec)
 
 
 # -- linear algebra over the normalized complex --------------------------------
@@ -253,7 +267,7 @@ class ComplexData:
         `gfp.solve` returns, since the RREF of [d1 | rhs] is unique."""
         T, pivots, rank = self._d1_factor
         S = gfp.space(len(self.d1), self.p)
-        y = S.combine(T, S.unpack(rhs))
+        y = S.combine(T, rhs)
         if S.drop(y, rank):
             return None
         return gfp.space(self.G.order - 1, self.p).sparse(
@@ -278,23 +292,20 @@ class CohomologyClass(Value):
         return self.degree, self.p, self.canon
 
     def is_zero(self) -> bool:
-        return not any(self.canon)
+        return not self.canon
 
     # The canonical reduction is linear, so the sum's canonical vector is
     # the sum of the canonical vectors; the representatives' sum checks
     # that the shapes match.
     def __add__(self, other: "CohomologyClass") -> "CohomologyClass":
-        p = self.p
-        return CohomologyClass(
-            self.group, p, self.degree,
-            self.representative + other.representative,
-            tuple([(a + b) % p for a, b in zip(self.canon, other.canon)]))
+        z = self.representative + other.representative
+        return CohomologyClass(self.group, self.p, self.degree, z,
+                               z.space.add(self.canon, other.canon))
 
     def __neg__(self) -> "CohomologyClass":
-        p = self.p
-        return CohomologyClass(self.group, p, self.degree,
-                               -self.representative,
-                               tuple([-a % p for a in self.canon]))
+        z = -self.representative
+        return CohomologyClass(self.group, self.p, self.degree, z,
+                               z.space.sub(0, self.canon))
 
 
 def is_cocycle(z: Cochain) -> bool:
@@ -302,7 +313,7 @@ def is_cocycle(z: Cochain) -> bool:
         raise DegreeLimit(f"cocycle test for degree {z.degree} not supported")
     data = complex_data(z.group, z.p)
     S = gfp.space(len(data.cocycle_matrix(z.degree)), z.p)
-    return not S.combine(data.cocycle_columns(z.degree), z.values)
+    return not S.combine(data.cocycle_columns(z.degree), z.vec)
 
 
 def is_coboundary(z: Cochain) -> bool:
@@ -311,19 +322,15 @@ def is_coboundary(z: Cochain) -> bool:
     if z.degree == 2:
         data = complex_data(z.group, z.p)
         R, piv = data.b2_rref
-        return gfp.in_row_space(z.vector(), R, piv, z.p)
+        return gfp.in_row_space(z.vec, R, piv, z.p)
     raise DegreeLimit(f"coboundary test for degree {z.degree} not supported")
 
 
 def class_of(z: Cochain) -> CohomologyClass:
     if not is_cocycle(z):
         raise NotACocycle(f"degree-{z.degree} cochain is not closed")
-    if z.degree == 1:
-        canon = tuple(z.values)
-    else:
-        data = complex_data(z.group, z.p)
-        S = gfp.space(len(z.values), z.p)
-        canon = tuple(S.unpack(data.canonical_2cocycle(z.vector())))
+    canon = z.vec if z.degree == 1 else \
+        complex_data(z.group, z.p).canonical_2cocycle(z.vec)
     return CohomologyClass(z.group, z.p, z.degree, z, canon)
 
 
@@ -331,16 +338,14 @@ def class_of(z: Cochain) -> CohomologyClass:
 
 def h1(G: FiniteGroup, p: int) -> list[Cochain]:
     """F_p-basis of H^1 = Hom(G, Z/p), as degree-1 cocycles."""
-    S = gfp.space(G.order - 1, p)
-    return [Cochain(G, p, 1, tuple(S.unpack(v)))
-            for v in complex_data(G, p).z1_basis]
+    return [Cochain(G, p, 1, v) for v in complex_data(G, p).z1_basis]
 
 
 def h1_combination(G: FiniteGroup, p: int, coeffs) -> Cochain:
     """The H^1 element with coordinates `coeffs` in the basis `h1(G, p)`."""
-    S = gfp.space(G.order - 1, p)
-    v = S.combine(complex_data(G, p).z1_basis, [int(c) for c in coeffs])
-    return Cochain(G, p, 1, tuple(S.unpack(v)))
+    basis = complex_data(G, p).z1_basis
+    packed = gfp.space(len(basis), p).pack(coeffs)
+    return Cochain(G, p, 1, gfp.space(G.order - 1, p).combine(basis, packed))
 
 
 @functools.cache
@@ -355,29 +360,28 @@ def characters(G: FiniteGroup, p: int) -> tuple[Cochain, ...]:
 def h2(G: FiniteGroup, p: int):
     """(dim H^2, representative CohomologyClass basis)."""
     dim, reps = complex_data(G, p).h2_data()
-    S = gfp.space((G.order - 1) ** 2, p)
-    classes = [class_of(Cochain(G, p, 2, tuple(S.unpack(v)))) for v in reps]
-    return dim, classes
+    return dim, [class_of(Cochain(G, p, 2, v)) for v in reps]
 
 
-def h2_coordinate(klass: CohomologyClass) -> int:
-    """The t with klass = t g, where g is the basis class of a
+def h2_coordinate(z: Cochain) -> int:
+    """The t with [z] = t g, where g is the basis class of a
     one-dimensional H^2, the representative `h2_data` gives. That
     representative is an RREF row, so its first nonzero entry is 1, and
-    canonical vectors are linear in the class."""
-    if klass.degree != 2:
+    canonical vectors are linear in the class. Raises NotACocycle unless
+    z's canonical residual is t g: that check is the cocycle check, since
+    a residual t g means z = t g + delta(...)."""
+    if z.degree != 2:
         raise ShapeMismatch(
-            f"a degree-{klass.degree} class has no H^2 coordinate")
-    G, p = klass.group, klass.p
-    dim2, reps = complex_data(G, p).h2_data()
+            f"a degree-{z.degree} cochain has no H^2 coordinate")
+    data = complex_data(z.group, z.p)
+    dim2, reps = data.h2_data()
     if dim2 != 1:
         raise NotApplicable(f"dim H^2 = {dim2}, a coordinate needs 1")
-    g = reps[0]
-    S = gfp.space((G.order - 1) ** 2, p)
-    z = S.pack(klass.canon)
-    t = S.entry(z, S.first(g))
-    if S.sub(z, S.scale(g, t)):
-        raise NotACocycle("class escapes the 1-dim H^2")  # impossible
+    g, S = reps[0], z.space
+    r = data.canonical_2cocycle(z.vec)
+    t = S.entry(r, S.first(g))
+    if S.sub(r, S.scale(g, t)):
+        raise NotACocycle("degree-2 cochain is not closed")
     return t
 
 
@@ -402,7 +406,7 @@ def cup_form(G: FiniteGroup, p: int) -> CupForm:
     if dim2 != 1:
         raise NotApplicable(f"dim H^2 = {dim2}, cup form needs 1")
     basis = tuple(h1(G, p))
-    gram = tuple(tuple(h2_coordinate(class_of(cup(a, b))) for b in basis)
+    gram = tuple(tuple(h2_coordinate(cup(a, b)) for b in basis)
                  for a in basis)
     return CupForm(G, p, basis, gram)
 

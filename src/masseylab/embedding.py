@@ -185,15 +185,15 @@ def obstruction(E: EmbeddingProblem,
             prod = B.mul[lift[x]][lift[y]]
             c = B.mul[bxy][B.inv[prod]]
             vals.append(coord[c])
-    z = Cochain(G, len(kernel), 2, tuple(vals))
-    return cc.class_of(z)
+    return cc.class_of(cc.cochain(G, len(kernel), 2, vals))
 
 
 def solvable_iff_obstruction_zero(E: EmbeddingProblem) -> dict:
     """Double-path report for a central problem: blind solve vs obstruction."""
     o = obstruction(E)
     sol = solve(E)
-    return {"obstruction_zero": o.is_zero(),
+    return {"obstruction": o,
+            "obstruction_zero": o.is_zero(),
             "solvable": sol is not None,
             "agree": (sol is not None) == o.is_zero(),
             "solution": sol}
@@ -245,12 +245,9 @@ def chars_of_quotient_hom(psi: GroupHom, fq: FiberQuotient) -> tuple:
     """Recover (a_1, ..., a_{m-1}) with phi o psi = -a_1 x ... x -a_{m-1}
     from a homomorphism into a fiber quotient."""
     G, p, m = psi.domain, fq.p, fq.m
-    out = []
-    for i in range(1, m):
-        vals = [(-fq.entry_of(psi(g), i, i + 1)) % p
-                for g in range(1, G.order)]
-        out.append(Cochain(G, p, 1, tuple(vals)))
-    return tuple(out)
+    return tuple(cc.cochain(G, p, 1, [-fq.entry_of(psi(g), i, i + 1)
+                                      for g in range(1, G.order)])
+                 for i in range(1, m))
 
 
 def verify_twisting(G: FiniteGroup, p: int, n: int, k: int,
@@ -306,7 +303,7 @@ def verify_twisting(G: FiniteGroup, p: int, n: int, k: int,
         expected = o_base + cc.class_of(cc.cup(a_prev, chi))
         records.append({
             "psi": psi.gen_images(),
-            "chi": tuple(chi.values),
+            "chi": chi.values,
             "holds": o_tw == expected,
         })
     return records

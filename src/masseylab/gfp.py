@@ -117,17 +117,19 @@ class Space:
                 v = self.add(v, v)
         return out
 
-    def combine(self, vectors, coeffs) -> int:
-        """sum_i coeffs[i] * vectors[i]: the vectors with equal coefficient
-        are summed first, so each coefficient scales once."""
-        p = self.p
-        sums = [0] * p
-        for v, c in zip(vectors, coeffs):
-            c %= p
-            if c:
-                sums[c] = self.add(sums[c], v)
+    def combine(self, vectors, coeffs: int) -> int:
+        """sum_i c_i * vectors[i] over the entries c_i of the packed vector
+        coeffs, one step per nonzero entry as in `transpose`; the vectors
+        with equal coefficient are summed first, so each scales once."""
+        w, mask = self.w, self.mask
+        sums = [0] * self.p
+        while coeffs:
+            i = ((coeffs & -coeffs).bit_length() - 1) // w
+            c = (coeffs >> (i * w)) & mask
+            coeffs ^= c << (i * w)
+            sums[c] = self.add(sums[c], vectors[i])
         out = sums[1]
-        for c in range(2, p):
+        for c in range(2, self.p):
             if sums[c]:
                 out = self.add(out, self.scale(sums[c], c))
         return out

@@ -250,6 +250,8 @@ def build_from_table(table, generators=None, label="G") -> FiniteGroup:
     for i, row in enumerate(table):
         if len(row) != n or any(not 0 <= v < n for v in row):
             raise ParseError(f"row {i} is not a valid index row of length {n}")
+    if generators is not None and any(not 0 <= g < n for g in generators):
+        raise ParseError(f"generators {list(generators)} not all in 0..{n - 1}")
     ident = None
     for e in range(n):
         if all(table[e][x] == x and table[x][e] == x for x in range(n)):

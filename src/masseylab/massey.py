@@ -14,7 +14,6 @@ import itertools
 from typing import Callable, Iterator, Optional
 
 from . import cochains as cc
-from . import gfp
 from .cochains import Cochain, CohomologyClass, complex_data
 from .errors import (
     BadParameter,
@@ -127,7 +126,7 @@ def is_defining_system(ds: DefiningSystem):
             raise ShapeMismatch(f"missing entry ({i},{j})")
         lhs = cc.coboundary(ds.entries[(i, j)])
         rhs = _rhs_cochain(ds.entries, G, p, i, j)
-        if lhs.values != rhs.values:
+        if lhs.vec != rhs.vec:
             for x in range(1, G.order):
                 for y in range(1, G.order):
                     if lhs.value(x, y) != rhs.value(x, y):
@@ -145,9 +144,9 @@ def defining_system_from_hom(psi: GroupHom, n: int, p: int,
     G = psi.domain
     entries = {}
     for (i, j) in system_positions(n):
-        vals = [(-entry_reader(psi.images[g], i, j)) % p
-                for g in range(1, G.order)]
-        entries[(i, j)] = Cochain(G, p, 1, tuple(vals))
+        entries[(i, j)] = cc.cochain(
+            G, p, 1, [-entry_reader(psi.images[g], i, j)
+                      for g in range(1, G.order)])
     return DefiningSystem(G, p, n, entries)
 
 
@@ -177,7 +176,6 @@ def _iter_defining_systems(q: MasseyQuery) -> Iterator[DefiningSystem]:
     slot, solved exactly."""
     G, p, n = q.group, q.p, q.n
     data = complex_data(G, p)
-    S = gfp.space(G.order - 1, p)
     chars = cc.characters(G, p)
     slots = [(i, j) for (i, j) in system_positions(n) if j - i >= 2]
     base = {(i, i + 1): q.chars[i - 1] for i in range(1, n + 1)}
@@ -188,10 +186,10 @@ def _iter_defining_systems(q: MasseyQuery) -> Iterator[DefiningSystem]:
             return
         i, j = slots[idx]
         rhs = _rhs_cochain(entries, G, p, i, j)
-        x0 = data.solve_delta1(rhs.vector())
+        x0 = data.solve_delta1(rhs.vec)
         if x0 is None:
             return
-        x0 = Cochain(G, p, 1, tuple(S.unpack(x0)))
+        x0 = Cochain(G, p, 1, x0)
         for chi in chars:  # B^1 = 0, so x0 + Z^1 = x0 + H^1
             entries[(i, j)] = x0 + chi
             yield from rec(idx + 1, entries)

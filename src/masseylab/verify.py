@@ -197,15 +197,14 @@ def _audit_step(G: FiniteGroup, alpha: GroupHom):
     records = []
     for phi in enumerate_homs(G, alpha.codomain):
         E = EmbeddingProblem(G, alpha.codomain, alpha.domain, alpha, phi)
-        o_min = em.obstruction(E, lift_policy="min")
-        o_max = em.obstruction(E, lift_policy="max")
-        sol = em.solve(E)
+        report = em.solvable_iff_obstruction_zero(E)
         records.append({
             "phi": phi.gen_images(),
-            "obstruction_zero": o_min.is_zero(),
-            "solvable": sol is not None,
-            "agree": (sol is not None) == o_min.is_zero(),
-            "lift_independent": o_min == o_max,
+            "obstruction_zero": report["obstruction_zero"],
+            "solvable": report["solvable"],
+            "agree": report["agree"],
+            "lift_independent":
+                report["obstruction"] == em.obstruction(E, "max"),
         })
     return records
 
@@ -290,9 +289,8 @@ def _solve_chi(G: FiniteGroup, p: int, a_prev: Cochain, target_klass):
     """Lexicographically least chi in H^1 coordinates with
     class(a_prev cup chi) = target_klass, using dim H^2 = 1."""
     basis = cc.h1(G, p)
-    t_target = cc.h2_coordinate(target_klass)
-    coeffs = [cc.h2_coordinate(cc.class_of(cc.cup(a_prev, b)))
-              for b in basis]
+    t_target = cc.h2_coordinate(target_klass.representative)
+    coeffs = [cc.h2_coordinate(cc.cup(a_prev, b)) for b in basis]
     if t_target == 0:
         xs = [0] * len(basis)
     else:

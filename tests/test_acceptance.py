@@ -31,7 +31,7 @@ def report(num, name, ok):
 
 def _random_cochain(G, p, degree, rng):
     n = max(1, (G.order - 1) ** degree)
-    return cc.Cochain(G, p, degree, tuple(rng.randrange(p) for _ in range(n)))
+    return cc.cochain(G, p, degree, tuple(rng.randrange(p) for _ in range(n)))
 
 
 def test_criterion_01_complex_axioms():

@@ -56,6 +56,20 @@ def test_group_show_and_check(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("gen", ["5", "-1"])
+@pytest.mark.parametrize("argv", [["group", "check"],
+                                  ["cohomology", "--p", "2", "--group"]])
+def test_a_generator_outside_the_table_is_a_parse_error(gen, argv, tmp_path,
+                                                        capsys):
+    """Index 5 once ran off the table rows and -1 read the last row, so
+    both files ended in a traceback."""
+    tbl = tmp_path / "g.tbl"
+    tbl.write_text(f"order 2\ngenerators {gen}\n0 1\n1 0\n")
+    assert cli.main([*argv, str(tbl), "--no-cache"]) == cli.EXIT_USAGE == 3
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+
+
 def test_usage_errors(capsys):
     assert cli.main(["group", "show"]) == cli.EXIT_USAGE
     assert cli.main(["bogus"]) == cli.EXIT_USAGE

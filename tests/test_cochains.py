@@ -14,7 +14,7 @@ from masseylab import gfp
 from masseylab import groups as gr
 from masseylab.cli import FIXTURES
 from masseylab.errors import DegreeLimit, GeneratorsDontGenerate, \
-    NotApplicable, ShapeMismatch, SizeLimit
+    NotACocycle, NotApplicable, ShapeMismatch, SizeLimit
 
 GROUPS = {
     "Z2": gr.build_cyclic(2),
@@ -33,7 +33,7 @@ def dense(rows, ncols, p) -> np.ndarray:
 
 def random_cochain(G, p, degree, rng):
     n = (G.order - 1) ** degree
-    return cc.Cochain(G, p, degree, tuple(rng.randrange(p) for _ in range(n)))
+    return cc.cochain(G, p, degree, tuple(rng.randrange(p) for _ in range(n)))
 
 
 def test_normalized_values():
@@ -160,7 +160,8 @@ def old_h2_coordinate(klass, gen):
     """The replaced `verify._h2_coordinate`: the coordinate of klass in the
     1-dimensional H^2 spanned by gen, read off the canonical vectors."""
     p = gen.p
-    gv, kv = gen.canon, klass.canon
+    S = gen.representative.space
+    gv, kv = S.unpack(gen.canon), S.unpack(klass.canon)
     i = next(i for i, g in enumerate(gv) if g % p)
     t = (kv[i] * pow(gv[i], -1, p)) % p
     assert not any((t * g - k) % p for g, k in zip(gv, kv))
@@ -181,7 +182,7 @@ def old_cup_form_gram(G, p):
     for a in basis:
         row = []
         for b in basis:
-            z = data.canonical_2cocycle(cc.cup(a, b).vector())
+            z = data.canonical_2cocycle(cc.cup(a, b).vec)
             t = (S.entry(z, pivot) * pivot_inv) % p
             assert not S.sub(z, S.scale(v0, t))
             row.append(t)
@@ -203,12 +204,12 @@ def test_h2_coordinate_and_cup_form_match_the_replaced_arithmetic(name, p):
         # t times the generator, moved by a coboundary
         z = gen.representative.scale(t) + \
             cc.coboundary(random_cochain(G, p, 1, rng))
-        klass = cc.class_of(z)
-        assert cc.h2_coordinate(klass) == old_h2_coordinate(klass, gen) == t
+        assert cc.h2_coordinate(z) == \
+            old_h2_coordinate(cc.class_of(z), gen) == t
     basis = cc.h1(G, p)
     for a, b in itertools.product(basis, repeat=2):
-        klass = cc.class_of(cc.cup(a, b))
-        assert cc.h2_coordinate(klass) == old_h2_coordinate(klass, gen)
+        z = cc.cup(a, b)
+        assert cc.h2_coordinate(z) == old_h2_coordinate(cc.class_of(z), gen)
     assert cc.cup_form(G, p).gram == old_cup_form_gram(G, p)
 
 
@@ -216,9 +217,30 @@ def test_h2_coordinate_needs_a_degree_2_class_and_a_one_dimensional_h2():
     G = GROUPS["V4"]
     a, b = cc.h1(G, 2)
     with pytest.raises(NotApplicable):
-        cc.h2_coordinate(cc.class_of(cc.cup(a, b)))  # dim H^2 = 3
+        cc.h2_coordinate(cc.cup(a, b))  # dim H^2 = 3
     with pytest.raises(ShapeMismatch):
-        cc.h2_coordinate(cc.class_of(cc.h1(GROUPS["Z2"], 2)[0]))
+        cc.h2_coordinate(cc.h1(GROUPS["Z2"], 2)[0])
+
+
+# every 2-cochain on Z/2 is closed, so it has none to refuse
+@pytest.mark.parametrize("name,p", [c for c in ONE_DIMENSIONAL_H2
+                                    if c != ("Z2", 2)])
+def test_h2_coordinate_refuses_a_degree_2_cochain_that_is_not_closed(name, p):
+    """The residual check of `h2_coordinate` is the cocycle check: every
+    degree-2 cochain that `is_cocycle` refuses raises NotACocycle, and
+    every one it accepts gets a coordinate."""
+    G = FIXTURES[name]()
+    rng = random.Random(f"closed:{name}:{p}")
+    refused = 0
+    for _ in range(10):
+        z = random_cochain(G, p, 2, rng)
+        if cc.is_cocycle(z):
+            assert cc.h2_coordinate(z) in range(p)
+        else:
+            refused += 1
+            with pytest.raises(NotACocycle):
+                cc.h2_coordinate(z)
+    assert refused
 
 
 def test_cohomology_size_limit():
@@ -305,12 +327,12 @@ def pointwise_coboundary(f):
             v += (-1) ** (i + 1) * f.value(*merged)
         v += (-1) ** (d + 1) * f.value(*gs[:d])
         out.append(v % p)
-    return cc.Cochain(G, p, d + 1, tuple(out))
+    return cc.cochain(G, p, d + 1, out)
 
 
 def pointwise_cup(a, b):
     r, s = a.degree, b.degree
-    return cc.Cochain(a.group, a.p, r + s,
+    return cc.cochain(a.group, a.p, r + s,
                       tuple((a.value(*gs[:r]) * b.value(*gs[r:])) % a.p
                             for gs in _tuples(a.group.order, r + s)))
 
@@ -354,9 +376,9 @@ def test_delta_1_matches_the_rowwise_build_at_order_32():
 
 def test_cochains_built_twice_are_equal_values():
     V4 = gr.build_vector_group(2, 2)
-    a, b = (cc.Cochain(V4, 2, 1, (1, 0, 1)) for _ in range(2))
+    a, b = (cc.cochain(V4, 2, 1, (1, 0, 1)) for _ in range(2))
     assert a is not b and a == b and hash(a) == hash(b)
-    assert a != cc.Cochain(V4, 3, 1, (1, 0, 1))
+    assert a != cc.cochain(V4, 3, 1, (1, 0, 1))
     assert a != (V4, 2, 1, (1, 0, 1))  # a value, not a tuple
 
 
@@ -367,7 +389,7 @@ def test_trivial_group_cochains_have_no_values_above_degree_0():
     assert f.values == () and f.value(0) == 0
     assert cc.complex_data(Z1, 2).delta_matrix(1) == []
     assert cc.is_cocycle(f) and cc.is_cocycle(cc.cup(f, f))
-    assert cc.coboundary(cc.Cochain(Z1, 2, 0, (1,))).values == ()
+    assert cc.coboundary(cc.cochain(Z1, 2, 0, (1,))).values == ()
     assert cc.h1(Z1, 2) == [] and cc.h2(Z1, 2) == (0, [])
     assert cc.h1_combination(Z1, 2, ()) == f
 
@@ -402,7 +424,7 @@ def small_groups(draw):
 
 
 def cochains_of(draw, G, p, degree):
-    return cc.Cochain(G, p, degree, tuple(draw(st.lists(
+    return cc.cochain(G, p, degree, tuple(draw(st.lists(
         st.integers(0, p - 1), min_size=(G.order - 1) ** degree,
         max_size=(G.order - 1) ** degree))))
 
@@ -503,9 +525,8 @@ def test_is_cocycle_agrees_with_the_full_delta(name, p):
         full = data.delta_matrix(d)
         ncols = (G.order - 1) ** d
         first = generator_rows(G, d)[:ncols]
-        S = gfp.space(ncols, p)
         samples = [random_cochain(G, p, d, rng) for _ in range(5)]
-        samples += [cc.Cochain(G, p, d, tuple(S.unpack(v)))
+        samples += [cc.Cochain(G, p, d, v)
                     for v in gfp.nullspace([full[i] for i in first], ncols,
                                            p)]
         if d == 2:
@@ -535,10 +556,10 @@ def test_solve_delta1_agrees_with_gfp_solve(name, p):
     G = FIXTURES[name]()
     data = cc.complex_data(G, p)
     rng = random.Random(f"solve:{name}:{p}")
-    rhs = [cc.coboundary(random_cochain(G, p, 1, rng)).vector()
+    rhs = [cc.coboundary(random_cochain(G, p, 1, rng)).vec
            for _ in range(5)]
-    rhs += [random_cochain(G, p, 2, rng).vector() for _ in range(5)]
-    rhs += [cc.cup(a, b).vector() for a in cc.h1(G, p) for b in cc.h1(G, p)]
+    rhs += [random_cochain(G, p, 2, rng).vec for _ in range(5)]
+    rhs += [cc.cup(a, b).vec for a in cc.h1(G, p) for b in cc.h1(G, p)]
     m = G.order - 1
     for b in rhs:
         want = gfp.solve(data.d1, b, m, p)
@@ -582,6 +603,82 @@ def test_order_32_cohomology_peak_memory():
     peak_kib = next(int(line.split()[1]) for line in out.splitlines()
                     if line.startswith("VmHWM:"))
     assert peak_kib / 1024 < 200
+
+
+# -- packed values against the replaced per-entry arithmetic ------------------
+
+ARITHMETIC_GROUPS = {"Z1": lambda p: gr.build_cyclic(1),
+                     "V4": lambda p: gr.build_vector_group(2, 2),
+                     "S3": lambda p: gr.build_symmetric3(),
+                     "Zp": gr.build_cyclic}
+
+
+@pytest.mark.parametrize("name", sorted(ARITHMETIC_GROUPS))
+@pytest.mark.parametrize("p", [2, 3, 5, 13])
+def test_cochain_arithmetic_matches_the_replaced_tuple_arithmetic(name, p):
+    """+, -, scale and neg on packed cochains of degree 0-2 give what the
+    per-entry tuple arithmetic gave; on Z1 the degree 1 and 2 vectors are
+    empty."""
+    G = ARITHMETIC_GROUPS[name](p)
+    rng = random.Random(f"arithmetic:{name}:{p}")
+    for d in (0, 1, 2):
+        for _ in range(4):
+            f, g = (random_cochain(G, p, d, rng) for _ in range(2))
+            c = rng.randrange(-2 * p, 2 * p)
+            fv, gv = f.values, g.values
+            assert len(fv) == (G.order - 1) ** d
+            assert (f + g).values == \
+                tuple((a + b) % p for a, b in zip(fv, gv))
+            assert (f - g).values == \
+                tuple((a - b) % p for a, b in zip(fv, gv))
+            assert f.scale(c).values == tuple((c * v) % p for v in fv)
+            assert (-f).values == tuple((-v) % p for v in fv)
+            assert f.is_zero() == (not any(fv))
+            for gs in itertools.product(range(1, G.order), repeat=d):
+                assert f.value(*gs) == fv[sum(
+                    (x - 1) * (G.order - 1) ** (d - 1 - i)
+                    for i, x in enumerate(gs))]
+
+
+@pytest.mark.parametrize("name", sorted(ARITHMETIC_GROUPS))
+@pytest.mark.parametrize("p", [2, 3, 5, 13])
+def test_class_arithmetic_matches_the_replaced_tuple_arithmetic(name, p):
+    """+ and neg of classes of degree 1 and 2 on packed canonical vectors
+    give what the per-entry tuple arithmetic gave."""
+    G = ARITHMETIC_GROUPS[name](p)
+    rng = random.Random(f"classes:{name}:{p}")
+    bases = {1: cc.h1(G, p),
+             2: [c.representative for c in cc.h2(G, p)[1]]}
+    for d, basis in bases.items():
+        for _ in range(4):
+            x, y = [], []
+            for klass in (x, y):
+                z = cc.zero_cochain(G, p, d)
+                for b in basis:
+                    z = z + b.scale(rng.randrange(p))
+                if d == 2:
+                    z = z + cc.coboundary(random_cochain(G, p, 1, rng))
+                klass.append(cc.class_of(z))
+            (x,), (y,) = x, y
+            S = x.representative.space
+            xv, yv = S.unpack(x.canon), S.unpack(y.canon)
+            assert S.unpack((x + y).canon) == \
+                [(a + b) % p for a, b in zip(xv, yv)]
+            assert S.unpack((-x).canon) == [(-a) % p for a in xv]
+            assert x.is_zero() == (not any(xv))
+
+
+def test_cochain_reduces_its_values_and_round_trips():
+    V4 = gr.build_vector_group(2, 2)
+    for p in (2, 3, 5, 13):
+        for d, raw in ((1, [p, -1, 2 * p + 1]),
+                       (2, [-p - 2, p - 1, 3 * p, -1, 0, p + 4, -2 * p, 1,
+                            5 * p + 2])):
+            f = cc.cochain(V4, p, d, raw)
+            assert f.values == tuple(v % p for v in raw)
+            assert all(0 <= v < p for v in f.values)
+            assert cc.cochain(V4, p, d, f.values) == f
+            assert cc.Cochain(V4, p, d, f.vec) == f
 
 
 # -- the sum of classes --------------------------------------------------------

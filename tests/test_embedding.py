@@ -249,7 +249,7 @@ def oracle_obstruction(E, central=None, lift_policy="min"):
             prod = B.mul[lift[x]][lift[y]]
             c = B.mul[bxy][B.inv[prod]]
             vals.append(ident[c])
-    return cc.class_of(cc.Cochain(G, p, 2, tuple(vals)))
+    return cc.class_of(cc.cochain(G, p, 2, vals))
 
 
 def assert_cached_path_matches_oracle(E, ident=None):

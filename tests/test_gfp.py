@@ -178,8 +178,42 @@ def test_packed_arithmetic_agrees_with_integer_arithmetic(p, n, data):
     assert S.unpack(S.sub(pu, pv)) == [(x - y) % p for x, y in zip(u, v)]
     assert S.unpack(S.scale(pu, c)) == [c * x % p for x in u]
     assert all(S.entry(pu, i) == x % p for i, x in enumerate(u))
-    assert S.unpack(S.combine([pu, pv, pu], [c, 1, 2])) == \
+    coeffs = gfp.space(3, p).pack([c, 1, 2])
+    assert S.unpack(S.combine([pu, pv, pu], coeffs)) == \
         [(c * x + y + 2 * x) % p for x, y in zip(u, v)]
+
+
+def old_combine(S, vectors, coeffs):
+    """The replaced `Space.combine`, which took a list of coefficients."""
+    p = S.p
+    sums = [0] * p
+    for v, c in zip(vectors, coeffs):
+        c %= p
+        if c:
+            sums[c] = S.add(sums[c], v)
+    out = sums[1]
+    for c in range(2, p):
+        if sums[c]:
+            out = S.add(out, S.scale(sums[c], c))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(PRIMES), st.integers(0, 40), st.integers(0, 12),
+       st.data())
+def test_combine_with_packed_coefficients_matches_the_list_form(p, n, k,
+                                                                 data):
+    """Packed coefficients, zero ones and the zero vector included, give
+    what the list form gave."""
+    S = gfp.space(n, p)
+    entries = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    vectors = [S.pack(data.draw(entries)) for _ in range(k)]
+    coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=k,
+                                max_size=k))
+    C = gfp.space(k, p)
+    assert S.combine(vectors, C.pack(coeffs)) == \
+        old_combine(S, vectors, coeffs)
+    assert S.combine(vectors, 0) == old_combine(S, vectors, [0] * k) == 0
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -66,7 +66,7 @@ def test_massey_value_rejects_broken_system():
     q = ms.query(V4, 2, (a, zero, b))
     ds = next(ms._iter_defining_systems(q))
     # shift the (1,3) slot by a non-cocycle, which changes delta(a_13)
-    f = cc.Cochain(V4, 2, 1, (1, 0, 0))
+    f = cc.cochain(V4, 2, 1, (1, 0, 0))
     assert not cc.is_cocycle(f)
     entries = dict(ds.entries)
     entries[(1, 3)] = ds.entry(1, 3) + f

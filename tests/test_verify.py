@@ -230,7 +230,7 @@ def test_solve_chi_hits_each_h2_target_on_z2(target):
         cc.class_of(cc.zero_cochain(Z2, 2, 2))
     chi = vf._solve_chi(Z2, 2, a, klass)
     assert cc.class_of(cc.cup(a, chi)) == klass
-    assert cc.h2_coordinate(klass) == (target == "generator")
+    assert cc.h2_coordinate(klass.representative) == (target == "generator")
 
 
 def test_solve_chi_refuses_an_identically_zero_cup_on_z3():
