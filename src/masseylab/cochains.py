@@ -96,9 +96,13 @@ class Cochain(Value):
 
 def cochain(G: FiniteGroup, p: int, degree: int, values) -> Cochain:
     """The degree-d cochain with the given (N-1)^d values, each reduced
-    mod p."""
-    return Cochain(G, p, degree,
-                   gfp.space((G.order - 1) ** degree, p).pack(values))
+    mod p; raises ShapeMismatch on any other number of values."""
+    size = (G.order - 1) ** degree
+    if len(values) != size:
+        raise ShapeMismatch(f"a degree-{degree} cochain on a group of order "
+                            f"{G.order} has (N-1)^d = {size} values, got "
+                            f"{len(values)}")
+    return Cochain(G, p, degree, gfp.space(size, p).pack(values))
 
 
 def zero_cochain(G: FiniteGroup, p: int, degree: int) -> Cochain:

@@ -1,7 +1,8 @@
 """Finite groups as dense multiplication tables, plus the homomorphism
 search engine used by every embedding-problem solver.
 
-Conventions: elements are the indices 0..N-1, index 0 is the identity.
+Conventions: elements are the indices 0..N-1, index 0 is the identity, and
+each row of a table is an array('H') of indices, 2 bytes a cell.
 Full groups built through the public constructors are capped at order 64;
 container groups (direct products, unitriangular groups, quotients) may go
 up to 4096.
@@ -12,6 +13,8 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import struct
+from array import array
 from typing import Iterator, Optional, Sequence
 
 from .errors import (
@@ -46,10 +49,13 @@ class FiniteGroup(Value):
     __slots__ = ("order", "mul", "inv", "generators", "label", "_hash")
 
     def __init__(self, order, mul, inv, generators, label="G"):
-        self.order, self.mul, self.inv = order, mul, inv  # mul[x][y]
+        # mul[x][y]: each row an array('H') of element indices
+        self.order, self.mul, self.inv = order, mul, inv
         self.generators, self.label = generators, label
-        # hashed once: each functools.cache lookup keyed on a group hashes it
-        self._hash = hash((order, mul))
+        # hashed once: each functools.cache lookup keyed on a group hashes
+        # it; the rows are arrays, which do not hash, and equal tables have
+        # equal inverses
+        self._hash = hash((order, inv))
 
     def _key(self) -> tuple:
         return self.order, self.mul, self.inv, self.generators, self.label
@@ -83,7 +89,7 @@ class FiniteGroup(Value):
         h = hashlib.sha256()
         h.update(str(self.order).encode())
         for row in self.mul:
-            h.update(bytes(str(row), "ascii"))
+            h.update(bytes(str(tuple(row)), "ascii"))
         h.update(bytes(str(tuple(self.generators)), "ascii"))
         return h.hexdigest()[:16]
 
@@ -174,18 +180,21 @@ def _extend(edges, hmul, gen_images, order) -> Optional[tuple]:
     return tuple(f)
 
 
-def table_from_action(action) -> list[tuple]:
+def table_from_action(action) -> tuple[list[array], tuple[int, ...]]:
     """The multiplication table of a group from its generators' right
-    action, action[x][s] = x*g_s, with index 0 the identity.
+    action, action[x][s] = x*g_s, with index 0 the identity, and the
+    inverse of each element.
 
     Row x of the table is left multiplication by x, and row(x*g) is row(x)
     read at g*y for each y.  One walk of the breadth-first edges per
     generator gives left multiplication by g_s: g_s*1 = g_s, and on an
     edge (x, t, x*g_t), g_s*(x*g_t) = (g_s*x)*g_t.  Row 0 is the identity
     map, and on each edge (x, s, x*g_s) the row of x*g_s is one gather of
-    row(x) by left multiplication by g_s.  Raises GeneratorsDontGenerate
-    unless the walk reaches every element.  Every cell is an object of
-    row 0, so the cells share one int object per element."""
+    row(x) by left multiplication by g_s, and its inverse g_s^-1 * x^-1 is
+    x^-1 read through the inverse of that permutation.  A row is a tuple
+    only while its element's edges are walked, then it is packed into an
+    array('H') of 2-byte cells.  Raises GeneratorsDontGenerate unless the
+    walk reaches every element."""
     n = len(action)
     d = len(action[0]) if n else 0
     if n > CONTAINER_LIMIT:
@@ -195,19 +204,32 @@ def table_from_action(action) -> list[tuple]:
         raise GeneratorsDontGenerate(
             f"the action of {d} generators spans only {len(reached)} of "
             f"{n} elements")
-    gathers = []
+    gathers, left_inverses = [], []
     for s in range(d):
         left = [0] * n
         left[0] = action[0][s]
         for x, t, y in edges:
             left[y] = action[left[x]][t]
         gathers.append(operator.itemgetter(*left))
+        inverse = [0] * n
+        for z, w in enumerate(left):
+            inverse[w] = z
+        left_inverses.append(inverse)
+    pack, blank = struct.Struct(f"{n}H").pack, array("H", [0]) * n
     rows = [None] * n
     rows[0] = tuple(range(n))
-    for x, s, y in edges:
-        if rows[y] is None:
-            rows[y] = gathers[s](rows[x])
-    return rows
+    inv = [0] * n
+    for x in reached:
+        row, ix = rows[x], inv[x]
+        for s, y in enumerate(action[x]):
+            if rows[y] is None:
+                rows[y] = gathers[s](row)
+                inv[y] = left_inverses[s][ix]
+        # a copy of blank is allocated at its exact size, where
+        # array("H", bytes) over-allocates by about 6 %
+        rows[x] = blank[:]
+        memoryview(rows[x]).cast("B")[:] = pack(*row)
+    return rows, tuple(inv)
 
 
 def group_from_action(action, generators, label: str) -> FiniteGroup:
@@ -215,17 +237,20 @@ def group_from_action(action, generators, label: str) -> FiniteGroup:
     action[x][s] = x*g_s, its table closed by `table_from_action`.  Raises
     BadParameter unless each generator's column of that table is its
     stated action."""
-    table = table_from_action(action)
+    table, inv = table_from_action(action)
     for s, g in enumerate(generators):
         if [row[g] for row in table] != [a[s] for a in action]:
             raise BadParameter(f"column {s} of the action is not right "
                                f"multiplication by element {g}")
-    return _raw_group(table, generators, label)
+    return _raw_group(table, generators, label, inv)
 
 
-def _raw_group(mul, generators, label="G") -> FiniteGroup:
-    mul = tuple(tuple(row) for row in mul)
-    return FiniteGroup(order=len(mul), mul=mul, inv=tuple(_inverses(mul)),
+def _raw_group(mul, generators, label="G", inv=None) -> FiniteGroup:
+    """The group of the array('H') rows mul; inv, when not given, is read
+    off the rows."""
+    mul = tuple(mul)
+    return FiniteGroup(order=len(mul), mul=mul,
+                       inv=tuple(_inverses(mul)) if inv is None else inv,
                        generators=tuple(generators), label=label)
 
 
@@ -271,7 +296,7 @@ def build_from_table(table, generators=None, label="G") -> FiniteGroup:
         generators = find_generators(table)
     elif not generators:
         raise BadParameter("generators must be nonempty")
-    G = _raw_group(table, generators, label)
+    G = _raw_group([array("H", row) for row in table], generators, label)
     _edges(G)
     return G
 

@@ -28,7 +28,8 @@ from .groups import FiniteGroup, GroupHom, Value, build_vector_group, \
 from .unitri import CosetQuotient, UniTriGroup, unitri_group, \
     zeta_kappa_targets
 
-EXHAUSTIVE_GROUP_LIMIT = 8
+# the exhaustive strategy runs wherever the cochain complex is built
+EXHAUSTIVE_GROUP_LIMIT = cc.MAX_COHOMOLOGY_ORDER
 EXHAUSTIVE_N_LIMIT = 4
 
 # Dwyer's dictionary: the forced map G -> (Z/p)^n lifts through phi from
@@ -200,8 +201,13 @@ def _iter_defining_systems(q: MasseyQuery) -> Iterator[DefiningSystem]:
 
 def _values_exhaustive(q: MasseyQuery) -> Iterator[CohomologyClass]:
     """q's Massey values, one per defining system in backtracking order."""
-    if q.group.order > EXHAUSTIVE_GROUP_LIMIT or q.n > EXHAUSTIVE_N_LIMIT:
-        raise SizeLimit("exhaustive-cochain strategy out of budget")
+    if q.group.order > EXHAUSTIVE_GROUP_LIMIT:
+        raise SizeLimit(f"the exhaustive-cochain strategy takes groups of "
+                        f"order <= {EXHAUSTIVE_GROUP_LIMIT}, got "
+                        f"{q.group.order}")
+    if q.n > EXHAUSTIVE_N_LIMIT:
+        raise SizeLimit(f"the exhaustive-cochain strategy takes n <= "
+                        f"{EXHAUSTIVE_N_LIMIT}, got n = {q.n}")
     return map(massey_value, _iter_defining_systems(q))
 
 

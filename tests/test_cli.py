@@ -448,6 +448,11 @@ GOLDEN_RECORDS = {
         "333c59b0ab3ad2195af124e2d7342e5c1c360b8e19a3b0a88292183cd6ce1c42",
     "verify dwyer --group Z3 --p 3 --n 3":
         "fad8795659cd5c1c2689d3e038763954bb9382eef8afc931f1821d12074f6a41",
+    # order 9: above the exhaustive strategy's former cap of 8
+    "verify dwyer --group Z9 --p 3 --n 3":
+        "9de34f7e7f4f37781c92f619913fdcb88624a768f80d6aaeac64230020bc8e71",
+    "verify dwyer --group Z3xZ3 --p 3 --n 3":
+        "d1e1bd6368a4707311d3eae47a62f6918ca57ece8d5c83a24e6c69bf1cd907bc",
     "verify easy-vanishing --group Z3 --p 2 --n 3":
         "2d0308e799c484307e15d5db7608e6aa77775fbe66d9b80de476b24c1ed16cd3",
     "verify easy-vanishing --group Z3 --p 2 --n 4":

@@ -382,6 +382,17 @@ def test_cochains_built_twice_are_equal_values():
     assert a != (V4, 2, 1, (1, 0, 1))  # a value, not a tuple
 
 
+@pytest.mark.parametrize("degree,values", [(1, [1, 0]), (1, [1, 0, 0, 1]),
+                                           (2, [1] * 8), (0, [])])
+def test_cochain_refuses_a_wrong_number_of_values(degree, values):
+    """(N-1)^d values and no other count: too few were padded with zeros,
+    and too many packed a field past the space."""
+    V4 = GROUPS["V4"]
+    with pytest.raises(ShapeMismatch, match=f"{3 ** degree} values, got "
+                                            f"{len(values)}"):
+        cc.cochain(V4, 2, degree, values)
+
+
 def test_trivial_group_cochains_have_no_values_above_degree_0():
     Z1 = gr.build_cyclic(1)
     assert cc.zero_cochain(Z1, 2, 0).values == (0,)

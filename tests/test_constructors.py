@@ -4,6 +4,8 @@ before each stated only its generators' right action.
 Nothing here builds a group at import, so a fault in a constructor fails
 these tests by name."""
 
+from array import array
+
 import numpy as np
 import pytest
 
@@ -92,7 +94,8 @@ def old_quaternion8():
 
 def assert_built_as(G, old):
     mul, gens = old
-    assert G.mul == tuple(map(tuple, mul))
+    assert all(type(row) is array and row.typecode == "H" for row in G.mul)
+    assert tuple(map(tuple, G.mul)) == tuple(map(tuple, mul))
     assert G.inv == tuple(row.index(0) for row in mul)
     assert G.generators == tuple(gens)
 

@@ -1,5 +1,7 @@
 import functools
 import itertools
+import operator
+from array import array
 
 import numpy as np
 import pytest
@@ -17,7 +19,13 @@ from masseylab.errors import (
     ParseError,
     SizeLimit,
 )
-from masseylab.unitri import fiber_quotient, unitri_group
+from masseylab.unitri import (
+    CosetQuotient,
+    central_series_ker_phi,
+    fiber_quotient,
+    unitri_group,
+    zeta_kappa_targets,
+)
 
 
 def test_cyclic_basics():
@@ -156,7 +164,7 @@ def test_equal_tables_built_by_two_routes_hash_equal():
                                   V4.generators, label=V4.label)
     for G, H in ((U, parsed), (V4, rebuilt)):
         assert G == H and G.mul is not H.mul
-        assert hash(G) == hash(H) == hash((G.order, G.mul))
+        assert hash(G) == hash(H) == hash((G.order, G.inv))
     assert hash(gr.FiniteGroup(U.order, U.mul, U.inv, U.generators,
                                "other")) == hash(U)
     assert "_hash" not in repr(U)
@@ -427,9 +435,9 @@ def table_groups(draw):
 @given(table_groups())
 def test_closure_of_the_generators_action_is_the_table(G):
     action = [[G.mul[x][g] for g in G.generators] for x in G.elements()]
-    table = gr.table_from_action(action)
-    assert tuple(table) == G.mul
-    assert all(c is table[0][c] for row in table for c in row)
+    table, inv = gr.table_from_action(action)
+    assert table == list(G.mul) and inv == G.inv
+    assert all(type(row) is array for row in table)
 
 
 def column_gather_table(action):
@@ -473,12 +481,83 @@ def gather_case_action(kind, arg):
                          ids=[f"{k} {a}" if a else k for k, a in GATHER_CASES])
 def test_row_gathers_match_the_column_gather_table(kind, arg):
     action = gather_case_action(kind, arg)
-    table = gr.table_from_action(action)
+    table, _ = gr.table_from_action(action)
     want = column_gather_table(action)
     assert len(table) == len(want)
-    assert all(type(row) is tuple and row == tuple(col.tolist())
+    assert all(type(row) is array and row.tolist() == col.tolist()
                for row, col in zip(table, want))
-    assert all(c is table[0][c] for row in table for c in row)
+
+
+def tuple_closure(action):
+    """The replaced closure: every row a tuple, gathered on each
+    breadth-first edge from the row of its source."""
+    n, d = len(action), len(action[0])
+    _, edges = gr._bfs(action, range(d))
+    gathers = []
+    for s in range(d):
+        left = [0] * n
+        left[0] = action[0][s]
+        for x, t, y in edges:
+            left[y] = action[left[x]][t]
+        gathers.append(operator.itemgetter(*left))
+    rows = [None] * n
+    rows[0] = tuple(range(n))
+    for x, s, y in edges:
+        if rows[y] is None:
+            rows[y] = gathers[s](rows[x])
+    return tuple(rows)
+
+
+def scan_inverses(table):
+    """The replaced inverse read: the 0 in each row."""
+    return tuple(row.index(0) for row in table)
+
+
+def coset_quotient_groups(n, p):
+    """U_{n+1}(p) modulo each step of its central series, and, at n = 3,
+    p = 2, the quotients U/Z and U/P."""
+    G = unitri_group(n + 1, p).as_finite_group()
+    quots = [CosetQuotient(G, N).group
+             for N in central_series_ker_phi(n, p)[0]]
+    if (n, p) == (3, 2):
+        quots += [quot.group for quot, _ in zeta_kappa_targets(n, p)]
+    return quots
+
+
+CLOSURE_CASES = GATHER_CASES + [("coset", c) for c in [(3, 2), (4, 2),
+                                                       (3, 3)]]
+
+
+@pytest.mark.parametrize(
+    "kind,arg", CLOSURE_CASES,
+    ids=[f"{k} {a}" if a else k for k, a in CLOSURE_CASES])
+def test_closure_matches_the_tuple_closure_and_the_inverse_scan(kind, arg):
+    """Row for row, the 2-byte table is the tuple closure, its inverses are
+    the scanned ones, and the group it makes equals the one built by its
+    own constructor, hash included."""
+    if kind == "coset":
+        groups = coset_quotient_groups(*arg)
+    elif kind == "(Z/2)^12":
+        groups = [None]
+    else:
+        groups = [FIXTURES[arg]() if kind == "fixture" else
+                  unitri_group(*arg).as_finite_group() if kind == "U" else
+                  fiber_quotient(*arg).group]
+    for G in groups:
+        action = gather_case_action(kind, arg) if G is None else \
+            [[G.mul[x][g] for g in G.generators] for x in G.elements()]
+        table, inv = gr.table_from_action(action)
+        old = tuple_closure(action)
+        assert all(type(row) is array and row.typecode == "H"
+                   for row in table)
+        assert tuple(map(tuple, table)) == old
+        assert inv == scan_inverses(old)
+        if G is None:
+            continue
+        H = gr.group_from_action(action, G.generators, G.label)
+        assert H == G and hash(H) == hash(G)
+        assert H.inv == scan_inverses(old)
+        assert H.generators == G.generators
 
 
 def test_closure_refuses_a_non_spanning_or_oversized_action():
@@ -486,7 +565,7 @@ def test_closure_refuses_a_non_spanning_or_oversized_action():
         gr.table_from_action([[V4.mul[x][1]] for x in V4.elements()])
     with pytest.raises(GeneratorsDontGenerate):
         gr.table_from_action([[] for _ in Q8.elements()])
-    assert gr.table_from_action([[]]) == [(0,)]
+    assert gr.table_from_action([[]]) == ([array("H", [0])], (0,))
     n = gr.CONTAINER_LIMIT + 1
     with pytest.raises(SizeLimit):
         gr.table_from_action([[(x + 1) % n] for x in range(n)])

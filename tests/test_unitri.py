@@ -1,4 +1,6 @@
 import itertools
+import sys
+from array import array
 
 import numpy as np
 import pytest
@@ -192,7 +194,7 @@ def old_table(n, p):
 def test_table_and_indices_match_the_matrix_route(n, p):
     U = ut.unitri_group(n, p)
     G = U.as_finite_group()
-    assert G.mul == old_table(n, p)
+    assert tuple(map(tuple, G.mul)) == old_table(n, p)
     assert all(type(c) is int for row in G.mul for c in row)
     for i, mat in enumerate(old_elements(n, p)):
         assert U.matrix_of(i) == mat and U.index_of(mat) == i
@@ -216,8 +218,16 @@ def test_table_cells_match_matrix_products(size, data):
     A, B = U.matrix_of(x), U.matrix_of(y)
     mul = U.as_finite_group().mul
     assert mul[x][y] == U.index_of(A.mul(B)) == U.index_of(matmul(A, B))
-    # one int object per element, so a 4096-element table stays small
-    assert mul[x][y] is mul[0][mul[x][y]]
+    assert type(mul[x]) is array and mul[x].itemsize == 2
+
+
+def test_u5_2_table_rows_are_2_byte_arrays():
+    """A 1024-element table keeps each cell in 2 bytes: about 2 MB, where
+    tuples of pointers took 8 MB."""
+    mul = ut.unitri_group(5, 2).as_finite_group().mul
+    assert len(mul) == 1024
+    assert all(type(row) is array and row.typecode == "H" for row in mul)
+    assert sum(sys.getsizeof(row) for row in mul) <= 2_200_000
 
 
 def old_contains(kind, k, mat):
@@ -293,7 +303,7 @@ def test_fiber_quotient_matches_the_matrix_pairs(k, m, p):
     fq, old = ut.fiber_quotient(k, m, p), OldFiber(k, m, p)
     assert [(fq.left.matrix_of(a), fq.right.matrix_of(b))
             for a, b in fq.pairs] == old.pairs
-    assert fq.group.mul == old.table
+    assert tuple(map(tuple, fq.group.mul)) == old.table
     assert fq.group.generators == old.gens
     assert fq.parent_quotient_hom().images == \
         tuple(old.from_parent(mat) for mat in old_elements(m, p))
@@ -367,10 +377,10 @@ def all_pairs_coset_table(quot):
 
 
 def assert_group_is(G, table, gens):
-    assert G.mul == table
+    assert tuple(map(tuple, G.mul)) == table
     assert G.inv == two_sided_inverses(table)
     assert G.generators == gens
-    assert all(c is G.mul[0][c] for row in G.mul for c in row)
+    assert all(type(row) is array and row.typecode == "H" for row in G.mul)
 
 
 @pytest.mark.parametrize("n,p", [(3, 2), (4, 2), (5, 2), (3, 3), (4, 3),
