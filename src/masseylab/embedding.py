@@ -234,11 +234,11 @@ def rho_step_problem(psi: GroupHom, k: int, m: int, p: int) -> EmbeddingProblem:
                             src.rho_hom(), psi).validate()
 
 
-def rho_step_obstruction(psi: GroupHom, k: int, m: int, p: int,
-                         lift_policy: str = "min") -> CohomologyClass:
+def rho_step_obstruction(psi: GroupHom, k: int, m: int,
+                         p: int) -> CohomologyClass:
     """Obstruction of E(psi) in the iota coordinates of Ker(rho_{k-1,m}),
     which are those of `central_data`."""
-    return obstruction(rho_step_problem(psi, k, m, p), lift_policy)
+    return obstruction(rho_step_problem(psi, k, m, p))
 
 
 def chars_of_quotient_hom(psi: GroupHom, fq: FiberQuotient) -> tuple:

@@ -1,5 +1,5 @@
-"""Finite groups as dense multiplication tables, plus the homomorphism
-search engine used by every embedding-problem solver.
+"""Finite groups as dense multiplication tables and their coset quotients,
+plus the homomorphism search engine used by every embedding-problem solver.
 
 Conventions: elements are the indices 0..N-1, index 0 is the identity, and
 each row of a table is an array('H') of indices, 2 bytes a cell.
@@ -445,6 +445,49 @@ class GroupHom(Value):
 
     def kernel(self) -> list[int]:
         return [x for x in self.domain.elements() if self.images[x] == 0]
+
+
+class CosetQuotient:
+    """Quotient of a materialized group by a normal subgroup, with coset
+    representatives of smallest element index.  The table is closed from
+    the right action of the images of the parent's generators."""
+
+    def __init__(self, parent: FiniteGroup, normal: Sequence[int],
+                 label: str = "Q"):
+        normal = sorted(set(normal))
+        if 0 not in normal:
+            raise BadParameter("normal subgroup must contain the identity")
+        coset_of = [-1] * parent.order
+        reps: list[int] = []
+        for x in parent.elements():
+            if coset_of[x] >= 0:
+                continue
+            members = sorted(parent.mul[x][s] for s in normal)
+            idx = len(reps)
+            reps.append(members[0])
+            for mmb in members:
+                coset_of[mmb] = idx
+        self.parent = parent
+        self.normal = tuple(normal)
+        self.reps = tuple(reps)
+        self.coset_of = tuple(coset_of)
+        gens = tuple(sorted({coset_of[g] for g in parent.generators} - {0}))
+        action = [[coset_of[parent.mul[r][reps[c]]] for c in gens]
+                  for r in reps]
+        self.group = group_from_action(action, gens, label)
+
+    def project(self) -> GroupHom:
+        return GroupHom(self.parent, self.group, self.coset_of)
+
+    def induced(self, f: GroupHom) -> GroupHom:
+        """The map a hom f on the parent induces on the quotient, read at
+        each coset's representative; well-defined, and returned, only when
+        f vanishes on the normal subgroup."""
+        if any(f(z) for z in self.normal):
+            raise BadParameter(f"the map to {f.codomain.label} does not "
+                               f"vanish on the kernel of {self.group.label}")
+        return GroupHom(self.group, f.codomain,
+                        tuple(f(r) for r in self.reps))
 
 
 @functools.cache

@@ -23,10 +23,9 @@ from .errors import (
     ShapeMismatch,
     SizeLimit,
 )
-from .groups import FiniteGroup, GroupHom, Value, build_vector_group, \
-    enumerate_homs, vec_to_index
-from .unitri import CosetQuotient, UniTriGroup, unitri_group, \
-    zeta_kappa_targets
+from .groups import CosetQuotient, FiniteGroup, GroupHom, Value, \
+    build_vector_group, enumerate_homs, vec_to_index
+from .unitri import unitri_group, zeta_kappa_targets
 
 # the exhaustive strategy runs wherever the cochain complex is built
 EXHAUSTIVE_GROUP_LIMIT = cc.MAX_COHOMOLOGY_ORDER
@@ -151,15 +150,6 @@ def defining_system_from_hom(psi: GroupHom, n: int, p: int,
     return DefiningSystem(G, p, n, entries)
 
 
-def coset_entry_reader(U: UniTriGroup, quot: CosetQuotient
-                       ) -> Callable[[int, int, int], int]:
-    """Entry reader on a coset quotient of U, via canonical representatives;
-    only meaningful for entries constant on cosets."""
-    def read(idx: int, i: int, j: int) -> int:
-        return U.entry_of(quot.reps[idx], i, j)
-    return read
-
-
 def massey_value(ds: DefiningSystem) -> CohomologyClass:
     """The class of the defining equation's right-hand side at the corner
     (1, n+1)."""
@@ -174,8 +164,14 @@ def massey_value(ds: DefiningSystem) -> CohomologyClass:
 def _iter_defining_systems(q: MasseyQuery) -> Iterator[DefiningSystem]:
     """All defining systems for q by backtracking over the free entries in
     span order; each slot's equation is an affine linear system in that
-    slot, solved exactly."""
+    slot, solved exactly.  The caps checked here bind all three deciders."""
     G, p, n = q.group, q.p, q.n
+    if G.order > EXHAUSTIVE_GROUP_LIMIT:
+        raise SizeLimit(f"the exhaustive-cochain strategy takes groups of "
+                        f"order <= {EXHAUSTIVE_GROUP_LIMIT}, got {G.order}")
+    if n > EXHAUSTIVE_N_LIMIT:
+        raise SizeLimit(f"the exhaustive-cochain strategy takes n <= "
+                        f"{EXHAUSTIVE_N_LIMIT}, got n = {n}")
     data = complex_data(G, p)
     chars = cc.characters(G, p)
     slots = [(i, j) for (i, j) in system_positions(n) if j - i >= 2]
@@ -201,13 +197,6 @@ def _iter_defining_systems(q: MasseyQuery) -> Iterator[DefiningSystem]:
 
 def _values_exhaustive(q: MasseyQuery) -> Iterator[CohomologyClass]:
     """q's Massey values, one per defining system in backtracking order."""
-    if q.group.order > EXHAUSTIVE_GROUP_LIMIT:
-        raise SizeLimit(f"the exhaustive-cochain strategy takes groups of "
-                        f"order <= {EXHAUSTIVE_GROUP_LIMIT}, got "
-                        f"{q.group.order}")
-    if q.n > EXHAUSTIVE_N_LIMIT:
-        raise SizeLimit(f"the exhaustive-cochain strategy takes n <= "
-                        f"{EXHAUSTIVE_N_LIMIT}, got n = {q.n}")
     return map(massey_value, _iter_defining_systems(q))
 
 
@@ -219,7 +208,9 @@ def _values_hom_lift(q: MasseyQuery) -> Iterator[CohomologyClass]:
     """q's Massey values, one per lift into U/Z in search order."""
     n, p = q.n, q.p
     lifts = q.lifts("U/Z")
-    reader = coset_entry_reader(unitri_group(n + 1, p), _uz_quotient(n, p))
+    U, reps = unitri_group(n + 1, p), _uz_quotient(n, p).reps
+    # a system's entries are constant on Z-cosets: read each at the coset's rep
+    reader = lambda idx, i, j: U.entry_of(reps[idx], i, j)
     return (massey_value(defining_system_from_hom(psi, n, p, reader))
             for psi in lifts)
 

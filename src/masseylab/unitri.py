@@ -1,5 +1,5 @@
 """Unitriangular matrix groups U_n(p) and the subgroup/quotient machinery
-built on them: the subgroups Z, P, M(k), coset quotients with induced
+built on them: the subgroups Z, P, M(k), U/Z and U/P with induced
 superdiagonal maps, and the fiber-product realization of U_m(p)/M_{k,m}.
 
 Matrix entries use textbook 1-based (i, j) indexing; strictly-upper
@@ -19,8 +19,8 @@ from .errors import (
     SizeLimit,
 )
 from .gfp import check_prime
-from .groups import CONTAINER_LIMIT, FiniteGroup, GroupHom, Value, \
-    build_vector_group, group_from_action, index_to_vec, vec_to_index
+from .groups import CONTAINER_LIMIT, CosetQuotient, FiniteGroup, GroupHom, \
+    Value, build_vector_group, group_from_action, index_to_vec, vec_to_index
 
 
 @functools.cache
@@ -316,40 +316,7 @@ def named_subgroup(G: UniTriGroup, kind: str, k: Optional[int] = None) -> NamedS
     return NamedSubgroup(G, kind, k)
 
 
-# -- coset quotients -----------------------------------------------------------
-
-class CosetQuotient:
-    """Quotient of a materialized group by a normal subgroup, with coset
-    representatives of smallest element index.  The table is closed from
-    the right action of the images of the parent's generators."""
-
-    def __init__(self, parent: FiniteGroup, normal: Sequence[int],
-                 label: str = "Q"):
-        normal = sorted(set(normal))
-        if 0 not in normal:
-            raise BadParameter("normal subgroup must contain the identity")
-        coset_of = [-1] * parent.order
-        reps: list[int] = []
-        for x in parent.elements():
-            if coset_of[x] >= 0:
-                continue
-            members = sorted(parent.mul[x][s] for s in normal)
-            idx = len(reps)
-            reps.append(members[0])
-            for mmb in members:
-                coset_of[mmb] = idx
-        self.parent = parent
-        self.normal = tuple(normal)
-        self.reps = tuple(reps)
-        self.coset_of = tuple(coset_of)
-        gens = tuple(sorted({coset_of[g] for g in parent.generators} - {0}))
-        action = [[coset_of[parent.mul[r][reps[c]]] for c in gens]
-                  for r in reps]
-        self.group = group_from_action(action, gens, label)
-
-    def project(self) -> GroupHom:
-        return GroupHom(self.parent, self.group, self.coset_of)
-
+# -- the quotients U/Z and U/P ------------------------------------------------
 
 @functools.cache
 def zeta_kappa_targets(n: int, p: int):
@@ -363,14 +330,9 @@ def zeta_kappa_targets(n: int, p: int):
     phi = U.phi_hom()
     out = []
     for kind in ("Z", "P"):
-        members = named_subgroup(U, kind).element_indices()
-        # the induced map is well-defined iff the hom phi kills the subgroup
-        if any(phi(z) for z in members):
-            raise BadParameter(f"superdiagonal map does not vanish on {kind}")
-        quot = CosetQuotient(G, members, label=f"U{n + 1}({p})/{kind}")
-        induced = GroupHom(quot.group, phi.codomain,
-                           tuple(phi(r) for r in quot.reps))
-        out.append((quot, induced))
+        quot = CosetQuotient(G, named_subgroup(U, kind).element_indices(),
+                             label=f"U{n + 1}({p})/{kind}")
+        out.append((quot, quot.induced(phi)))
     return out[0], out[1]
 
 

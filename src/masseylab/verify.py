@@ -20,8 +20,8 @@ from .errors import (
     NotApplicable,
     SizeMismatch,
 )
-from .groups import FiniteGroup, GroupHom, build_cyclic, enumerate_homs, \
-    vec_to_index
+from .groups import CosetQuotient, FiniteGroup, GroupHom, build_cyclic, \
+    enumerate_homs, vec_to_index
 from .unitri import (
     UniTriGroup,
     UniTriMatrix,
@@ -29,7 +29,6 @@ from .unitri import (
     fiber_quotient,
     named_subgroup,
     unitri_group,
-    CosetQuotient,
 )
 
 
@@ -115,6 +114,8 @@ class _FiltrationTower:
     table and a lift down the tower lands in U."""
 
     def __init__(self, n: int, p: int):
+        if n < 2:
+            raise BadParameter(f"the tower needs n >= 2, got n = {n}")
         self.U = unitri_group(n + 1, p)
         UG = self.U.as_finite_group()
         chain, _ = central_series_ker_phi(n, p)
@@ -122,15 +123,12 @@ class _FiltrationTower:
         quots = [CosetQuotient(UG, sorted(nt), label=f"U/N{t}")
                  for t, nt in enumerate(chain) if t]
         self.groups = [UG] + [q.group for q in quots]
-        # each level's elements as representatives in U
-        reps = [UG.elements()] + [q.reps for q in quots]
         # alpha_t : U/N_t -> U/N_{t+1}
-        self.alphas = [GroupHom(self.groups[t], q.group,
-                                tuple(q.coset_of[r] for r in reps[t]))
-                       for t, q in enumerate(quots)]
+        self.alphas = [quots[0].project()] + [
+            lo.induced(hi.project()) for lo, hi in zip(quots, quots[1:])]
         # the top quotient is (Z/p)^n via the superdiagonal
-        phi = self.U.phi_hom()
-        self.vec_to_top = {phi(r): c for c, r in enumerate(reps[-1])}
+        top = quots[-1].induced(self.U.phi_hom())
+        self.vec_to_top = {v: c for c, v in enumerate(top.images)}
 
     def start_hom(self, forced: GroupHom) -> GroupHom:
         images = tuple(self.vec_to_top[forced(g)]

@@ -112,6 +112,20 @@ def test_massey_query_rejects_a_modulus_that_is_not_prime(tmp_path, capsys):
     assert "BadParameter" in capsys.readouterr().err
 
 
+def test_exhaustive_massey_query_past_its_size_cap_fails(tmp_path, capsys):
+    """An undefined query at n = 5 is refused by size, like a defined one,
+    rather than answered `defined: false`."""
+    q = tmp_path / "q.msq"
+    q.write_text("group V4\np 2\nn 5\na 1 0\na 1 0\na 0 0\na 0 0\n"
+                 "a 0 0\n")
+    assert cli.main(["massey", str(q), "--strategy", "exhaustive",
+                     "--format", "records"]) == cli.EXIT_FAIL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.search(r"^error: SizeLimit: .*takes n <= 4, got n = 5$",
+                     captured.err, re.M)
+
+
 def test_massey_query_parse_error(tmp_path, capsys):
     q = tmp_path / "q.msq"
     q.write_text("group Z2\np 2\nn 2\na 1\n")

@@ -19,8 +19,8 @@ from masseylab.errors import (
     ParseError,
     SizeLimit,
 )
+from masseylab.groups import CosetQuotient
 from masseylab.unitri import (
-    CosetQuotient,
     central_series_ker_phi,
     fiber_quotient,
     unitri_group,
@@ -513,14 +513,13 @@ def scan_inverses(table):
     return tuple(row.index(0) for row in table)
 
 
-def coset_quotient_groups(n, p):
+def coset_quotients(n, p):
     """U_{n+1}(p) modulo each step of its central series, and, at n = 3,
     p = 2, the quotients U/Z and U/P."""
     G = unitri_group(n + 1, p).as_finite_group()
-    quots = [CosetQuotient(G, N).group
-             for N in central_series_ker_phi(n, p)[0]]
+    quots = [CosetQuotient(G, N) for N in central_series_ker_phi(n, p)[0]]
     if (n, p) == (3, 2):
-        quots += [quot.group for quot, _ in zeta_kappa_targets(n, p)]
+        quots += [quot for quot, _ in zeta_kappa_targets(n, p)]
     return quots
 
 
@@ -536,7 +535,7 @@ def test_closure_matches_the_tuple_closure_and_the_inverse_scan(kind, arg):
     the scanned ones, and the group it makes equals the one built by its
     own constructor, hash included."""
     if kind == "coset":
-        groups = coset_quotient_groups(*arg)
+        groups = [quot.group for quot in coset_quotients(*arg)]
     elif kind == "(Z/2)^12":
         groups = [None]
     else:
@@ -558,6 +557,37 @@ def test_closure_matches_the_tuple_closure_and_the_inverse_scan(kind, arg):
         assert H == G and hash(H) == hash(G)
         assert H.inv == scan_inverses(old)
         assert H.generators == G.generators
+
+
+@pytest.mark.parametrize("n,p", [(3, 2), (4, 2), (3, 3)])
+def test_coset_quotient_projects_and_induces_maps(n, p):
+    """On each quotient: project() is a surjective hom with kernel
+    `normal`; induced(f) after project() is f, for the superdiagonal map
+    and for the next step's projection; and a map that does not vanish on
+    `normal`, such as the identity of U or the previous step's projection,
+    induces nothing."""
+    U = unitri_group(n + 1, p)
+    G, phi = U.as_finite_group(), U.phi_hom()
+    steps = len(central_series_ker_phi(n, p)[0])
+    quots = coset_quotients(n, p)
+    identity = gr.GroupHom(G, G, tuple(G.elements()))
+    for t, quot in enumerate(quots):
+        proj = quot.project()
+        assert proj.is_valid() and proj.is_surjective()
+        assert proj.kernel() == list(quot.normal)
+        nxt = [quots[t + 1].project()] if t + 1 < steps else []
+        for f in [phi] + nxt:
+            bar = quot.induced(f)
+            assert bar.domain is quot.group and bar.codomain is f.codomain
+            assert bar.is_valid()
+            assert tuple(bar(proj(x)) for x in G.elements()) == f.images
+        if quot.normal == (0,):  # N_0 = {1}, on which every map vanishes
+            assert t == 0
+            continue
+        prev = [quots[t - 1].project()] if t < steps else []
+        for f in [identity] + prev:
+            with pytest.raises(BadParameter, match="does not vanish"):
+                quot.induced(f)
 
 
 def test_closure_refuses_a_non_spanning_or_oversized_action():

@@ -130,21 +130,22 @@ def test_consecutive_cups_cross_check():
 
 def test_exhaustive_size_limit():
     """The exhaustive strategy's group cap is the cochain complex's: it
-    runs on Z9 and agrees with hom-lift there, and refuses a group above
-    order 32, or n above 4, by size."""
+    runs on Z9 and agrees with hom-lift there, and each of its three
+    deciders refuses a group above order 32, or n above 4, by size."""
     G = gr.build_cyclic(9)
     a = cc.h1(G, 3)[0]
     assert ms.EXHAUSTIVE_GROUP_LIMIT == cc.MAX_COHOMOLOGY_ORDER
     q = ms.MasseyQuery(G, 3, (a, a, a))
     assert ms.massey_product_set(q, "exhaustive") == \
         ms.massey_product_set(q, "hom-lift")
-    with pytest.raises(SizeLimit, match="takes n <= 4, got n = 5"):
-        ms.massey_product_set(ms.MasseyQuery(G, 3, (a,) * 5), "exhaustive")
     big = gr.build_cyclic(cc.MAX_COHOMOLOGY_ORDER + 1)
     zero = cc.zero_cochain(big, 3, 1)
-    with pytest.raises(SizeLimit, match="order <= 32, got 33"):
-        ms.massey_product_set(ms.MasseyQuery(big, 3, (zero,) * 3),
-                              "exhaustive")
+    for decide in (ms.massey_product_set, ms.massey_defined,
+                   ms.massey_vanishes):
+        with pytest.raises(SizeLimit, match="takes n <= 4, got n = 5"):
+            decide(ms.MasseyQuery(G, 3, (a,) * 5), "exhaustive")
+        with pytest.raises(SizeLimit, match="order <= 32, got 33"):
+            decide(ms.MasseyQuery(big, 3, (zero,) * 3), "exhaustive")
 
 
 def test_h1_tuples_order_and_count():

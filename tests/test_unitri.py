@@ -14,6 +14,7 @@ from masseylab.errors import (
     ParseError,
     SizeLimit,
 )
+from masseylab.groups import CosetQuotient
 
 
 def test_matrices_and_subgroups_built_twice_are_equal_values():
@@ -414,7 +415,7 @@ def test_coset_closure_matches_the_all_pairs_table(n, p):
     G = ut.unitri_group(n + 1, p).as_finite_group()
     chain, _ = ut.central_series_ker_phi(n, p)
     for N in chain:
-        assert_coset_group_is_the_all_pairs_table(ut.CosetQuotient(G, N))
+        assert_coset_group_is_the_all_pairs_table(CosetQuotient(G, N))
 
 
 def test_zeta_kappa_closure_matches_the_all_pairs_table():

@@ -14,11 +14,7 @@ from masseylab.errors import (
     NotApplicable,
     SizeMismatch,
 )
-from masseylab.unitri import (
-    CosetQuotient,
-    central_series_ker_phi,
-    unitri_group,
-)
+from masseylab.unitri import central_series_ker_phi, unitri_group
 
 
 def test_sign_pattern_validation():
@@ -121,7 +117,8 @@ def coset_quotient_tower(n, p):
     representatives and the bottom's."""
     U = unitri_group(n + 1, p)
     chain, _ = central_series_ker_phi(n, p)
-    quots = [CosetQuotient(U.as_finite_group(), sorted(nt)) for nt in chain]
+    quots = [gr.CosetQuotient(U.as_finite_group(), sorted(nt))
+             for nt in chain]
     alphas = [gr.GroupHom(lo.group, hi.group,
                           tuple(hi.coset_of[r] for r in lo.reps))
               for lo, hi in zip(quots, quots[1:])]
@@ -164,6 +161,13 @@ def test_tower_starts_at_u_and_matches_the_coset_quotient_tower(n, p):
                                            for x in old[-1].images)
             lifted += any(new[-1].images)
     assert lifted
+
+
+def test_tower_refuses_n_below_2():
+    """Ker(phi_2) is trivial, so at n = 1 there is no quotient to start
+    the tower from."""
+    with pytest.raises(BadParameter, match="needs n >= 2, got n = 1"):
+        vf._FiltrationTower(1, 2)
 
 
 def test_easy_vanishing_trivial_mode():
