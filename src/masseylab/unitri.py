@@ -1,5 +1,6 @@
 """Unitriangular matrix groups U_n(p) and the subgroup/quotient machinery
-built on them: the subgroups Z, P, M(k), U/Z and U/P with induced
+built on them: the subgroups Z, P, M(k) and the central series of
+Ker(phi), each named by its zero positions, U/Z and U/P with induced
 superdiagonal maps, and the fiber-product realization of U_m(p)/M_{k,m}.
 
 Matrix entries use textbook 1-based (i, j) indexing; strictly-upper
@@ -68,8 +69,8 @@ def _block_positions(n: int, a: int, off: int) -> tuple[int, ...]:
 
 
 class UniTriMatrix(Value):
-    """One element of U_n(p) as a matrix, for parsing, printing and
-    witnesses; inside the lab an element is its index in `UniTriGroup`."""
+    """One element of U_n(p) as a matrix, for witnesses and for full-matrix
+    oracles; inside the lab an element is its index in `UniTriGroup`."""
     __slots__ = ("n", "p", "entries")
 
     def __init__(self, n, p, entries):
@@ -118,29 +119,6 @@ def from_rows(rows: Sequence[Sequence[int]], p: int) -> UniTriMatrix:
                 raise ParseError(f"below-diagonal entry ({i + 1},{j + 1}) must be 0")
     vals = [rows[i - 1][j - 1] % p for (i, j) in _positions(n)]
     return UniTriMatrix(n, p, tuple(vals))
-
-
-def parse_matrix_literal(text: str) -> UniTriMatrix:
-    """Literal format: `n p / r1 / r2 / ...` with rows of space-separated
-    residues."""
-    parts = [chunk.split() for chunk in text.strip().split("/")]
-    try:
-        n, p = (int(t) for t in parts[0])
-    except (ValueError, TypeError):
-        raise ParseError("header must be `n p`")
-    rows = parts[1:]
-    if len(rows) != n:
-        raise ParseError(f"expected {n} rows, got {len(rows)}")
-    try:
-        rows = [[int(t) for t in row] for row in rows]
-    except ValueError:
-        raise ParseError("non-integer matrix entry")
-    return from_rows(rows, p)
-
-
-def format_matrix_literal(U: UniTriMatrix) -> str:
-    rows = " / ".join(" ".join(str(v) for v in row) for row in U.to_rows())
-    return f"{U.n} {U.p} / {rows}"
 
 
 # -- the group U_n(p) ----------------------------------------------------------
@@ -271,49 +249,26 @@ def unitri_group(n: int, p: int) -> UniTriGroup:
     return UniTriGroup(n, p)
 
 
-# -- named subgroups -----------------------------------------------------------
+# -- subgroups, named by their zero positions ----------------------------------
 
-class NamedSubgroup(Value):
-    __slots__ = ("parent", "kind", "k")
-
-    def __init__(self, parent, kind, k=None):
-        self.parent, self.kind, self.k = parent, kind, k  # kind: Z, P or M
-
-    def _key(self) -> tuple:
-        return self.parent, self.kind, self.k
-
-    def zero_positions(self) -> tuple[int, ...]:
-        """The packed positions where every member has entry 0."""
-        m, k = self.parent.n, self.k
-        if self.kind == "Z":
-            zero = lambda i, j: (i, j) != (1, m)
-        elif self.kind == "P":
-            zero = lambda i, j: j - i in (1, 2)
-        elif self.kind == "M":
-            zero = lambda i, j: j < m or i >= k
-        else:
-            raise BadParameter(f"unknown subgroup kind {self.kind!r}")
-        return tuple(t for t, (i, j) in enumerate(_positions(m)) if zero(i, j))
-
-    def contains(self, idx: int) -> bool:
-        return self.parent.read(idx, self.zero_positions()) == 0
-
-    def element_indices(self) -> list[int]:
-        return self.parent.vanishing_on(self.zero_positions())
-
-    def order(self) -> int:
-        return len(self.element_indices())
-
-
-def named_subgroup(G: UniTriGroup, kind: str, k: Optional[int] = None) -> NamedSubgroup:
+def zero_positions(m: int, kind: str, k: Optional[int] = None) -> tuple[int, ...]:
+    """The packed positions of U_m(p) where every member of the subgroup
+    has entry 0, for any p: Z (the center, all but (1, m)), P (the spans 1
+    and 2) or M(k) (all of columns 1..m-1, and (i, m) for i >= k).
+    `UniTriGroup.vanishing_on` lists the members."""
     if kind == "M":
-        if k is None or not 1 <= k <= G.n - 1:
-            raise BadParameter(f"M(k) needs 1 <= k <= {G.n - 1}, got {k}")
+        if k is None or not 1 <= k <= m - 1:
+            raise BadParameter(f"M(k) needs 1 <= k <= {m - 1}, got {k}")
+        zero = lambda i, j: j < m or i >= k
     elif kind not in ("Z", "P"):
         raise BadParameter(f"unknown subgroup kind {kind!r}")
     elif k is not None:
         raise BadParameter(f"{kind} takes no parameter")
-    return NamedSubgroup(G, kind, k)
+    elif kind == "Z":
+        zero = lambda i, j: (i, j) != (1, m)
+    else:
+        zero = lambda i, j: j - i in (1, 2)
+    return tuple(t for t, (i, j) in enumerate(_positions(m)) if zero(i, j))
 
 
 # -- the quotients U/Z and U/P ------------------------------------------------
@@ -330,7 +285,7 @@ def zeta_kappa_targets(n: int, p: int):
     phi = U.phi_hom()
     out = []
     for kind in ("Z", "P"):
-        quot = CosetQuotient(G, named_subgroup(U, kind).element_indices(),
+        quot = CosetQuotient(G, U.vanishing_on(zero_positions(n + 1, kind)),
                              label=f"U{n + 1}({p})/{kind}")
         out.append((quot, quot.induced(phi)))
     return out[0], out[1]
@@ -429,7 +384,7 @@ class FiberQuotient:
     def iota(self, idx: int) -> int:
         """Identify Ker(rho_{k,m}) with Z/p via (I, B) -> e_{1,m+1-k}(B)."""
         a, b = self.pairs[idx]
-        if a != 0 or not named_subgroup(self.right, "Z").contains(b):
+        if a != 0 or self.right.read(b, zero_positions(self.right.n, "Z")):
             raise NotInKernel(f"element {idx} is not in Ker(rho)")
         return self.right.entry_of(b, 1, self.m + 1 - self.k)
 
@@ -463,21 +418,20 @@ def fiber_quotient(k: int, m: int, p: int) -> FiberQuotient:
 
 # -- central series of Ker(phi) ------------------------------------------------
 
-def central_series_ker_phi(n: int, p: int):
+def central_series_ker_phi(n: int):
     """Central filtration {1} = N_0 < N_1 < ... < N_L = Ker(phi_{n+1})
     inside U_{n+1}(p), refining the weight filtration: positions of span
-    >= 2 are adjoined one at a time, largest span first.
+    >= 2 are adjoined one at a time, largest span first.  It is the same
+    for every p, and builds no table.
 
-    Returns (chain, positions) where chain is a list of element-index sets
-    of the materialized U_{n+1}(p) and positions is the adjoin order.
+    Returns (chain, positions) where chain[t] is the zero positions of N_t
+    (`UniTriGroup.vanishing_on` lists its members) and positions is the
+    adjoin order.
     """
-    U = unitri_group(n + 1, p)
     positions = _positions(n + 1)
     order = [(i, j) for span in range(n, 1, -1)
              for (i, j) in positions if j - i == span]
-    chain = []
-    for t in range(len(order) + 1):
-        allowed = set(order[:t])
-        chain.append(set(U.vanishing_on(
-            [s for s, pos in enumerate(positions) if pos not in allowed])))
+    chain = [tuple(s for s, pos in enumerate(positions)
+                   if pos not in order[:t])
+             for t in range(len(order) + 1)]
     return chain, order

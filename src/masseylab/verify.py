@@ -27,8 +27,8 @@ from .unitri import (
     UniTriMatrix,
     central_series_ker_phi,
     fiber_quotient,
-    named_subgroup,
     unitri_group,
+    zero_positions,
 )
 
 
@@ -118,10 +118,10 @@ class _FiltrationTower:
             raise BadParameter(f"the tower needs n >= 2, got n = {n}")
         self.U = unitri_group(n + 1, p)
         UG = self.U.as_finite_group()
-        chain, _ = central_series_ker_phi(n, p)
+        chain, _ = central_series_ker_phi(n)
         self.steps = len(chain) - 1
-        quots = [CosetQuotient(UG, sorted(nt), label=f"U/N{t}")
-                 for t, nt in enumerate(chain) if t]
+        quots = [CosetQuotient(UG, self.U.vanishing_on(zero), label=f"U/N{t}")
+                 for t, zero in enumerate(chain) if t]
         self.groups = [UG] + [q.group for q in quots]
         # alpha_t : U/N_t -> U/N_{t+1}
         self.alphas = [quots[0].project()] + [
@@ -226,10 +226,11 @@ def filtration_length_report(n_values, p: int) -> list[dict]:
     """Lengths of the central series of Ker(phi_{n+1}); the entry count
     n(n-1)/2 is what the filtration actually has, and the report records
     that this differs from the (n-1 choose 2) one might expect from
-    indexing the series by the weight alone."""
+    indexing the series by the weight alone.  No table is built, so any n
+    runs."""
     out = []
     for n in n_values:
-        chain, _ = central_series_ker_phi(n, p)
+        chain, _ = central_series_ker_phi(n)
         length = len(chain) - 1
         expected = n * (n - 1) // 2
         out.append({"n": n, "p": p, "length": length,
@@ -249,8 +250,7 @@ def structure_audit(m: int, p: int) -> list[dict]:
     G = U.as_finite_group()
     out = []
     for k in range(1, m):
-        M = named_subgroup(U, "M", k)
-        members = set(M.element_indices())
+        members = set(U.vanishing_on(zero_positions(m, "M", k)))
         normal = all(G.conjugate(g, s) in members
                      for g in G.elements() for s in members)
         # M = Ker(upper-left (m-1)-block) \cap Ker(lower-right (m+1-k)-block)

@@ -1,13 +1,18 @@
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from masseylab import cli
 from masseylab import cochains as cc
@@ -488,6 +493,71 @@ def test_records_match_the_pinned_hash(command, capsys):
                     capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_RECORDS[command]
+
+
+def relabelled_group_file(G, seed) -> str:
+    """G's table under a random permutation of its elements that fixes the
+    identity, in the group file format."""
+    new = [0] + random.Random(seed).sample(range(1, G.order), G.order - 1)
+    old = sorted(range(G.order), key=new.__getitem__)  # new index -> old
+    rows = [" ".join(str(new[G.mul[old[x]][old[y]]]) for y in G.elements())
+            for x in G.elements()]
+    gens = " ".join(str(new[g]) for g in G.generators)
+    return "\n".join([f"order {G.order}", f"generators {gens}", *rows]) + "\n"
+
+
+def run_quietly(argv):
+    """Exit code and records of one `--no-cache` run; stderr is dropped."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main([*argv, "--format", "records", "--no-cache"])
+    return code, records(out.getvalue())
+
+
+def label_free_answers(ref, p):
+    """What the commands answer on the group `ref`, less what names its
+    elements or the group: the exit codes, the cohomology records without
+    `group`, the multiset of dwyer's (vanishes, defined, cups_zero) and
+    strong vanishing's (n, verdict, tuples_checked) per n."""
+    common = ["--group", ref, "--p", str(p)]
+    codes, answers = [], []
+    for argv, answer in (
+            (["cohomology", *common],
+             lambda recs: [{k: v for k, v in r.items() if k != "group"}
+                           for r in recs[1:]]),
+            (["verify", "dwyer", *common, "--n", "3"],
+             lambda recs: sorted((r["vanishes"], r["defined"], r["cups_zero"])
+                                 for r in recs[1:-1])),
+            (["verify", "strong-vanishing", *common, "--n", "3"],
+             lambda recs: [(r["n"], r["verdict"], r["tuples_checked"])
+                           for r in recs[1:-1]])):
+        code, recs = run_quietly(argv)
+        codes.append(code)
+        answers.append(answer(recs))
+    return codes, answers
+
+
+# Z3xZ3 at p = 3 is left out: its dwyer run takes about 1.5 s per labelling
+LABEL_CASES = [(name, p) for name in sorted(cli.FIXTURES) for p in (2, 3)
+               if (name, p) != ("Z3xZ3", 3)]
+
+
+# every run is `--no-cache`, so the cache directory that the autouse
+# fixture sets once for all examples is never read
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(LABEL_CASES), st.integers(0, 2 ** 32 - 1))
+def test_answers_do_not_depend_on_the_labelling(case, seed):
+    """A fixture and a relabelled copy of its table, read from a group
+    file, get the same answers from cohomology, dwyer and strong
+    vanishing."""
+    name, p = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "relabelled.tbl")
+        with open(path, "w") as fh:
+            fh.write(relabelled_group_file(cli.FIXTURES[name](), seed))
+        assert label_free_answers(path, p) == label_free_answers(name, p)
 
 
 def _fresh_python(code, env=None):

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from masseylab import cochains as cc
+from masseylab import embedding as em
 from masseylab import gfp
 from masseylab import groups as gr
+from masseylab import massey as ms
 from masseylab.cli import FIXTURES
 from masseylab.errors import DegreeLimit, GeneratorsDontGenerate, \
     NotACocycle, NotApplicable, ShapeMismatch, SizeLimit
@@ -737,3 +739,45 @@ def test_adding_classes_of_different_degrees_is_refused():
     b = cc.h2(G, 2)[1][0]
     with pytest.raises(ShapeMismatch):
         a + b
+
+
+# -- Kraines' formula ----------------------------------------------------------
+
+def lifts_to_z_mod_p_squared(G, p, a) -> bool:
+    """Does the character a: G -> Z/p lift through Z/p^2 -> Z/p?"""
+    Zp2 = gr.build_cyclic(p * p)
+    reduction = gr.GroupHom(Zp2, gr.build_cyclic(p),
+                            tuple(x % p for x in Zp2.elements()))
+    homs = gr.enumerate_homs(G, Zp2, fiber=(reduction, a.as_hom()))
+    return next(homs, None) is not None
+
+
+def kraines_cases(G):
+    """(p, the diagonal Massey answer, does a lift to Z/p^2) per character
+    a: at p = 3, is the Dwyer problem of (a, a, a) solvable; at p = 2, is
+    a cup a zero.  Kraines (Trans. AMS 124, 1966): the p-fold Massey power
+    of a is -beta(a) at odd p, a cup a = beta(a) at p = 2, and the
+    Bockstein beta(a) is 0 exactly when a lifts to Z/p^2."""
+    out = []
+    for p in (3, 2):
+        for a in cc.characters(G, p):
+            q = ms.MasseyQuery(G, p, (a,) * p)
+            answer = em.dwyer_solvable(q) if p == 3 else \
+                ms.consecutive_cups_zero(q)
+            out.append((p, answer, lifts_to_z_mod_p_squared(G, p, a)))
+    return out
+
+
+def test_kraines_formula_on_every_fixture():
+    cases = [case for name in COHOMOLOGY_FIXTURES
+             for case in kraines_cases(FIXTURES[name]())]
+    assert all(answer == lifts for _, answer, lifts in cases)
+    # both answers occur at both primes
+    assert {(p, answer) for p, answer, _ in cases} == \
+        {(p, answer) for p in (2, 3) for answer in (False, True)}
+
+
+@PROPERTY_SETTINGS
+@given(small_groups())
+def test_kraines_formula_on_drawn_groups(G):
+    assert all(answer == lifts for _, answer, lifts in kraines_cases(G))

@@ -516,8 +516,9 @@ def scan_inverses(table):
 def coset_quotients(n, p):
     """U_{n+1}(p) modulo each step of its central series, and, at n = 3,
     p = 2, the quotients U/Z and U/P."""
-    G = unitri_group(n + 1, p).as_finite_group()
-    quots = [CosetQuotient(G, N) for N in central_series_ker_phi(n, p)[0]]
+    U = unitri_group(n + 1, p)
+    quots = [CosetQuotient(U.as_finite_group(), U.vanishing_on(zero))
+             for zero in central_series_ker_phi(n)[0]]
     if (n, p) == (3, 2):
         quots += [quot for quot, _ in zeta_kappa_targets(n, p)]
     return quots
@@ -568,7 +569,7 @@ def test_coset_quotient_projects_and_induces_maps(n, p):
     induces nothing."""
     U = unitri_group(n + 1, p)
     G, phi = U.as_finite_group(), U.phi_hom()
-    steps = len(central_series_ker_phi(n, p)[0])
+    steps = len(central_series_ker_phi(n)[0])
     quots = coset_quotients(n, p)
     identity = gr.GroupHom(G, G, tuple(G.elements()))
     for t, quot in enumerate(quots):

@@ -11,28 +11,27 @@ from masseylab.errors import (
     BadParameter,
     IndexOutOfRange,
     NotInKernel,
-    ParseError,
     SizeLimit,
 )
 from masseylab.groups import CosetQuotient
 
 
 def test_matrices_and_subgroups_built_twice_are_equal_values():
-    U = ut.unitri_group(4, 2)
     for make in (lambda: ut.UniTriMatrix(3, 2, (1, 0, 1)),
-                 lambda: ut.named_subgroup(U, "M", 2)):
+                 lambda: ut.zero_positions(4, "M", 2)):
         x, y = make(), make()
         assert x is not y and x == y and hash(x) == hash(y)
     assert ut.UniTriMatrix(3, 2, (1, 0, 1)) != ut.UniTriMatrix(3, 3, (1, 0, 1))
-    assert ut.named_subgroup(U, "M", 2) != ut.named_subgroup(U, "M", 1)
+    assert ut.zero_positions(4, "M", 2) != ut.zero_positions(4, "M", 1)
 
 
-def test_matrix_literal_roundtrip():
-    A = ut.unitri_group(3, 2).elementary(1, 3)
-    text = ut.format_matrix_literal(A)
-    assert ut.parse_matrix_literal(text) == A
-    with pytest.raises(ParseError):
-        ut.parse_matrix_literal("2 2 / 1 1 / 1 1")  # bad lower triangle
+@pytest.mark.parametrize("kind,k", [("M", None), ("M", 0), ("M", 4),
+                                    ("Z", 1), ("P", 2), ("Q", None)])
+def test_zero_positions_refuses_a_bad_subgroup(kind, k):
+    """M needs 1 <= k <= m - 1, Z and P take no k, and no other kind is
+    named."""
+    with pytest.raises(BadParameter):
+        ut.zero_positions(4, kind, k)
 
 
 def test_group_orders():
@@ -59,22 +58,23 @@ def test_phi_hom():
     assert len(phi.kernel()) == U.order // 2 ** 3
 
 
+def members(m, p, kind, k=None):
+    """The subgroup of U_m(p) named by its zero positions, as a set."""
+    U = ut.unitri_group(m, p)
+    return set(U.vanishing_on(ut.zero_positions(m, kind, k)))
+
+
 def test_named_subgroups_z_vs_p():
-    U4 = ut.unitri_group(4, 2)
-    Z4s = set(ut.named_subgroup(U4, "Z").element_indices())
-    P4s = set(ut.named_subgroup(U4, "P").element_indices())
+    Z4s, P4s = members(4, 2, "Z"), members(4, 2, "P")
     assert len(Z4s) == 2 and Z4s == P4s  # they coincide at m = 4
-    U5 = ut.unitri_group(5, 2)
-    Z5s = set(ut.named_subgroup(U5, "Z").element_indices())
-    P5s = set(ut.named_subgroup(U5, "P").element_indices())
+    Z5s, P5s = members(5, 2, "Z"), members(5, 2, "P")
     assert len(Z5s) == 2 and len(P5s) == 8 and Z5s < P5s
 
 
 def test_m_subgroup_orders():
-    U = ut.unitri_group(4, 2)
-    assert ut.named_subgroup(U, "M", 1).order() == 1
-    assert ut.named_subgroup(U, "M", 2).order() == 2
-    assert ut.named_subgroup(U, "M", 3).order() == 4
+    assert len(members(4, 2, "M", 1)) == 1
+    assert len(members(4, 2, "M", 2)) == 2
+    assert len(members(4, 2, "M", 3)) == 4
 
 
 def test_zeta_kappa_targets():
@@ -94,8 +94,7 @@ def test_fiber_quotient_orders_and_iota():
         for k in (1, 2, 3):
             fq = ut.fiber_quotient(k, 4, p)
             U = ut.unitri_group(4, p)
-            M = ut.named_subgroup(U, "M", k)
-            assert fq.order == U.order // M.order()
+            assert fq.order == U.order // len(members(4, p, "M", k))
         fq = ut.fiber_quotient(2, 4, p)
         ker = fq.kernel_of_rho()
         assert len(ker) == p
@@ -129,10 +128,11 @@ def test_drop_to():
 
 
 def test_central_series():
-    chain, positions = ut.central_series_ker_phi(3, 2)
-    assert [len(c) for c in chain] == [1, 2, 4, 8]
+    chain, positions = ut.central_series_ker_phi(3)
+    U = ut.unitri_group(4, 2)
+    assert [len(U.vanishing_on(zero)) for zero in chain] == [1, 2, 4, 8]
     assert positions[0] == (1, 4)  # largest span adjoined first
-    chain4, _ = ut.central_series_ker_phi(4, 2)
+    chain4, _ = ut.central_series_ker_phi(4)
     assert len(chain4) - 1 == 6
 
 
@@ -250,24 +250,25 @@ def test_named_subgroups_match_entrywise_membership(n, p):
     elems = old_elements(n, p)
     subgroups = [("Z", None), ("P", None)] + [("M", k) for k in range(1, n)]
     for kind, k in subgroups:
-        sub = ut.named_subgroup(U, kind, k)
+        zero = ut.zero_positions(n, kind, k)
         want = [i for i, mat in enumerate(elems) if old_contains(kind, k, mat)]
-        assert sub.element_indices() == want
-        assert [i for i in range(U.order) if sub.contains(i)] == want
+        assert U.vanishing_on(zero) == want
+        assert [i for i in range(U.order) if U.read(i, zero) == 0] == want
 
 
 @pytest.mark.parametrize("n,p", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)])
 def test_central_series_matches_entrywise_support(n, p):
-    chain, order = ut.central_series_ker_phi(n, p)
+    chain, order = ut.central_series_ker_phi(n)
+    U = ut.unitri_group(n + 1, p)
     elems = old_elements(n + 1, p)
     assert order == [(i, j) for span in range(n, 1, -1)
                      for (i, j) in positions(n + 1) if j - i == span]
-    for t, members in enumerate(chain):
+    for t, zero in enumerate(chain):
         allowed = set(order[:t])
-        assert members == {x for x, mat in enumerate(elems)
-                           if all(mat.entry(i, j) == 0
-                                  for (i, j) in positions(n + 1)
-                                  if (i, j) not in allowed)}
+        want = {x for x, mat in enumerate(elems)
+                if all(mat.entry(i, j) == 0 for (i, j) in positions(n + 1)
+                       if (i, j) not in allowed)}
+        assert set(U.vanishing_on(zero)) == want
 
 
 def block(mat, a, off):
@@ -412,10 +413,11 @@ def assert_coset_group_is_the_all_pairs_table(quot):
 
 @pytest.mark.parametrize("n,p", [(4, 2), (3, 3)])
 def test_coset_closure_matches_the_all_pairs_table(n, p):
-    G = ut.unitri_group(n + 1, p).as_finite_group()
-    chain, _ = ut.central_series_ker_phi(n, p)
-    for N in chain:
-        assert_coset_group_is_the_all_pairs_table(CosetQuotient(G, N))
+    U = ut.unitri_group(n + 1, p)
+    chain, _ = ut.central_series_ker_phi(n)
+    for zero in chain:
+        assert_coset_group_is_the_all_pairs_table(
+            CosetQuotient(U.as_finite_group(), U.vanishing_on(zero)))
 
 
 def test_zeta_kappa_closure_matches_the_all_pairs_table():

@@ -14,7 +14,8 @@ from masseylab.errors import (
     NotApplicable,
     SizeMismatch,
 )
-from masseylab.unitri import central_series_ker_phi, unitri_group
+from masseylab.unitri import UniTriGroup, central_series_ker_phi, \
+    unitri_group
 
 
 def test_sign_pattern_validation():
@@ -116,9 +117,9 @@ def coset_quotient_tower(n, p):
     bottom U/N_0 = U/{1} included: groups, connecting maps, the top's
     representatives and the bottom's."""
     U = unitri_group(n + 1, p)
-    chain, _ = central_series_ker_phi(n, p)
-    quots = [gr.CosetQuotient(U.as_finite_group(), sorted(nt))
-             for nt in chain]
+    chain, _ = central_series_ker_phi(n)
+    quots = [gr.CosetQuotient(U.as_finite_group(), U.vanishing_on(zero))
+             for zero in chain]
     alphas = [gr.GroupHom(lo.group, hi.group,
                           tuple(hi.coset_of[r] for r in lo.reps))
               for lo, hi in zip(quots, quots[1:])]
@@ -188,9 +189,16 @@ def test_structure_audit():
         assert all(r["iota_additive"] for r in recs if "iota_additive" in r)
 
 
-def test_filtration_length_report():
-    recs = vf.filtration_length_report([2, 3, 4], 2)
-    assert [r["length"] for r in recs] == [1, 3, 6]
+def test_filtration_length_report(monkeypatch):
+    """The series is named by zero positions, so its length is read even
+    where U_{n+1}(2) has no table: |U_6(2)| = 2^15 is past the container
+    limit already."""
+    def refuse(U):
+        raise AssertionError(f"listed the elements of U_{U.n}({U.p})")
+    for name in ("elements", "as_finite_group"):
+        monkeypatch.setattr(UniTriGroup, name, refuse)
+    recs = vf.filtration_length_report([2, 3, 4, 5, 6, 7], 2)
+    assert [r["length"] for r in recs] == [1, 3, 6, 10, 15, 21]
     assert all(r["matches_entry_count"] for r in recs)
 
 
