@@ -98,9 +98,9 @@ class FiniteGroup(Value):
 
 
 def _inverses(mul) -> list[int]:
-    """The right inverse of each element, read off its row.  Callers pass
-    tables whose identity and associativity hold, and in a finite monoid a
-    right inverse is two-sided."""
+    """The right inverse of each element, read off its row.  In a finite
+    monoid a right inverse is two-sided; `validate_group` checks the monoid
+    laws of a table given whole before its group is used."""
     inv = []
     for x, row in enumerate(mul):
         try:
@@ -108,16 +108,6 @@ def _inverses(mul) -> list[int]:
         except ValueError:
             raise NoInverse(f"element {x} has no inverse") from None
     return inv
-
-
-def _check_associative(mul) -> None:
-    n = len(mul)
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if mul[mul[x][y]][z] != mul[x][mul[y][z]]:
-                    raise NonAssociative(
-                        f"({x}*{y})*{z} != {x}*({y}*{z})")
 
 
 def find_generators(mul) -> tuple:
@@ -255,19 +245,36 @@ def _raw_group(mul, generators, label="G", inv=None) -> FiniteGroup:
 
 
 def validate_group(G: FiniteGroup) -> None:
-    """Exhaustive associativity / identity / inverse / generation check."""
-    n = G.order
+    """The one validity check of a table given whole: index 0 is the
+    identity, the listed generators generate (`_edges`), Light's test
+    passes, and every element has an inverse.
+
+    Light's test: (x*g)*y = x*(g*y) for all x, y and each listed g, one
+    gather of row(x) by row(g) per (x, g).  The g that pass contain the
+    identity and are closed under products, as (x*ab)*y = ((x*a)*b)*y =
+    (x*a)*(b*y) = x*(a*(b*y)) = x*((a*b)*y), so once the generators
+    generate, every element passes and the table is associative (Clifford
+    and Preston, The Algebraic Theory of Semigroups I, 1961)."""
+    n, mul = G.order, G.mul
     for x in range(n):
-        if G.mul[0][x] != x or G.mul[x][0] != x:
+        if mul[0][x] != x or mul[x][0] != x:
             raise NoIdentity(f"index 0 is not an identity at element {x}")
-    _check_associative(G.mul)
-    _inverses(G.mul)
     _edges(G)
+    rows = [tuple(row) for row in mul]
+    # the identity passes, and a one-cell row would gather to a bare index
+    for g in filter(None, G.generators):
+        gather = operator.itemgetter(*rows[g])
+        for x, row in enumerate(rows):
+            if gather(row) != rows[row[g]]:
+                y = next(y for y in range(n)
+                         if rows[row[g]][y] != row[rows[g][y]])
+                raise NonAssociative(f"({x}*{g})*{y} != {x}*({g}*{y})")
+    _inverses(mul)
 
 
 def build_from_table(table, generators=None, label="G") -> FiniteGroup:
-    """Validated group from an N x N index table; the identity is relocated
-    to index 0 when necessary."""
+    """The group of an N x N index table given whole, the identity
+    relocated to index 0 when necessary, checked by `validate_group`."""
     n = len(table)
     if n > FULL_GROUP_LIMIT:
         raise SizeLimit(f"order {n} exceeds the full-group limit {FULL_GROUP_LIMIT}")
@@ -291,13 +298,12 @@ def build_from_table(table, generators=None, label="G") -> FiniteGroup:
                  for i in range(n)]
         if generators is not None:
             generators = [perm[g] for g in generators]
-    _check_associative(table)
     if generators is None:
         generators = find_generators(table)
     elif not generators:
         raise BadParameter("generators must be nonempty")
     G = _raw_group([array("H", row) for row in table], generators, label)
-    _edges(G)
+    validate_group(G)
     return G
 
 
@@ -405,12 +411,13 @@ def build_quaternion8() -> FiniteGroup:
 
 def build_symmetric3() -> FiniteGroup:
     """S3 as permutations of {0,1,2} in lexicographic order of one-line
-    notation, relocated so the identity sits at index 0."""
+    notation, so the identity is index 0; a*b is i -> a[b[i]], and the
+    generators are the transpositions (1 2) and (0 1), indices 1 and 2."""
     perms = sorted(itertools.permutations(range(3)))
     index = {q: i for i, q in enumerate(perms)}
-    mul = [[index[tuple(a[b[i]] for i in range(3))] for b in perms]
-           for a in perms]
-    return build_from_table(mul, generators=None, label="S3")
+    columns = [[index[tuple(a[i] for i in perms[g])] for a in perms]
+               for g in (1, 2)]
+    return group_from_action(_action(6, columns), (1, 2), "S3")
 
 
 # -- homomorphisms ------------------------------------------------------------
@@ -548,6 +555,8 @@ def parse_group_file(text: str, label="G") -> FiniteGroup:
         n = int(lines[0].split()[1])
     except (IndexError, ValueError):
         raise ParseError("expected `order N`", line=1)
+    if n < 1:
+        raise ParseError(f"order {n} is below 1", line=1)
     if len(lines) < 2 or not lines[1].startswith("generators"):
         raise ParseError("expected `generators i j ...`", line=2)
     try:

@@ -150,11 +150,6 @@ class UniTriGroup:
                 f"|U_{self.n}({self.p})| = {self.order} > {CONTAINER_LIMIT}")
         return range(self.order)
 
-    def index_of(self, U: UniTriMatrix) -> int:
-        if (U.n, U.p) != (self.n, self.p):
-            raise BadParameter(f"matrix does not live in U_{self.n}({self.p})")
-        return vec_to_index(self.p, U.entries)
-
     def matrix_of(self, idx: int) -> UniTriMatrix:
         if not 0 <= idx < self.order:
             raise IndexOutOfRange(f"element {idx} not in U_{self.n}({self.p})")
@@ -227,11 +222,6 @@ class UniTriGroup:
     def elementary_index(self, i: int, j: int, v: int = 1) -> int:
         """Index of the elementary matrix I + v e_ij, read off the weights."""
         return v % self.p * self.weights[_pos_index(self.n)[(i, j)]]
-
-    def elementary(self, i: int, j: int, v: int = 1) -> UniTriMatrix:
-        vals = [0] * self.num_entries
-        vals[_pos_index(self.n)[(i, j)]] = v % self.p
-        return UniTriMatrix(self.n, self.p, tuple(vals))
 
     @functools.cache
     def phi_hom(self) -> GroupHom:

@@ -75,6 +75,16 @@ def test_a_generator_outside_the_table_is_a_parse_error(gen, argv, tmp_path,
     assert err.startswith("parse error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("order", ["0", "-1"])
+def test_an_order_below_1_is_a_parse_error_on_line_1(order, tmp_path, capsys):
+    """order 0 once ended in `error: NoIdentity` with exit 1, and order -1
+    in `expected -1 table rows, got 0`."""
+    tbl = tmp_path / "g.tbl"
+    tbl.write_text(f"order {order}\ngenerators\n")
+    assert cli.main(["group", "check", str(tbl)]) == cli.EXIT_USAGE == 3
+    assert capsys.readouterr().err.startswith("parse error: line 1: ")
+
+
 def test_usage_errors(capsys):
     assert cli.main(["group", "show"]) == cli.EXIT_USAGE
     assert cli.main(["bogus"]) == cli.EXIT_USAGE

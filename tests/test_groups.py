@@ -5,8 +5,9 @@ from array import array
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from masseylab import cli
 from masseylab import embedding as em
 from masseylab import groups as gr
 from masseylab import massey as ms
@@ -181,6 +182,109 @@ def test_generators_must_generate():
     table = gr.build_vector_group(2, 2).mul
     with pytest.raises(GeneratorsDontGenerate):
         gr.build_from_table([list(r) for r in table], [1])
+
+
+# -- Light's associativity test against the all-triples loop -------------------
+
+def all_triples_failure(mul):
+    """The replaced associativity check, every triple in turn: the first
+    (x, y, z) with (x*y)*z != x*(y*z), or None."""
+    n = len(mul)
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if mul[mul[x][y]][z] != mul[x][mul[y][z]]:
+                    return x, y, z
+    return None
+
+
+def small_products():
+    """Every direct product of two CLI fixtures of order at most 64."""
+    names = sorted(FIXTURES)
+    for i, a in enumerate(names):
+        for b in names[i:]:
+            G, H = FIXTURES[a](), FIXTURES[b]()
+            if G.order * H.order <= 64:
+                yield gr.build_direct_product(G, H)
+
+
+def test_light_and_the_all_triples_loop_agree_on_the_fixtures():
+    groups = [make() for make in FIXTURES.values()] + list(small_products())
+    assert max(G.order for G in groups) == 81
+    for G in groups:
+        gr.validate_group(G)
+        assert all_triples_failure(G.mul) is None
+
+
+def test_light_checks_every_listed_generator():
+    # (x*1)*y = x*(1*y) for every x and y, so a check of element 1 alone
+    # passes; element 2 fails at (1*2)*3 = 2*3 = 0 != 1*(2*3) = 1*0 = 1
+    table = [[0, 1, 2, 3], [1, 0, 2, 3], [2, 2, 3, 0], [3, 3, 0, 0]]
+    assert all_triples_failure(table) is not None
+    with pytest.raises(NonAssociative):
+        gr.build_from_table(table, [1, 2])
+    with pytest.raises(NonAssociative):
+        gr.build_from_table(table, [2, 1])
+
+
+@st.composite
+def one_cell_corruptions(draw):
+    """A fixture of order 3..16 with one cell (x, y), x, y != 0, set to
+    another index, and the fixture's generators; kept only when the
+    identity, the inverses and generation still hold."""
+    G = FIXTURES[draw(st.sampled_from(
+        [n for n in sorted(FIXTURES) if 3 <= FIXTURES[n]().order <= 16]))]()
+    table = [list(row) for row in G.mul]
+    x, y = (draw(st.integers(1, G.order - 1)) for _ in range(2))
+    table[x][y] = draw(st.sampled_from(
+        [v for v in G.elements() if v != table[x][y]]))
+    assume(all(0 in row for row in table))
+    assume(len(gr._bfs(table, G.generators)[0]) == G.order)
+    return table, G.generators
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_cell_corruptions())
+def test_light_refuses_a_corrupted_cell_exactly_when_a_triple_fails(case):
+    table, generators = case
+    if all_triples_failure(table) is None:
+        gr.build_from_table(table, generators)
+    else:
+        with pytest.raises(NonAssociative):
+            gr.build_from_table(table, generators)
+
+
+def full_table_symmetric3():
+    """The replaced S3 builder: every product of permutations written out
+    and validated as a table given whole."""
+    perms = sorted(itertools.permutations(range(3)))
+    index = {q: i for i, q in enumerate(perms)}
+    mul = [[index[tuple(a[b[i]] for i in range(3))] for b in perms]
+           for a in perms]
+    return gr.build_from_table(mul, generators=None, label="S3")
+
+
+def test_symmetric3_from_its_action_is_the_full_table_group():
+    S3, old = gr.build_symmetric3(), full_table_symmetric3()
+    assert S3 == old and S3.inv == old.inv
+    assert S3.generators == old.generators == (1, 2)
+    assert S3.fingerprint() == old.fingerprint()
+
+
+def test_a_group_file_is_validated_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    validate = gr.validate_group
+    monkeypatch.setattr(gr, "validate_group",
+                        lambda G: calls.append(G) or validate(G))
+    text = gr.format_group_file(Q8)
+    G = gr.parse_group_file(text)
+    assert calls == [G]
+    path = tmp_path / "q8.tbl"
+    path.write_text(text)
+    calls.clear()
+    assert cli.main(["group", "check", str(path)]) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
 
 
 # -- the edge list and the hom law against their all-pairs references ----------

@@ -48,9 +48,10 @@ def test_sign_convention_p3():
     Z3 = gr.build_cyclic(3)
     U = unitri_group(4, 3)
     G = U.as_finite_group()
-    A = U.elementary(1, 2).mul(U.elementary(2, 3))
-    psi = gr.GroupHom(Z3, G, (0, U.index_of(A),
-                              U.index_of(A.mul(A)))).check()
+    A = U.matrix_of(U.elementary_index(1, 2)).mul(
+        U.matrix_of(U.elementary_index(2, 3)))
+    psi = gr.GroupHom(Z3, G, (0, gr.vec_to_index(U.p, A.entries),
+                              gr.vec_to_index(U.p, A.mul(A).entries))).check()
     ds_minus = ms.defining_system_from_hom(psi, 3, 3, U.entry_of)
     ok, _ = ms.is_defining_system(ds_minus)
     assert ok

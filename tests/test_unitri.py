@@ -110,8 +110,8 @@ def test_fiber_quotient_entry_access():
     fq = ut.fiber_quotient(2, 4, 2)
     proj = fq.parent_quotient_hom()
     U = ut.unitri_group(4, 2)
-    A = U.elementary(1, 2).mul(U.elementary(2, 4))
-    idx = proj(U.index_of(A))
+    A = elementary(4, 2, 1, 2).mul(elementary(4, 2, 2, 4))
+    idx = proj(ut.vec_to_index(2, A.entries))
     assert fq.entry_of(idx, 1, 2) == 1
     assert fq.entry_of(idx, 2, 4) == 1
     with pytest.raises(IndexOutOfRange):
@@ -171,6 +171,19 @@ def old_elements(n, p):
             for e in itertools.product(range(p), repeat=n * (n - 1) // 2)]
 
 
+def elementary(n, p, i, j, v=1):
+    """I + v e_ij, through full integer rows."""
+    rows = np.eye(n, dtype=np.int64)
+    rows[i - 1, j - 1] = v
+    return ut.from_rows(rows.tolist(), p)
+
+
+def superdiagonal_indices(n, p):
+    """The indices of the I + e_{i,i+1}, read off their packed entries."""
+    return tuple(ut.vec_to_index(p, elementary(n, p, i, i + 1).entries)
+                 for i in range(1, n))
+
+
 def matmul(A, B):
     """The product of two elements through full integer matrices."""
     rows = (np.array(A.to_rows()) @ np.array(B.to_rows())) % A.p
@@ -198,16 +211,15 @@ def test_table_and_indices_match_the_matrix_route(n, p):
     assert tuple(map(tuple, G.mul)) == old_table(n, p)
     assert all(type(c) is int for row in G.mul for c in row)
     for i, mat in enumerate(old_elements(n, p)):
-        assert U.matrix_of(i) == mat and U.index_of(mat) == i
+        assert U.matrix_of(i) == mat and ut.vec_to_index(p, mat.entries) == i
         for (a, b) in positions(n):
             e = U.entry_of(i, a, b)
             assert type(e) is int and e == mat.entry(a, b)
-    assert G.generators == tuple(U.index_of(U.elementary(i, i + 1))
-                                 for i in range(1, n))
+    assert G.generators == superdiagonal_indices(n, p)
     for (a, b) in positions(n):
         for v in range(-1, p + 1):
             assert U.elementary_index(a, b, v) == \
-                U.index_of(U.elementary(a, b, v))
+                ut.vec_to_index(p, elementary(n, p, a, b, v).entries)
 
 
 @settings(max_examples=150, deadline=None)
@@ -218,7 +230,8 @@ def test_table_cells_match_matrix_products(size, data):
     x, y = (data.draw(st.integers(0, U.order - 1)) for _ in range(2))
     A, B = U.matrix_of(x), U.matrix_of(y)
     mul = U.as_finite_group().mul
-    assert mul[x][y] == U.index_of(A.mul(B)) == U.index_of(matmul(A, B))
+    assert mul[x][y] == ut.vec_to_index(p, A.mul(B).entries) == \
+        ut.vec_to_index(p, matmul(A, B).entries)
     assert type(mul[x]) is array and mul[x].itemsize == 2
 
 
@@ -291,8 +304,7 @@ class OldFiber:
         self.table = tuple(
             tuple(self.index[(Ax.mul(Ay).entries, Bx.mul(By).entries)]
                   for (Ay, By) in self.pairs) for (Ax, Bx) in self.pairs)
-        Um = ut.unitri_group(m, p)
-        self.gens = tuple(sorted({self.from_parent(Um.elementary(i, i + 1))
+        self.gens = tuple(sorted({self.from_parent(elementary(m, p, i, i + 1))
                                   for i in range(1, m)} - {0}))
 
     def from_parent(self, mat):
@@ -390,17 +402,14 @@ def assert_group_is(G, table, gens):
 def test_unitri_closure_matches_the_per_row_table(n, p):
     U = ut.unitri_group(n, p)
     assert_group_is(U.as_finite_group(), per_row_unitri_table(n, p),
-                    tuple(U.index_of(U.elementary(i, i + 1))
-                          for i in range(1, n)))
+                    superdiagonal_indices(n, p))
 
 
 @pytest.mark.parametrize("k,m,p", [(1, 3, 2), (2, 4, 2), (1, 4, 3),
                                    (2, 4, 3), (2, 5, 2), (3, 5, 2)])
 def test_fiber_closure_matches_the_all_pairs_table(k, m, p):
     fq = ut.fiber_quotient(k, m, p)
-    Um = ut.unitri_group(m, p)
-    gens = {fq.from_parent(Um.index_of(Um.elementary(i, i + 1)))
-            for i in range(1, m)}
+    gens = set(map(fq.from_parent, superdiagonal_indices(m, p)))
     assert_group_is(fq.group, all_pairs_fiber_table(fq),
                     tuple(sorted(gens - {0})))
 

@@ -47,7 +47,7 @@ def old_block_lift(pattern):
     A = U.matrix_of(0)
     for i, b in enumerate(pattern.bits, start=1):
         if b:
-            A = A.mul(U.elementary(i, i + 1))
+            A = A.mul(U.matrix_of(U.elementary_index(i, i + 1)))
     return A
 
 
