@@ -149,9 +149,9 @@ def central_data(alpha: GroupHom) -> tuple:
     and its identification with Z/p, the dict that sends the c-th power of
     the least non-identity kernel element, kernel[1], to c.
 
-    On the kernel {(I, I + c e_corner)} of rho_{k-1,m} that element is the
-    c = 1 pair (pairs are numbered a-major, b ascending), so coord is
-    `FiberQuotient.iota` there.
+    On the kernel {I + c e_{k-1,m}} of rho_{k-1,m} that element is the
+    one with c = 1 (elements are numbered by their kept digits, and c is
+    one of them), so coord is `FiberQuotient.iota` there.
     """
     kernel = fibers(alpha)[0]
     B = alpha.domain

@@ -246,8 +246,9 @@ def _raw_group(mul, generators, label="G", inv=None) -> FiniteGroup:
 
 def validate_group(G: FiniteGroup) -> None:
     """The one validity check of a table given whole: index 0 is the
-    identity, the listed generators generate (`_edges`), Light's test
-    passes, and every element has an inverse.
+    identity, the listed generators generate (an uncached `_edges` walk, so
+    a rejected table leaves no edge list cached), Light's test passes, and
+    every element has an inverse.
 
     Light's test: (x*g)*y = x*(g*y) for all x, y and each listed g, one
     gather of row(x) by row(g) per (x, g).  The g that pass contain the
@@ -259,7 +260,7 @@ def validate_group(G: FiniteGroup) -> None:
     for x in range(n):
         if mul[0][x] != x or mul[x][0] != x:
             raise NoIdentity(f"index 0 is not an identity at element {x}")
-    _edges(G)
+    _edges.__wrapped__(G)
     rows = [tuple(row) for row in mul]
     # the identity passes, and a one-cell row would gather to a bare index
     for g in filter(None, G.generators):
@@ -574,6 +575,9 @@ def parse_group_file(text: str, label="G") -> FiniteGroup:
         if len(row) != n:
             raise ParseError(f"row has {len(row)} entries, expected {n}",
                              line=3 + i)
+        bad = [v for v in row if not 0 <= v < n]
+        if bad:
+            raise ParseError(f"entry {bad[0]} outside 0..{n - 1}", line=3 + i)
         table.append(row)
     return build_from_table(table, gens or None, label=label)
 

@@ -284,52 +284,57 @@ def zeta_kappa_targets(n: int, p: int):
 # -- fiber-product quotients Q_{k,m} ------------------------------------------
 
 class FiberQuotient:
-    """U_m(p)/M_{k,m} realized as pairs (a, b) of element indices, a in
-    U_{m-1}(p) and b in U_{m+1-k}(p), whose matrices agree on the
-    overlapping (m-k)-block; obtain it through `fiber_quotient`, which
-    builds one instance per (k, m, p).  The table is closed from the right
-    action of the images of U_m(p)'s superdiagonal generators, each step a
-    pair of matrix products."""
+    """U_m(p)/M_{k,m}: a coset is its entries at the kept positions, the
+    upper-left (m-1)-block's and then (k, m), ..., (m-1, m), read as base-p
+    digits, which numbers the fiber product of U_{m-1}(p) and U_{m+1-k}(p)
+    a-major; obtain it through `fiber_quotient`, which builds one instance
+    per (k, m, p).  The table is closed from the right action of the images
+    of U_m(p)'s superdiagonal generators, each step one matrix product."""
 
     def __init__(self, k: int, m: int, p: int):
         if not 1 <= k <= m - 1:
             raise BadParameter(f"need 1 <= k <= {m - 1}, got {k}")
         self.k, self.m, self.p = k, m, p
-        self.left = unitri_group(m - 1, p)
-        self.right = unitri_group(m + 1 - k, p)
-        if not (self.left.materializable() and self.right.materializable()):
-            raise SizeLimit(f"Q_{{{k},{m}}}({p}) factors exceed the bound")
-        overlap = m - k
-        over_right: dict[int, list[int]] = {}
-        for b in self.right.elements():
-            over_right.setdefault(self.right.upper_left(b, overlap), []).append(b)
-        pairs = [(a, b) for a in self.left.elements()
-                 for b in over_right[self.left.lower_right(a, overlap)]]
-        self.pairs = pairs
-        self._index = {pair: i for i, pair in enumerate(pairs)}
-        self.order = len(pairs)
+        self.parent = Um = unitri_group(m, p)
+        self.kept = _block_positions(m, m - 1, 0) + tuple(
+            _pos_index(m)[(i, m)] for i in range(k, m))
+        self.order = p ** len(self.kept)
         if self.order > CONTAINER_LIMIT:
             raise SizeLimit(f"|Q_{{{k},{m}}}({p})| = {self.order}")
-        mats = [(self.left.matrix_of(a), self.right.matrix_of(b))
-                for a, b in pairs]
         # generators: images of U_m's superdiagonal elementaries
-        Um = unitri_group(m, p)
         gens = tuple(sorted({self.from_parent(Um.elementary_index(i, i + 1))
                              for i in range(1, m)} - {0}))
-        action = [[self._index[(vec_to_index(p, Ax.mul(mats[g][0]).entries),
-                                vec_to_index(p, Bx.mul(mats[g][1]).entries))]
-                   for g in gens] for (Ax, Bx) in mats]
+        gen_mats = [Um.matrix_of(self.lift(g)) for g in gens]
+        action = [[self.from_parent(vec_to_index(p, X.mul(A).entries))
+                   for A in gen_mats]
+                  for X in map(Um.matrix_of, map(self.lift, range(self.order)))]
         self.group = group_from_action(action, gens, f"Q({k},{m};{p})")
 
     def from_parent(self, idx: int) -> int:
         """The quotient map U_m(p) -> Q_{k,m} on element indices."""
-        Um = unitri_group(self.m, self.p)
-        return self._index[(Um.upper_left(idx, self.m - 1),
-                            Um.lower_right(idx, self.m + 1 - self.k))]
+        return self.parent.read(idx, self.kept)
+
+    def lift(self, x: int) -> int:
+        """The coset representative of x in U_m(p) that is 0 on M_{k,m}."""
+        idx, w = 0, self.parent.weights
+        for t in reversed(self.kept):
+            x, d = divmod(x, self.p)
+            idx += d * w[t]
+        return idx
+
+    def index_of(self, a: int, b: int) -> int:
+        """The element of the fiber product with blocks a in U_{m-1}(p) and
+        b in U_{m+1-k}(p): a, then b's last-column digits."""
+        overlap, n = self.m - self.k, self.m + 1 - self.k
+        left, right = unitri_group(self.m - 1, self.p), unitri_group(n, self.p)
+        if left.lower_right(a, overlap) != right.upper_left(b, overlap):
+            raise BadParameter(f"blocks {a} and {b} differ on the overlap")
+        last = [_pos_index(n)[(i, n)] for i in range(1, n)]
+        return a * self.p ** overlap + right.read(b, last)
 
     @functools.cache
     def parent_quotient_hom(self) -> GroupHom:
-        G = unitri_group(self.m, self.p).as_finite_group()
+        G = self.parent.as_finite_group()
         return GroupHom(G, self.group,
                         tuple(self.from_parent(x) for x in G.elements()))
 
@@ -337,14 +342,10 @@ class FiberQuotient:
         """Entry e_{ij} of any parent-coset representative; defined exactly
         for the entries constant on M_{k,m}-cosets (all (i,j) with j < m,
         plus (i,m) for i >= k)."""
-        a, b = self.pairs[idx]
-        if j <= self.m - 1:
-            return self.left.entry_of(a, i, j)
-        if i >= self.k:
-            off = self.k - 1
-            return self.right.entry_of(b, i - off, j - off)
-        raise IndexOutOfRange(
-            f"entry ({i},{j}) is not constant on cosets of M_{{{self.k},{self.m}}}")
+        if j == self.m and i < self.k:
+            raise IndexOutOfRange(f"entry ({i},{j}) is not constant on "
+                                  f"cosets of M_{{{self.k},{self.m}}}")
+        return self.parent.entry_of(self.lift(idx), i, j)
 
     @functools.cache
     def phi_hom(self) -> GroupHom:
@@ -366,21 +367,19 @@ class FiberQuotient:
     @functools.cache
     def rho_hom(self) -> GroupHom:
         tgt = self.rho_target()
-        a_block = self.m - self.k
-        images = tuple(tgt._index[(a, self.right.lower_right(b, a_block))]
-                       for a, b in self.pairs)
+        images = tuple(tgt.from_parent(self.lift(x)) for x in range(self.order))
         return GroupHom(self.group, tgt.group, images)
 
     def iota(self, idx: int) -> int:
-        """Identify Ker(rho_{k,m}) with Z/p via (I, B) -> e_{1,m+1-k}(B)."""
-        a, b = self.pairs[idx]
-        if a != 0 or self.right.read(b, zero_positions(self.right.n, "Z")):
+        """Identify Ker(rho_{k,m}) with Z/p via I + c e_{k,m} -> c."""
+        x = self.lift(idx)
+        c = self.parent.entry_of(x, self.k, self.m)
+        if x != self.parent.elementary_index(self.k, self.m, c):
             raise NotInKernel(f"element {idx} is not in Ker(rho)")
-        return self.right.entry_of(b, 1, self.m + 1 - self.k)
+        return c
 
     def iota_inv(self, c: int) -> int:
-        corner = self.right.elementary_index(1, self.m + 1 - self.k, c)
-        return self._index[(0, corner)]
+        return self.from_parent(self.parent.elementary_index(self.k, self.m, c))
 
     def kernel_of_rho(self) -> list[int]:
         rho = self.rho_hom()
@@ -396,8 +395,8 @@ class FiberQuotient:
             raise BadParameter(f"target index {k_target} must be below {self.k}")
         m2 = self.m - (self.k - k_target)
         tgt = fiber_quotient(k_target, m2, self.p)
-        images = tuple(tgt._index[(self.left.lower_right(a, m2 - 1), b)]
-                       for a, b in self.pairs)
+        images = tuple(tgt.from_parent(self.parent.lower_right(self.lift(x), m2))
+                       for x in range(self.order))
         return tgt, GroupHom(self.group, tgt.group, images)
 
 

@@ -344,7 +344,7 @@ def demushkin_descent(G: FiniteGroup, p: int, chars) -> GroupHom:
     left = demushkin_descent(G, p, chars[:-1])     # -> U_n(p)
     right = demushkin_descent(G, p, chars[-2:])    # -> U_3(p)
     fq = fiber_quotient(n - 1, m, p)
-    images = tuple(fq._index[(left(g), right(g))] for g in G.elements())
+    images = tuple(fq.index_of(left(g), right(g)) for g in G.elements())
     psi = GroupHom(G, fq.group, images).check()
     for k in range(n - 1, 1, -1):
         o = em.rho_step_obstruction(psi, k, m, p)
@@ -359,12 +359,12 @@ def demushkin_descent(G: FiniteGroup, p: int, chars) -> GroupHom:
         psi = em.solve(E)
         if psi is None:
             raise MasseyLabError("zero obstruction but no lift found")
-    # psi now lands in Q_{1,m} = U_m: the right factor of a pair is the
-    # whole matrix
+    # psi now lands in Q_{1,m} = U_m: M_{1,m} is trivial, so the lift of an
+    # element is the element itself
     Um = unitri_group(m, p)
     fq1 = fiber_quotient(1, m, p)
     sol = GroupHom(G, Um.as_finite_group(),
-                   tuple(fq1.pairs[psi(g)][1] for g in G.elements())).check()
+                   tuple(fq1.lift(psi(g)) for g in G.elements())).check()
     forced = q.forced_hom
     phi = Um.phi_hom()
     if any(phi(sol(g)) != forced(g) for g in G.elements()):

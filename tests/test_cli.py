@@ -85,6 +85,17 @@ def test_an_order_below_1_is_a_parse_error_on_line_1(order, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("parse error: line 1: ")
 
 
+def test_an_entry_outside_the_table_is_a_parse_error_on_its_line(tmp_path,
+                                                                 capsys):
+    """The 5 on line 4 was once reported as `row 1 is not a valid index row
+    of length 2`, by its 0-based table row and with no file line."""
+    tbl = tmp_path / "g.tbl"
+    tbl.write_text("order 2\ngenerators 1\n0 1\n1 5\n")
+    assert cli.main(["group", "check", str(tbl)]) == cli.EXIT_USAGE == 3
+    assert capsys.readouterr().err == \
+        "parse error: line 4: entry 5 outside 0..1\n"
+
+
 def test_usage_errors(capsys):
     assert cli.main(["group", "show"]) == cli.EXIT_USAGE
     assert cli.main(["bogus"]) == cli.EXIT_USAGE

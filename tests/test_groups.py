@@ -89,6 +89,18 @@ def test_validate_catches_broken_table():
         gr.build_from_table(table, None)
 
 
+def test_a_rejected_table_leaves_no_edge_list_cached():
+    """Both tables generate and fail Light's test. Their edge walks were
+    once left in `_edges`'s cache for the life of the process."""
+    before = gr._edges.cache_info().currsize
+    for table, gens in (([[0, 1, 2], [1, 2, 0], [2, 0, 2]], None),
+                        ([[0, 1, 2, 3], [1, 0, 2, 3], [2, 2, 3, 0],
+                          [3, 3, 0, 0]], [1, 2])):
+        with pytest.raises(NonAssociative):
+            gr.build_from_table(table, gens)
+    assert gr._edges.cache_info().currsize == before
+
+
 def test_size_limit():
     with pytest.raises(SizeLimit):
         gr.build_cyclic(65)

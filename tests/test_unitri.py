@@ -312,11 +312,57 @@ class OldFiber:
                            block(mat, self.m + 1 - self.k, self.k - 1).entries)]
 
 
+def fiber_pairs(k, m, p):
+    """The element indices (a, b) of U_{m-1}(p) x U_{m+1-k}(p) that agree
+    on the overlapping (m-k)-block, a-major, b ascending: the numbering of
+    Q_{k,m} that the kept digits replace."""
+    left, right = ut.unitri_group(m - 1, p), ut.unitri_group(m + 1 - k, p)
+    over_right = {}
+    for b in right.elements():
+        over_right.setdefault(right.upper_left(b, m - k), []).append(b)
+    return [(a, b) for a in left.elements()
+            for b in over_right[left.lower_right(a, m - k)]]
+
+
+FIBERS = [(k, m, p) for p, ms in ((2, (2, 3, 4, 5)), (3, (2, 3, 4)), (5, (3,)))
+          for m in ms for k in range(1, m)]
+
+
+@pytest.mark.parametrize("k,m,p", FIBERS)
+def test_kept_digits_number_the_fiber_pairs(k, m, p):
+    fq, U = ut.fiber_quotient(k, m, p), ut.unitri_group(m, p)
+    on_m = [t for t in range(U.num_entries)
+            if t not in ut.zero_positions(m, "M", k)]
+    pairs = fiber_pairs(k, m, p)
+    assert fq.order == len(pairs)
+    for x, (a, b) in enumerate(pairs):
+        y = fq.lift(x)
+        assert fq.from_parent(y) == x
+        assert U.read(y, on_m) == 0
+        assert (U.upper_left(y, m - 1), U.lower_right(y, m + 1 - k)) == (a, b)
+        assert fq.index_of(a, b) == x
+    if m - k >= 2:
+        # b has entry 1 at (1, 2), inside the overlap, where a = I has 0
+        b = ut.unitri_group(m + 1 - k, p).elementary_index(1, 2)
+        with pytest.raises(BadParameter, match="differ on the overlap"):
+            fq.index_of(0, b)
+
+
+def test_fiber_quotient_refuses_its_order_past_the_bound():
+    with pytest.raises(SizeLimit, match=r"^\|Q_\{2,7\}\(2\)\| = 1048576$"):
+        ut.fiber_quotient(2, 7, 2)
+
+
+def coset_blocks(fq, x):
+    """The two blocks of x's lift to U_m(p), as matrices."""
+    A = ut.unitri_group(fq.m, fq.p).matrix_of(fq.lift(x))
+    return block(A, fq.m - 1, 0), block(A, fq.m + 1 - fq.k, fq.k - 1)
+
+
 @pytest.mark.parametrize("k,m,p", [(2, 4, 2), (1, 4, 2), (2, 4, 3)])
 def test_fiber_quotient_matches_the_matrix_pairs(k, m, p):
     fq, old = ut.fiber_quotient(k, m, p), OldFiber(k, m, p)
-    assert [(fq.left.matrix_of(a), fq.right.matrix_of(b))
-            for a, b in fq.pairs] == old.pairs
+    assert [coset_blocks(fq, x) for x in range(fq.order)] == old.pairs
     assert tuple(map(tuple, fq.group.mul)) == old.table
     assert fq.group.generators == old.gens
     assert fq.parent_quotient_hom().images == \
@@ -341,11 +387,9 @@ def test_fiber_quotient_matches_the_matrix_pairs(k, m, p):
 def test_drop_to_matches_the_lower_right_blocks():
     fq = ut.fiber_quotient(3, 5, 2)
     tgt, lam = fq.drop_to(2)
-    for x, (a, b) in enumerate(fq.pairs):
-        A = fq.left.matrix_of(a)
-        a2, b2 = tgt.pairs[lam(x)]
-        assert tgt.left.matrix_of(a2) == block(A, 3, 1)
-        assert b2 == b
+    for x in range(fq.order):
+        A, B = coset_blocks(fq, x)
+        assert coset_blocks(tgt, lam(x)) == (block(A, 3, 1), B)
 
 
 # -- the table closure against the all-pairs builders it replaced -------------
@@ -375,8 +419,11 @@ def per_row_unitri_table(n, p):
 
 def all_pairs_fiber_table(fq):
     """The replaced Q_{k,m} builder: the pair product of every two pairs."""
-    mats = [(fq.left.matrix_of(a), fq.right.matrix_of(b)) for a, b in fq.pairs]
-    index = {pair: i for i, pair in enumerate(fq.pairs)}
+    pairs = fiber_pairs(fq.k, fq.m, fq.p)
+    left = ut.unitri_group(fq.m - 1, fq.p)
+    right = ut.unitri_group(fq.m + 1 - fq.k, fq.p)
+    mats = [(left.matrix_of(a), right.matrix_of(b)) for a, b in pairs]
+    index = {pair: i for i, pair in enumerate(pairs)}
     return tuple(
         tuple(index[(ut.vec_to_index(fq.p, Ax.mul(Ay).entries),
                      ut.vec_to_index(fq.p, Bx.mul(By).entries))]
