@@ -19,27 +19,27 @@ from .errors import (
     TargetMismatch,
 )
 from .groups import FiniteGroup, GroupHom, enumerate_homs, extend_hom, \
-    fibers
+    fibers, index_to_vec
 from .massey import MasseyQuery
 from .unitri import FiberQuotient, UniTriMatrix, _positions, _product_plan, \
     fiber_quotient, unitri_group
 
 
 class EmbeddingProblem:
-    """phi : G -> A to be lifted through the surjection alpha : B -> A."""
-    __slots__ = ("G", "A", "B", "alpha", "phi")
+    """phi : G -> A to be lifted through the surjection alpha : B -> A, with
+    G, A and B read off the two maps."""
+    __slots__ = ("alpha", "phi")
 
-    def __init__(self, G, A, B, alpha, phi):
-        self.G, self.A, self.B, self.alpha, self.phi = G, A, B, alpha, phi
-
-    def validate(self) -> "EmbeddingProblem":
-        if self.alpha.domain != self.B or self.alpha.codomain != self.A:
-            raise BadParameter("alpha must map B onto A")
-        if self.phi.domain != self.G or self.phi.codomain != self.A:
-            raise BadParameter("phi must map G into A")
-        if not self.alpha.is_surjective():
+    def __init__(self, alpha: GroupHom, phi: GroupHom):
+        if phi.codomain != alpha.codomain:
+            raise TargetMismatch("phi must land in the codomain of alpha")
+        if not all(fibers(alpha)):
             raise BadParameter("alpha is not surjective")
-        return self
+        self.alpha, self.phi = alpha, phi
+
+    G = property(lambda self: self.phi.domain)
+    A = property(lambda self: self.alpha.codomain)
+    B = property(lambda self: self.alpha.domain)
 
 
 def solve(E: EmbeddingProblem) -> Optional[GroupHom]:
@@ -70,9 +70,7 @@ def build_dwyer_problem(q: MasseyQuery, target: str = "U") -> EmbeddingProblem:
     """The lifting problem for -a_1 x ... x -a_n through the superdiagonal
     map, with B = U_{n+1}(p) (or its quotient by Z / by P); its solutions
     are `q.lifts(target)`."""
-    phi, alpha = q.forced_hom, q.dwyer_map(target)
-    return EmbeddingProblem(q.group, phi.codomain, alpha.domain,
-                            alpha, phi).validate()
+    return EmbeddingProblem(q.dwyer_map(target), q.forced_hom)
 
 
 def find_order2_preimage(pattern) -> Optional[UniTriMatrix]:
@@ -147,7 +145,8 @@ def _section(alpha: GroupHom, lift_policy: str) -> dict:
 def central_data(alpha: GroupHom) -> tuple:
     """(kernel, coord): Ker(alpha), checked to be central of prime order p,
     and its identification with Z/p, the dict that sends the c-th power of
-    the least non-identity kernel element, kernel[1], to c.
+    the least non-identity kernel element, kernel[1], to c.  Centrality is
+    checked against B's listed generators, which generate B.
 
     On the kernel {I + c e_{k-1,m}} of rho_{k-1,m} that element is the
     one with c = 1 (elements are numbered by their kept digits, and c is
@@ -156,7 +155,7 @@ def central_data(alpha: GroupHom) -> tuple:
     kernel = fibers(alpha)[0]
     B = alpha.domain
     for z in kernel:
-        for b in B.elements():
+        for b in B.generators:
             if B.mul[z][b] != B.mul[b][z]:
                 raise NotCentral(f"kernel element {z} does not centralize {b}")
     p = len(kernel)
@@ -223,15 +222,10 @@ def embed_char_in_rho_kernel(fq: FiberQuotient, chi: Cochain) -> GroupHom:
 
 def rho_step_problem(psi: GroupHom, k: int, m: int, p: int) -> EmbeddingProblem:
     """E(psi): lift psi : G -> Q_{k,m} through rho_{k-1,m} : Q_{k-1,m} ->
-    Q_{k,m}."""
+    Q_{k,m}; TargetMismatch unless psi lands in Q_{k,m}."""
     if k < 2:
         raise BadParameter("need k >= 2 so that rho_{k-1,m} exists")
-    src = fiber_quotient(k - 1, m, p)
-    tgt = fiber_quotient(k, m, p)
-    if psi.codomain != tgt.group:
-        raise TargetMismatch("psi does not land in Q_{k,m}")
-    return EmbeddingProblem(psi.domain, tgt.group, src.group,
-                            src.rho_hom(), psi).validate()
+    return EmbeddingProblem(fiber_quotient(k - 1, m, p).rho_hom(), psi)
 
 
 def rho_step_obstruction(psi: GroupHom, k: int, m: int,
@@ -244,10 +238,11 @@ def rho_step_obstruction(psi: GroupHom, k: int, m: int,
 def chars_of_quotient_hom(psi: GroupHom, fq: FiberQuotient) -> tuple:
     """Recover (a_1, ..., a_{m-1}) with phi o psi = -a_1 x ... x -a_{m-1}
     from a homomorphism into a fiber quotient."""
-    G, p, m = psi.domain, fq.p, fq.m
-    return tuple(cc.cochain(G, p, 1, [-fq.entry_of(psi(g), i, i + 1)
-                                      for g in range(1, G.order)])
-                 for i in range(1, m))
+    G, p, n = psi.domain, fq.p, fq.m - 1
+    phi = fq.phi_hom()
+    rows = [index_to_vec(p, n, phi(psi(g))) for g in range(1, G.order)]
+    return tuple(cc.cochain(G, p, 1, [-row[i] for row in rows])
+                 for i in range(n))
 
 
 def verify_twisting(G: FiniteGroup, p: int, n: int, k: int,
@@ -284,8 +279,8 @@ def verify_twisting(G: FiniteGroup, p: int, n: int, k: int,
 
     @functools.cache
     def base(psi):
-        """a_{k-1} and o(E(psi)), computed once for every chi paired with
-        psi."""
+        """a_{k-1} and o(E(psi)), computed once per homomorphism; psi chi is
+        one too, so its obstruction is read from here as well."""
         return (chars_of_quotient_hom(psi, tgt)[k - 2],
                 rho_step_obstruction(psi, k, m, p))
 
@@ -295,12 +290,16 @@ def verify_twisting(G: FiniteGroup, p: int, n: int, k: int,
         with chi."""
         return embed_char_in_rho_kernel(tgt, chi)
 
+    @functools.cache
+    def cup_class(a_prev, chi):
+        """The class of a_{k-1} cup chi, computed once per (a_{k-1}, chi)."""
+        return cc.class_of(cc.cup(a_prev, chi))
+
     records = []
     for psi, chi in pairs:
         a_prev, o_base = base(psi)
-        psix = twist(psi, in_kernel(chi))
-        o_tw = rho_step_obstruction(psix, k, m, p)
-        expected = o_base + cc.class_of(cc.cup(a_prev, chi))
+        o_tw = base(twist(psi, in_kernel(chi)))[1]
+        expected = o_base + cup_class(a_prev, chi)
         records.append({
             "psi": psi.gen_images(),
             "chi": chi.values,

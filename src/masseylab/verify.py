@@ -167,8 +167,7 @@ def easy_vanishing_drill(G: FiniteGroup, p: int, n: int) -> dict:
         forced = q.forced_hom
         psi = tower.start_hom(forced)
         for t in range(tower.steps - 1, -1, -1):
-            E = EmbeddingProblem(G, tower.groups[t + 1], tower.groups[t],
-                                 tower.alphas[t], psi)
+            E = EmbeddingProblem(tower.alphas[t], psi)
             o = em.obstruction(E)
             if not o.is_zero():
                 raise MasseyLabError(
@@ -194,7 +193,7 @@ def _audit_step(G: FiniteGroup, alpha: GroupHom):
     homomorphisms phi : G -> codomain(alpha)."""
     records = []
     for phi in enumerate_homs(G, alpha.codomain):
-        E = EmbeddingProblem(G, alpha.codomain, alpha.domain, alpha, phi)
+        E = EmbeddingProblem(alpha, phi)
         report = em.solvable_iff_obstruction_zero(E)
         records.append({
             "phi": phi.gen_images(),

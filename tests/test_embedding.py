@@ -23,7 +23,7 @@ V4 = gr.build_vector_group(2, 2)
 
 def identity_problem(G):
     ident = gr.GroupHom(G, G, tuple(G.elements()))
-    return em.EmbeddingProblem(G, G, G, ident, ident).validate()
+    return em.EmbeddingProblem(ident, ident)
 
 
 def test_trivial_alpha_solves():
@@ -35,7 +35,7 @@ def test_trivial_alpha_solves():
 def z4_to_z2_problem():
     alpha = gr.GroupHom(Z4, Z2, (0, 1, 0, 1)).check()
     phi = gr.GroupHom(Z2, Z2, (0, 1)).check()
-    return em.EmbeddingProblem(Z2, Z2, Z4, alpha, phi).validate()
+    return em.EmbeddingProblem(alpha, phi)
 
 
 def test_central_z4_over_z2_obstructed():
@@ -58,7 +58,46 @@ def test_central_data_errors():
     # alpha: S3 -> S3/A3 = Z2 has kernel A3 of order 3: central_data rejects
     with pytest.raises((NotCentral, KernelNotOrderP)):
         em.central_data(em.EmbeddingProblem(
-            Z2, Z2, S3, quot, gr.GroupHom(Z2, Z2, (0, 1))).validate().alpha)
+            quot, gr.GroupHom(Z2, Z2, (0, 1))).alpha)
+
+
+def test_problem_refuses_a_phi_outside_the_codomain_of_alpha():
+    alpha = gr.GroupHom(Z4, Z2, (0, 1, 0, 1)).check()
+    into_z4 = gr.GroupHom(Z2, Z4, (0, 2)).check()
+    with pytest.raises(TargetMismatch):
+        em.EmbeddingProblem(alpha, into_z4)
+
+
+def test_problem_refuses_an_alpha_that_is_not_onto():
+    inclusion = gr.GroupHom(Z2, Z4, (0, 2)).check()
+    with pytest.raises(BadParameter):
+        em.EmbeddingProblem(inclusion, inclusion)
+
+
+def test_rho_step_problem_refuses_a_psi_outside_q_k_m():
+    # psi lands in Q_{1,4}(2), not in Q_{2,4}(2)
+    psi = next(gr.enumerate_homs(V4, fiber_quotient(1, 4, 2).group))
+    with pytest.raises(TargetMismatch):
+        em.rho_step_problem(psi, 2, 4, 2)
+
+
+def test_central_data_checks_every_listed_generator():
+    # B = Z2 x S3 lists the central Z2 generator first: the kernel A3 of
+    # B -> Z2 x Z2 commutes with it, but not with the transpositions after
+    S3 = gr.build_symmetric3()
+    B = gr.build_direct_product(Z2, S3)
+    sign = [0 if S3.element_order(s) in (1, 3) else 1 for s in S3.elements()]
+    alpha = gr.GroupHom(B, V4, tuple(2 * (x // 6) + sign[x % 6]
+                                     for x in B.elements())).check()
+    kernel = alpha.kernel()
+    first = B.generators[0]
+    assert len(kernel) == 3
+    assert all(B.mul[z][first] == B.mul[first][z] for z in kernel)
+    E = em.EmbeddingProblem(alpha, gr.GroupHom(Z2, V4, (0, 1)).check())
+    with pytest.raises(NotCentral):
+        oracle_central_data(E)
+    with pytest.raises(NotCentral):
+        em.central_data(alpha)
 
 
 def test_obstruction_lift_policies_agree():
@@ -291,14 +330,13 @@ def test_cached_obstructions_match_on_the_tower_audit_steps(G, m, p):
                              for k in range(1, m - 1)]
     for alpha in alphas:
         for phi in gr.enumerate_homs(G, alpha.codomain):
-            assert_cached_path_matches_oracle(em.EmbeddingProblem(
-                G, alpha.codomain, alpha.domain, alpha, phi))
+            assert_cached_path_matches_oracle(em.EmbeddingProblem(alpha,
+                                                                  phi))
 
 
 def test_problems_on_one_surjection_share_its_fibers():
     alpha = fiber_quotient(1, 4, 2).rho_hom()
-    E1, E2 = (em.EmbeddingProblem(Z2, alpha.codomain, alpha.domain, alpha,
-                                  phi)
+    E1, E2 = (em.EmbeddingProblem(alpha, phi)
               for phi in list(gr.enumerate_homs(Z2, alpha.codomain))[:2])
     assert gr.fibers(E1.alpha) is gr.fibers(E2.alpha)
     assert em.central_data(E1.alpha)[1] is em.central_data(E2.alpha)[1]
@@ -311,10 +349,8 @@ def test_failed_checks_raise_again_on_every_call():
     Z1 = gr.build_cyclic(1)
     to_trivial = gr.GroupHom(V4, Z1, (0,) * 4).check()
     cases = [
-        (em.EmbeddingProblem(Z2, Z2, S3, sign, gr.GroupHom(Z2, Z2, (0, 1))),
-         NotCentral),
-        (em.EmbeddingProblem(Z1, Z1, V4, to_trivial,
-                             gr.GroupHom(Z1, Z1, (0,))),
+        (em.EmbeddingProblem(sign, gr.GroupHom(Z2, Z2, (0, 1))), NotCentral),
+        (em.EmbeddingProblem(to_trivial, gr.GroupHom(Z1, Z1, (0,))),
          KernelNotOrderP),
     ]
     for E, error in cases:
@@ -342,6 +378,36 @@ def test_central_data_on_a_rho_kernel_is_iota(k, m, p):
     kernel, coord = em.central_data(fq.rho_hom())
     assert len(kernel) == p
     assert coord == {z: fq.iota(z) for z in kernel}
+
+
+def test_verify_twisting_obstructs_each_hom_once(monkeypatch):
+    k, m, p = 2, 4, 2
+    tgt = fiber_quotient(k, m, p)
+    chis = cc.characters(V4, p)
+    homs = list(gr.enumerate_homs(V4, tgt.group))
+    # the per-pair computation the sweep's caches replace
+    expected = []
+    for psi in homs:
+        a_prev = em.chars_of_quotient_hom(psi, tgt)[k - 2]
+        for chi in chis:
+            psix = em.twist(psi, em.embed_char_in_rho_kernel(tgt, chi))
+            expected.append({
+                "psi": psi.gen_images(),
+                "chi": chi.values,
+                "holds": em.rho_step_obstruction(psix, k, m, p) ==
+                em.rho_step_obstruction(psi, k, m, p) +
+                cc.class_of(cc.cup(a_prev, chi)),
+            })
+    calls = []
+    obstruction = em.obstruction
+
+    def counted(E, *args):
+        calls.append(E.phi)
+        return obstruction(E, *args)
+    monkeypatch.setattr(em, "obstruction", counted)
+    assert em.verify_twisting(V4, p, m - 1, k) == expected
+    assert len(homs) == len(set(calls)) == len(calls) == 304
+    assert set(calls) == set(homs)
 
 
 def test_verify_twisting_bad_k():

@@ -126,14 +126,13 @@ def coset_quotient_tower(n, p):
     return [q.group for q in quots], alphas, quots[-1].reps, quots[0].reps
 
 
-def lift_down(groups, alphas, psi):
+def lift_down(alphas, psi):
     """Solve each central step from the top level down; the lift at each
     level, None from the first step without a solution on."""
     lifts = []
     for t in range(len(alphas) - 1, -1, -1):
         if psi is not None:
-            psi = em.solve(em.EmbeddingProblem(psi.domain, groups[t + 1],
-                                               groups[t], alphas[t], psi))
+            psi = em.solve(em.EmbeddingProblem(alphas[t], psi))
         lifts.append(psi)
     return lifts
 
@@ -150,9 +149,8 @@ def test_tower_starts_at_u_and_matches_the_coset_quotient_tower(n, p):
     G = gr.build_vector_group(p, 2) if p == 2 else gr.build_cyclic(p)
     lifted = 0
     for psi in gr.enumerate_homs(G, tower.groups[-1]):
-        new = lift_down(tower.groups, tower.alphas, psi)
-        old = lift_down(groups, alphas, gr.GroupHom(G, groups[-1],
-                                                    psi.images))
+        new = lift_down(tower.alphas, psi)
+        old = lift_down(alphas, gr.GroupHom(G, groups[-1], psi.images))
         assert [h and h.images for h in new] == [h and h.images for h in old]
         if old[-1] is not None:
             # the coset tower's final lift, read in U through its
