@@ -92,8 +92,8 @@ class Report:
             return EXIT_BUDGET
         return EXIT_OK
 
-    def emit(self, args, out=None):
-        out = out or sys.stdout
+    def emit(self, args):
+        out = sys.stdout
         if args.format == "records":
             header = {"schema-version": SCHEMA_VERSION, "command": self.command,
                       "seed": args.seed}

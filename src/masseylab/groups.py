@@ -424,13 +424,17 @@ def build_symmetric3() -> FiniteGroup:
 # -- homomorphisms ------------------------------------------------------------
 
 class GroupHom(Value):
-    __slots__ = ("domain", "codomain", "images")
+    __slots__ = ("domain", "codomain", "images", "_hash")
 
     def __init__(self, domain, codomain, images):
         self.domain, self.codomain, self.images = domain, codomain, images
+        self._hash = hash(self._key())  # once, as a FiniteGroup's is
 
     def _key(self) -> tuple:
         return self.domain, self.codomain, self.images
+
+    def __hash__(self):
+        return self._hash
 
     def __call__(self, x: int) -> int:
         return self.images[x]

@@ -1,7 +1,8 @@
 """Unitriangular matrix groups U_n(p) and the subgroup/quotient machinery
 built on them: the subgroups Z, P, M(k) and the central series of
-Ker(phi), each named by its zero positions, U/Z and U/P with induced
-superdiagonal maps, and the fiber-product realization of U_m(p)/M_{k,m}.
+Ker(phi), each named by its zero positions, U_n(p) modulo them from the
+product plan, U/Z and U/P with induced superdiagonal maps, and the
+fiber-product realization of U_m(p)/M_{k,m}.
 
 Matrix entries use textbook 1-based (i, j) indexing; strictly-upper
 entries are stored packed in row-major order.
@@ -35,12 +36,18 @@ def _pos_index(n: int) -> dict:
 
 
 @functools.cache
+def _superdiagonal(n: int) -> tuple[int, ...]:
+    """The packed positions (1, 2), (2, 3), ..., (n-1, n), ascending."""
+    return tuple(_pos_index(n)[(i, i + 1)] for i in range(1, n))
+
+
+@functools.cache
 def _product_plan(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The product rule of U_n(p), (AB)_ij = a_ij + b_ij + sum_k a_ik b_kj:
     for each packed position (i, j), the packed positions of its (i, k),
     (k, j) factor pairs, i < k < j.  It is the one statement of the rule;
-    `_product`, the table closure of `UniTriGroup.as_finite_group` and the
-    table-free order-2 search of `embedding.find_order2_preimage` read it."""
+    `_product`, the table closure of `position_quotient` and the table-free
+    order-2 search of `embedding.find_order2_preimage` read it."""
     pidx = _pos_index(n)
     return tuple(tuple((pidx[(i, k)], pidx[(k, j)]) for k in range(i + 1, j))
                  for (i, j) in _positions(n))
@@ -56,6 +63,35 @@ def _product(a, b, plan, p: int) -> list:
             v += a[s] * b[u]
         out.append(v % p)
     return out
+
+
+def position_quotient(n: int, p: int, kept: Sequence[int],
+                      label: str) -> FiniteGroup:
+    """U_n(p) modulo the subgroup that is 0 at the packed positions kept,
+    each element its entries at kept read as base-p digits, first digit
+    most significant.  Raises BadParameter unless the plan of every kept
+    position reads only kept positions, exactly when reading the kept
+    digits is a homomorphism.  By the product rule x*(I + e_q) differs
+    from x by 1 at q, and by x_s at each t whose plan terms include the
+    pair (s, q), mod p."""
+    plan = _product_plan(n)
+    place = {t: p ** (len(kept) - 1 - d) for d, t in enumerate(kept)}
+    if any(s not in place or u not in place for t in kept for s, u in plan[t]):
+        raise BadParameter(f"the product rule of U_{n}({p}) at the kept "
+                           f"positions {tuple(kept)} reads other positions")
+    order = p ** len(kept)
+    if order > CONTAINER_LIMIT:
+        raise SizeLimit(f"|{label}| = {order} > {CONTAINER_LIMIT}")
+    own = [q for q in _superdiagonal(n) if q in place]
+    # per generator: (place value of the added x_s, or None for the added
+    # 1, place value of the digit it is added to, mod p), both read off x
+    steps = [[(None, place[q])] + [(place[s], place[t]) for t in kept
+                                   for s, u in plan[t] if u == q]
+             for q in own]
+    action = [[x + sum(((x // dst + (x // src if src else 1)) % p
+                        - x // dst % p) * dst for src, dst in step)
+               for step in steps] for x in range(order)]
+    return group_from_action(action, tuple(place[q] for q in own), label)
 
 
 @functools.cache
@@ -190,34 +226,9 @@ class UniTriGroup:
 
     @functools.cache
     def as_finite_group(self) -> FiniteGroup:
-        """The multiplication table, closed from the right action of the
-        superdiagonal generators.  A generator g = I + e_q has entry 1 at
-        its own packed position q and 0 elsewhere, so by the product rule
-        x*g differs from x by 1 at q, and by x_s at each position t whose
-        plan terms include the pair (s, q), mod p."""
-        n, p, wt = self.n, self.p, self.weights
-        plan = _product_plan(n)
-        own = [_pos_index(n)[(i, i + 1)] for i in range(1, n)]
-        gens = tuple(wt[q] for q in own)
-        # per generator: (place value of the added x_s, or None for the
-        # added 1, place value of the digit it is added to)
-        steps = [[(None, wt[q])] + [(wt[s], wt[t])
-                                    for t, terms in enumerate(plan)
-                                    for s, u in terms if u == q]
-                 for q in own]
-        action = []
-        for x in self.elements():
-            row = []
-            for step in steps:
-                y = x
-                for src, dst in step:
-                    v = x // src % p if src else 1
-                    if v:
-                        d = x // dst % p
-                        y += ((d + v) % p - d) * dst
-                row.append(y)
-            action.append(row)
-        return group_from_action(action, gens, f"U{n}({p})")
+        """The multiplication table: U_n(p) with every position kept."""
+        return position_quotient(self.n, self.p, range(self.num_entries),
+                                 f"U{self.n}({self.p})")
 
     def elementary_index(self, i: int, j: int, v: int = 1) -> int:
         """Index of the elementary matrix I + v e_ij, read off the weights."""
@@ -226,12 +237,10 @@ class UniTriGroup:
     @functools.cache
     def phi_hom(self) -> GroupHom:
         """The superdiagonal map as a hom onto (Z/p)^(n-1)."""
-        target = build_vector_group(self.p, self.n - 1)
         G = self.as_finite_group()
-        superdiagonal = [_pos_index(self.n)[(i, i + 1)]
-                         for i in range(1, self.n)]
+        superdiagonal = _superdiagonal(self.n)
         images = tuple(self.read(x, superdiagonal) for x in G.elements())
-        return GroupHom(G, target, images)
+        return GroupHom(G, build_vector_group(self.p, self.n - 1), images)
 
 
 @functools.cache
@@ -302,8 +311,8 @@ class FiberQuotient:
         if self.order > CONTAINER_LIMIT:
             raise SizeLimit(f"|Q_{{{k},{m}}}({p})| = {self.order}")
         # generators: images of U_m's superdiagonal elementaries
-        gens = tuple(sorted({self.from_parent(Um.elementary_index(i, i + 1))
-                             for i in range(1, m)} - {0}))
+        gens = tuple(sorted({self.from_parent(Um.weights[q])
+                             for q in _superdiagonal(m)} - {0}))
         gen_mats = [Um.matrix_of(self.lift(g)) for g in gens]
         action = [[self.from_parent(vec_to_index(p, X.mul(A).entries))
                    for A in gen_mats]
@@ -338,22 +347,12 @@ class FiberQuotient:
         return GroupHom(G, self.group,
                         tuple(self.from_parent(x) for x in G.elements()))
 
-    def entry_of(self, idx: int, i: int, j: int) -> int:
-        """Entry e_{ij} of any parent-coset representative; defined exactly
-        for the entries constant on M_{k,m}-cosets (all (i,j) with j < m,
-        plus (i,m) for i >= k)."""
-        if j == self.m and i < self.k:
-            raise IndexOutOfRange(f"entry ({i},{j}) is not constant on "
-                                  f"cosets of M_{{{self.k},{self.m}}}")
-        return self.parent.entry_of(self.lift(idx), i, j)
-
     @functools.cache
     def phi_hom(self) -> GroupHom:
         """Induced superdiagonal map onto (Z/p)^(m-1)."""
         target = build_vector_group(self.p, self.m - 1)
-        images = tuple(vec_to_index(self.p,
-                                    [self.entry_of(x, i, i + 1)
-                                     for i in range(1, self.m)])
+        superdiagonal = _superdiagonal(self.m)
+        images = tuple(self.parent.read(self.lift(x), superdiagonal)
                        for x in range(self.order))
         return GroupHom(self.group, target, images)
 
@@ -382,8 +381,7 @@ class FiberQuotient:
         return self.from_parent(self.parent.elementary_index(self.k, self.m, c))
 
     def kernel_of_rho(self) -> list[int]:
-        rho = self.rho_hom()
-        return rho.kernel()
+        return self.rho_hom().kernel()
 
     # block-shift maps ---------------------------------------------------------
 

@@ -20,13 +20,14 @@ from .errors import (
     NotApplicable,
     SizeMismatch,
 )
-from .groups import CosetQuotient, FiniteGroup, GroupHom, build_cyclic, \
-    enumerate_homs, vec_to_index
+from .groups import FiniteGroup, GroupHom, build_cyclic, enumerate_homs, \
+    vec_to_index
 from .unitri import (
     UniTriGroup,
     UniTriMatrix,
     central_series_ker_phi,
     fiber_quotient,
+    position_quotient,
     unitri_group,
     zero_positions,
 )
@@ -109,31 +110,27 @@ def splice_lifts(left: GroupHom, right: GroupHom, Ul: UniTriGroup,
 
 class _FiltrationTower:
     """U_{n+1}(p) and its quotients U/N_t along the central series of
-    Ker(phi), with the connecting surjections and the identification of
-    the top quotient with (Z/p)^n.  N_0 = {1}, so groups[0] is U's own
-    table and a lift down the tower lands in U."""
+    Ker(phi), each element its digits at N_t's zero positions, with the
+    connecting surjections.  N_0 = {1}, so groups[0] is U's own table and
+    a lift down the tower lands in U; the top keeps the superdiagonal in
+    order, so its elements are those of (Z/p)^n."""
 
     def __init__(self, n: int, p: int):
         if n < 2:
             raise BadParameter(f"the tower needs n >= 2, got n = {n}")
         self.U = unitri_group(n + 1, p)
-        UG = self.U.as_finite_group()
         chain, _ = central_series_ker_phi(n)
-        self.steps = len(chain) - 1
-        quots = [CosetQuotient(UG, self.U.vanishing_on(zero), label=f"U/N{t}")
-                 for t, zero in enumerate(chain) if t]
-        self.groups = [UG] + [q.group for q in quots]
-        # alpha_t : U/N_t -> U/N_{t+1}
-        self.alphas = [quots[0].project()] + [
-            lo.induced(hi.project()) for lo, hi in zip(quots, quots[1:])]
-        # the top quotient is (Z/p)^n via the superdiagonal
-        top = quots[-1].induced(self.U.phi_hom())
-        self.vec_to_top = {v: c for c, v in enumerate(top.images)}
-
-    def start_hom(self, forced: GroupHom) -> GroupHom:
-        images = tuple(self.vec_to_top[forced(g)]
-                       for g in forced.domain.elements())
-        return GroupHom(forced.domain, self.groups[-1], images)
+        self.groups = [self.U.as_finite_group()] + [
+            position_quotient(n + 1, p, kept, f"U/N{t}")
+            for t, kept in enumerate(chain) if t]
+        # alpha_t : U/N_t -> U/N_{t+1} drops the digit, of place value w,
+        # of the one position that N_{t+1} adjoins
+        self.alphas = []
+        for t, (lo, hi) in enumerate(zip(self.groups, self.groups[1:])):
+            (drop,) = set(chain[t]).difference(chain[t + 1])
+            w = p ** (len(chain[t]) - 1 - chain[t].index(drop))
+            self.alphas.append(GroupHom(lo, hi, tuple(
+                x // (w * p) * w + x % w for x in lo.elements())))
 
 
 @functools.cache
@@ -165,8 +162,8 @@ def easy_vanishing_drill(G: FiniteGroup, p: int, n: int) -> dict:
     for chars in ms.h1_tuples(G, p, n):
         q = ms.MasseyQuery(G, p, chars)
         forced = q.forced_hom
-        psi = tower.start_hom(forced)
-        for t in range(tower.steps - 1, -1, -1):
+        psi = GroupHom(G, tower.groups[-1], forced.images)
+        for t in reversed(range(len(tower.alphas))):
             E = EmbeddingProblem(tower.alphas[t], psi)
             o = em.obstruction(E)
             if not o.is_zero():
@@ -182,8 +179,8 @@ def easy_vanishing_drill(G: FiniteGroup, p: int, n: int) -> dict:
             raise MasseyLabError("final lift does not project correctly")
         tuples += 1
     return {"group": G.label, "p": p, "n": n, "tuples": tuples,
-            "steps": tower.steps, "obstructions_zero": True, "verified": True,
-            "mode": "filtration"}
+            "steps": len(tower.alphas), "obstructions_zero": True,
+            "verified": True, "mode": "filtration"}
 
 
 # -- central-step obstruction audits -------------------------------------------
@@ -211,8 +208,8 @@ def obstruction_tower_audit(G: FiniteGroup, m: int, p: int) -> list[dict]:
     rho_{k,m} tower inside U_m(p)."""
     out = []
     tower = _tower(m - 1, p)
-    for t in range(tower.steps):
-        recs = _audit_step(G, tower.alphas[t])
+    for t, alpha in enumerate(tower.alphas):
+        recs = _audit_step(G, alpha)
         out.append({"step": f"filtration t={t}", "records": recs})
     for k in range(1, m - 1):
         fq = fiber_quotient(k, m, p)

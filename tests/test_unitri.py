@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from masseylab import unitri as ut
 from masseylab.errors import (
     BadParameter,
-    IndexOutOfRange,
     NotInKernel,
     SizeLimit,
 )
@@ -112,10 +111,8 @@ def test_fiber_quotient_entry_access():
     U = ut.unitri_group(4, 2)
     A = elementary(4, 2, 1, 2).mul(elementary(4, 2, 2, 4))
     idx = proj(ut.vec_to_index(2, A.entries))
-    assert fq.entry_of(idx, 1, 2) == 1
-    assert fq.entry_of(idx, 2, 4) == 1
-    with pytest.raises(IndexOutOfRange):
-        fq.entry_of(idx, 1, 4)  # not constant on cosets of M_{2,4}
+    assert fq.parent.entry_of(fq.lift(idx), 1, 2) == 1
+    assert fq.parent.entry_of(fq.lift(idx), 2, 4) == 1
 
 
 def test_drop_to():
@@ -348,6 +345,44 @@ def test_kept_digits_number_the_fiber_pairs(k, m, p):
             fq.index_of(0, b)
 
 
+def assert_same_table(G, H):
+    assert tuple(map(tuple, G.mul)) == tuple(map(tuple, H.mul))
+    assert G.inv == H.inv
+
+
+@pytest.mark.parametrize("k,m,p", FIBERS)
+def test_position_quotient_matches_the_fiber_quotient(k, m, p):
+    fq = ut.fiber_quotient(k, m, p)
+    assert_same_table(ut.position_quotient(m, p, fq.kept, "Q"), fq.group)
+
+
+def kept_lift(U, kept, x):
+    """The element of U that is x's digits at kept and 0 elsewhere."""
+    digits = ut.index_to_vec(U.p, len(kept), x)
+    return sum(d * U.weights[t] for d, t in zip(digits, kept))
+
+
+@pytest.mark.parametrize("n,p", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3),
+                                 (2, 5)])
+def test_position_quotient_matches_u_mod_z_and_u_mod_p(n, p):
+    U = ut.unitri_group(n + 1, p)
+    for kind, (quot, _) in zip("ZP", ut.zeta_kappa_targets(n, p)):
+        kept = ut.zero_positions(n + 1, kind)
+        G = ut.position_quotient(n + 1, p, kept, kind)
+        assert_same_table(G, quot.group)
+        assert quot.reps == tuple(kept_lift(U, kept, x)
+                                  for x in G.elements())
+
+
+@pytest.mark.parametrize("kept", [[(1, 3)], [(1, 2), (1, 3)],
+                                  [(2, 3), (1, 3)]])
+def test_position_quotient_refuses_positions_that_are_not_closed(kept):
+    # the product rule at (1, 3) reads (1, 2) and (2, 3)
+    kept = [ut._pos_index(3)[pos] for pos in kept]
+    with pytest.raises(BadParameter, match="reads other positions"):
+        ut.position_quotient(3, 2, kept, "U3(2)/?")
+
+
 def test_fiber_quotient_refuses_its_order_past_the_bound():
     with pytest.raises(SizeLimit, match=r"^\|Q_\{2,7\}\(2\)\| = 1048576$"):
         ut.fiber_quotient(2, 7, 2)
@@ -381,7 +416,7 @@ def test_fiber_quotient_matches_the_matrix_pairs(k, m, p):
                 A, B = old.pairs[x]
                 want = A.entry(i, j) if j < m else \
                     B.entry(i - k + 1, j - k + 1)
-                assert fq.entry_of(x, i, j) == want
+                assert fq.parent.entry_of(fq.lift(x), i, j) == want
 
 
 def test_drop_to_matches_the_lower_right_blocks():
