@@ -1,8 +1,10 @@
-"""Finite groups as dense multiplication tables and their coset quotients,
-plus the homomorphism search engine used by every embedding-problem solver.
+"""Finite groups as multiplication tables and their coset quotients, plus
+the homomorphism search engine used by every embedding-problem solver.
 
 Conventions: elements are the indices 0..N-1, index 0 is the identity, and
-each row of a table is an array('H') of indices, 2 bytes a cell.
+each row of a table is an array('H') of indices, 2 bytes a cell.  A group
+closed from its generators' right action builds a row the first time
+something reads it (`Rows`); a table given whole holds every row.
 Full groups built through the public constructors are capped at order 64;
 container groups (direct products, unitriangular groups, quotients) may go
 up to 4096.
@@ -39,41 +41,58 @@ class Value:
     __slots__ = ()
 
     def __eq__(self, other):
-        return type(other) is type(self) and self._key() == other._key()
+        return other is self or \
+            type(other) is type(self) and self._key() == other._key()
 
     def __hash__(self):
         return hash(self._key())
 
 
 class FiniteGroup(Value):
-    __slots__ = ("order", "mul", "inv", "generators", "label", "_hash")
+    __slots__ = ("order", "mul", "inv", "generators", "label", "action",
+                 "_orders", "_hash")
 
-    def __init__(self, order, mul, inv, generators, label="G"):
+    def __init__(self, order, mul, inv, generators, label="G", action=None):
         # mul[x][y]: each row an array('H') of element indices
         self.order, self.mul, self.inv = order, mul, inv
         self.generators, self.label = generators, label
+        # action[s][x] = x*g_s, one array('H') column per listed generator,
+        # read off the rows when not given
+        self.action = tuple(array("H", [row[g] for row in mul])
+                            for g in generators) if action is None else action
+        self._orders = {}
         # hashed once: each functools.cache lookup keyed on a group hashes
-        # it; the rows are arrays, which do not hash, and equal tables have
-        # equal inverses
+        # it; equal tables have equal inverses
         self._hash = hash((order, inv))
 
     def _key(self) -> tuple:
-        return self.order, self.mul, self.inv, self.generators, self.label
+        # the action of generators that generate fixes the table
+        return self.order, self.generators, self.action, self.label
 
     def elements(self) -> range:
         return range(self.order)
 
     def element_order(self, x: int) -> int:
+        """The order of x, found once per element: its powers are read off
+        row x when that row is built, and otherwise each power is the last
+        one multiplied on the right along x's tree path."""
         if not 0 <= x < self.order:
             raise IndexOutOfRange(f"element {x} not in group of order {self.order}")
-        k, y = 1, x
-        while y != 0:
-            y = self.mul[y][x]
-            k += 1
+        k = self._orders.get(x)
+        if k is None:
+            mul = self.mul
+            steps = mul.path(x) if type(mul) is Rows and x not in mul \
+                else [mul[x]]
+            k, y = 1, x
+            while y != 0:
+                for step in steps:
+                    y = step[y]
+                k += 1
+            self._orders[x] = k
         return k
 
     def involutions(self) -> list[int]:
-        return [x for x in range(1, self.order) if self.mul[x][x] == 0]
+        return [x for x in range(1, self.order) if self.inv[x] == x]
 
     def is_abelian(self) -> bool:
         m = self.mul
@@ -95,6 +114,81 @@ class FiniteGroup(Value):
 
     def __hash__(self):
         return self._hash
+
+
+class Rows(dict):
+    """The rows of a table closed by `table_from_action`, each built the
+    first time it is read: rows[x] is left multiplication by x, an
+    array('H').  Row y, reached first as x*g_s, is row x read at g_s*z for
+    each z, so a missing row is gathered from its tree parent's row, which
+    is built first when it is missing too.  A dict, so reading a row that
+    is built is a C-level subscript; iterated, it yields every row in index
+    order, and it compares row for row with a list or tuple of rows."""
+    __slots__ = ("order", "columns", "parent", "step", "left", "_gathers",
+                 "_pack", "_blank")
+
+    def __init__(self, columns, parent, step, left):
+        n = self.order = len(parent)
+        # columns[s][x] = x*g_s and left[s][x] = g_s*x; y = parent[y]*g_s
+        # with s = step[y], for each y != 0
+        self.columns, self.parent, self.step, self.left = \
+            columns, parent, step, left
+        self._gathers = [operator.itemgetter(*lf) for lf in left]
+        self._pack, self._blank = struct.Struct(f"{n}H").pack, \
+            array("H", [0]) * n
+        self[0] = array("H", range(n))
+
+    def __missing__(self, y):
+        if not 0 <= y < self.order:
+            raise IndexError(f"row {y} of a table of order {self.order}")
+        path = []
+        while y not in self:
+            path.append(y)
+            y = self.parent[y]
+        row = self[y]
+        for y in reversed(path):
+            # a copy of blank is allocated at its exact size, where
+            # array("H", bytes) over-allocates by about 6 %
+            row, cells = self._blank[:], self._gathers[self.step[y]](row)
+            memoryview(row).cast("B")[:] = self._pack(*cells)
+            self[y] = row
+        return row
+
+    def path(self, x: int) -> list[array]:
+        """The columns of the generators along x's tree path, from the
+        identity: y*x is y carried through them in turn."""
+        steps = []
+        while x:
+            steps.append(self.columns[self.step[x]])
+            x = self.parent[x]
+        steps.reverse()
+        return steps
+
+    def column(self, g: int) -> array:
+        """x*g for every x, read off x's tree path without building a row:
+        x = g_s1 ... g_sk gives x*g = g_s1*(...(g_sk*g))."""
+        out = array("H", [g]) * self.order
+        left, parent, step = self.left, self.parent, self.step
+        for x in range(1, self.order):
+            z, y = g, x
+            while y:
+                z = left[step[y]][z]
+                y = parent[y]
+            out[x] = z
+        return out
+
+    def __iter__(self):
+        return map(self.__getitem__, range(self.order))
+
+    def __len__(self):
+        return self.order
+
+    def __eq__(self, other):
+        return isinstance(other, (Rows, list, tuple)) and \
+            list(self) == list(other)
+
+    def __ne__(self, other):
+        return not self == other
 
 
 def _inverses(mul) -> list[int]:
@@ -122,36 +216,48 @@ def find_generators(mul) -> tuple:
     return tuple(gens)
 
 
-def _bfs(mul, gens) -> tuple[list[int], list[tuple[int, int, int]]]:
-    """Breadth-first walk from the identity over gens: the elements reached,
-    in the order reached, and every edge (x, s, x*gens[s]) with x in that
-    order, so each x is reached before its own edges are listed."""
-    seen = [False] * len(mul)
-    seen[0] = True
+def _walk(columns, n: int) -> tuple[list[int], array, array]:
+    """Breadth-first walk from the identity over the right action
+    columns[s][x] = x*g_s: the elements in the order reached, and for each
+    element y != 0 reached the (parent[y], step[y]) = (x, s) of the edge
+    y = x*g_s on which it was first reached."""
+    seen = bytearray(n)
+    seen[0] = 1
+    parent, step = array("H", [0]) * n, array("H", [0]) * n
     reached = [0]
-    edges = []
     for x in reached:
-        row = mul[x]
-        for s, g in enumerate(gens):
-            y = row[g]
-            edges.append((x, s, y))
+        for s, col in enumerate(columns):
+            y = col[x]
             if not seen[y]:
-                seen[y] = True
+                seen[y] = 1
+                parent[y], step[y] = x, s
                 reached.append(y)
-    return reached, edges
+    return reached, parent, step
+
+
+def _bfs(mul, gens) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """Breadth-first walk of a table from the identity over gens: the
+    elements reached, in the order reached, and every edge (x, s,
+    x*gens[s]) with x in that order, so each x is reached before its own
+    edges are listed."""
+    columns = [[row[g] for row in mul] for g in gens]
+    reached = _walk(columns, len(mul))[0]
+    return reached, [(x, s, col[x]) for x in reached
+                     for s, col in enumerate(columns)]
 
 
 @functools.cache
 def _edges(G: FiniteGroup) -> tuple[tuple[int, int, int], ...]:
     """The breadth-first edges of G over its listed generators, walked once
-    per group; raises GeneratorsDontGenerate, on every call, unless they
-    reach every element."""
-    reached, edges = _bfs(G.mul, G.generators)
+    per group on their stored action; raises GeneratorsDontGenerate, on
+    every call, unless they reach every element."""
+    reached = _walk(G.action, G.order)[0]
     if len(reached) != G.order:
         raise GeneratorsDontGenerate(
             f"generators {tuple(G.generators)} span only {len(reached)} of "
             f"{G.order} elements")
-    return tuple(edges)
+    return tuple((x, s, col[x]) for x in reached
+                 for s, col in enumerate(G.action))
 
 
 def _extend(edges, hmul, gen_images, order) -> Optional[tuple]:
@@ -170,78 +276,72 @@ def _extend(edges, hmul, gen_images, order) -> Optional[tuple]:
     return tuple(f)
 
 
-def table_from_action(action) -> tuple[list[array], tuple[int, ...]]:
+def table_from_action(action) -> tuple[Rows, tuple[int, ...]]:
     """The multiplication table of a group from its generators' right
     action, action[x][s] = x*g_s, with index 0 the identity, and the
-    inverse of each element.
+    inverse of each element.  The table's rows are built on demand
+    (`Rows`); the walk keeps the action as one array('H') column per
+    generator, the breadth-first tree, and left multiplication by each
+    generator.
 
     Row x of the table is left multiplication by x, and row(x*g) is row(x)
-    read at g*y for each y.  One walk of the breadth-first edges per
+    read at g*y for each y.  One pass over the breadth-first edges per
     generator gives left multiplication by g_s: g_s*1 = g_s, and on an
-    edge (x, t, x*g_t), g_s*(x*g_t) = (g_s*x)*g_t.  Row 0 is the identity
-    map, and on each edge (x, s, x*g_s) the row of x*g_s is one gather of
-    row(x) by left multiplication by g_s, and its inverse g_s^-1 * x^-1 is
-    x^-1 read through the inverse of that permutation.  A row is a tuple
-    only while its element's edges are walked, then it is packed into an
-    array('H') of 2-byte cells.  Raises GeneratorsDontGenerate unless the
-    walk reaches every element."""
+    edge (x, t, x*g_t), g_s*(x*g_t) = (g_s*x)*g_t.  On the tree edge
+    (x, s, x*g_s) the inverse g_s^-1 * x^-1 of x*g_s is x^-1 read through
+    the inverse of that permutation.  Raises GeneratorsDontGenerate unless
+    the walk reaches every element."""
     n = len(action)
-    d = len(action[0]) if n else 0
     if n > CONTAINER_LIMIT:
         raise SizeLimit(f"order {n} exceeds {CONTAINER_LIMIT}")
-    reached, edges = _bfs(action, range(d))
+    columns = tuple(array("H", col) for col in zip(*action))
+    d = len(columns)
+    reached, parent, step = _walk(columns, n)
     if len(reached) != n:
         raise GeneratorsDontGenerate(
             f"the action of {d} generators spans only {len(reached)} of "
             f"{n} elements")
-    gathers, left_inverses = [], []
+    lefts = []
     for s in range(d):
-        left = [0] * n
-        left[0] = action[0][s]
-        for x, t, y in edges:
-            left[y] = action[left[x]][t]
-        gathers.append(operator.itemgetter(*left))
-        inverse = [0] * n
+        left = array("H", [0]) * n
+        left[0] = columns[s][0]
+        for x in reached:
+            for col in columns:
+                left[col[x]] = col[left[x]]
+        lefts.append(left)
+    left_inverses = [array("H", [0]) * n for _ in lefts]
+    for left, inverse in zip(lefts, left_inverses):
         for z, w in enumerate(left):
             inverse[w] = z
-        left_inverses.append(inverse)
-    pack, blank = struct.Struct(f"{n}H").pack, array("H", [0]) * n
-    rows = [None] * n
-    rows[0] = tuple(range(n))
     inv = [0] * n
-    for x in reached:
-        row, ix = rows[x], inv[x]
-        for s, y in enumerate(action[x]):
-            if rows[y] is None:
-                rows[y] = gathers[s](row)
-                inv[y] = left_inverses[s][ix]
-        # a copy of blank is allocated at its exact size, where
-        # array("H", bytes) over-allocates by about 6 %
-        rows[x] = blank[:]
-        memoryview(rows[x]).cast("B")[:] = pack(*row)
-    return rows, tuple(inv)
+    for y in itertools.islice(reached, 1, None):
+        inv[y] = left_inverses[step[y]][inv[parent[y]]]
+    return Rows(columns, parent, step, lefts), tuple(inv)
 
 
 def group_from_action(action, generators, label: str) -> FiniteGroup:
     """The group whose listed generators g_s act on the right by
     action[x][s] = x*g_s, its table closed by `table_from_action`.  Raises
     BadParameter unless each generator's column of that table is its
-    stated action."""
-    table, inv = table_from_action(action)
+    stated action, each read off the tree without building a row."""
+    rows, inv = table_from_action(action)
     for s, g in enumerate(generators):
-        if [row[g] for row in table] != [a[s] for a in action]:
+        if rows.column(g) != rows.columns[s]:
             raise BadParameter(f"column {s} of the action is not right "
                                f"multiplication by element {g}")
-    return _raw_group(table, generators, label, inv)
+    return _raw_group(rows, generators, label, inv, rows.columns)
 
 
-def _raw_group(mul, generators, label="G", inv=None) -> FiniteGroup:
-    """The group of the array('H') rows mul; inv, when not given, is read
-    off the rows."""
-    mul = tuple(mul)
+def _raw_group(mul, generators, label="G", inv=None,
+               action=None) -> FiniteGroup:
+    """The group of the array('H') rows mul, either `Rows` or a table given
+    whole; inv and action, when not given, are read off the rows."""
+    if not isinstance(mul, Rows):
+        mul = tuple(mul)
     return FiniteGroup(order=len(mul), mul=mul,
                        inv=tuple(_inverses(mul)) if inv is None else inv,
-                       generators=tuple(generators), label=label)
+                       generators=tuple(generators), label=label,
+                       action=action)
 
 
 def validate_group(G: FiniteGroup) -> None:
@@ -460,21 +560,24 @@ class GroupHom(Value):
 
 
 class CosetQuotient:
-    """Quotient of a materialized group by a normal subgroup, with coset
-    representatives of smallest element index.  The table is closed from
-    the right action of the images of the parent's generators."""
+    """Quotient of a group by a normal subgroup N, with coset
+    representatives of smallest element index.  Each coset xN = Nx is read
+    off the rows of N's elements alone, and the table is closed from the
+    right action of the images of the parent's generators, read off their
+    columns."""
 
     def __init__(self, parent: FiniteGroup, normal: Sequence[int],
                  label: str = "Q"):
         normal = sorted(set(normal))
         if 0 not in normal:
             raise BadParameter("normal subgroup must contain the identity")
+        rows = [parent.mul[z] for z in normal]
         coset_of = [-1] * parent.order
         reps: list[int] = []
         for x in parent.elements():
             if coset_of[x] >= 0:
                 continue
-            members = sorted(parent.mul[x][s] for s in normal)
+            members = sorted(row[x] for row in rows)
             idx = len(reps)
             reps.append(members[0])
             for mmb in members:
@@ -483,9 +586,14 @@ class CosetQuotient:
         self.normal = tuple(normal)
         self.reps = tuple(reps)
         self.coset_of = tuple(coset_of)
-        gens = tuple(sorted({coset_of[g] for g in parent.generators} - {0}))
-        action = [[coset_of[parent.mul[r][reps[c]]] for c in gens]
-                  for r in reps]
+        # each generator coset, with the column of the first parent
+        # generator in it: r*g lies in the coset of r*rep for every g there
+        columns = {}
+        for g, col in zip(parent.generators, parent.action):
+            columns.setdefault(coset_of[g], col)
+        columns.pop(0, None)
+        gens = tuple(sorted(columns))
+        action = [[coset_of[columns[c][r]] for c in gens] for r in reps]
         self.group = group_from_action(action, gens, label)
 
     def project(self) -> GroupHom:
