@@ -2,9 +2,10 @@
 the homomorphism search engine used by every embedding-problem solver.
 
 Conventions: elements are the indices 0..N-1, index 0 is the identity, and
-each row of a table is an array('H') of indices, 2 bytes a cell.  A group
-closed from its generators' right action builds a row the first time
-something reads it (`Rows`); a table given whole holds every row.
+each row of a table is an array('H') of indices, 2 bytes a cell.  Every
+group is closed from its generators' right action and builds a row the
+first time something reads it (`Rows`); a table given whole is checked,
+then closed from its generators' columns.
 Full groups built through the public constructors are capped at order 64;
 container groups (direct products, unitriangular groups, quotients) may go
 up to 4096.
@@ -52,14 +53,11 @@ class FiniteGroup(Value):
     __slots__ = ("order", "mul", "inv", "generators", "label", "action",
                  "_orders", "_hash")
 
-    def __init__(self, order, mul, inv, generators, label="G", action=None):
-        # mul[x][y]: each row an array('H') of element indices
+    def __init__(self, order, mul, inv, generators, label, action):
+        # mul[x][y]: the `Rows` of the table; action[s][x] = x*g_s, one
+        # array('H') column per listed generator
         self.order, self.mul, self.inv = order, mul, inv
-        self.generators, self.label = generators, label
-        # action[s][x] = x*g_s, one array('H') column per listed generator,
-        # read off the rows when not given
-        self.action = tuple(array("H", [row[g] for row in mul])
-                            for g in generators) if action is None else action
+        self.generators, self.label, self.action = generators, label, action
         self._orders = {}
         # hashed once: each functools.cache lookup keyed on a group hashes
         # it; equal tables have equal inverses
@@ -81,8 +79,7 @@ class FiniteGroup(Value):
         k = self._orders.get(x)
         if k is None:
             mul = self.mul
-            steps = mul.path(x) if type(mul) is Rows and x not in mul \
-                else [mul[x]]
+            steps = [mul[x]] if x in mul else mul.path(x)
             k, y = 1, x
             while y != 0:
                 for step in steps:
@@ -123,7 +120,7 @@ class Rows(dict):
     each z, so a missing row is gathered from its tree parent's row, which
     is built first when it is missing too.  A dict, so reading a row that
     is built is a C-level subscript; iterated, it yields every row in index
-    order, and it compares row for row with a list or tuple of rows."""
+    order, and it compares row for row with another `Rows`."""
     __slots__ = ("order", "columns", "parent", "step", "left", "_gathers",
                  "_pack", "_blank")
 
@@ -184,24 +181,10 @@ class Rows(dict):
         return self.order
 
     def __eq__(self, other):
-        return isinstance(other, (Rows, list, tuple)) and \
-            list(self) == list(other)
+        return type(other) is Rows and list(self) == list(other)
 
     def __ne__(self, other):
         return not self == other
-
-
-def _inverses(mul) -> list[int]:
-    """The right inverse of each element, read off its row.  In a finite
-    monoid a right inverse is two-sided; `validate_group` checks the monoid
-    laws of a table given whole before its group is used."""
-    inv = []
-    for x, row in enumerate(mul):
-        try:
-            inv.append(row.index(0))
-        except ValueError:
-            raise NoInverse(f"element {x} has no inverse") from None
-    return inv
 
 
 def find_generators(mul) -> tuple:
@@ -246,16 +229,23 @@ def _bfs(mul, gens) -> tuple[list[int], list[tuple[int, int, int]]]:
                      for s, col in enumerate(columns)]
 
 
+def _span(columns, n: int, generators) -> list[int]:
+    """The elements `_walk` reaches over the listed generators' columns;
+    raises GeneratorsDontGenerate unless they are all n."""
+    reached = _walk(columns, n)[0]
+    if len(reached) != n:
+        raise GeneratorsDontGenerate(
+            f"generators {tuple(generators)} span only {len(reached)} of "
+            f"{n} elements")
+    return reached
+
+
 @functools.cache
 def _edges(G: FiniteGroup) -> tuple[tuple[int, int, int], ...]:
     """The breadth-first edges of G over its listed generators, walked once
     per group on their stored action; raises GeneratorsDontGenerate, on
     every call, unless they reach every element."""
-    reached = _walk(G.action, G.order)[0]
-    if len(reached) != G.order:
-        raise GeneratorsDontGenerate(
-            f"generators {tuple(G.generators)} span only {len(reached)} of "
-            f"{G.order} elements")
+    reached = _span(G.action, G.order, G.generators)
     return tuple((x, s, col[x]) for x in reached
                  for s, col in enumerate(G.action))
 
@@ -329,26 +319,21 @@ def group_from_action(action, generators, label: str) -> FiniteGroup:
         if rows.column(g) != rows.columns[s]:
             raise BadParameter(f"column {s} of the action is not right "
                                f"multiplication by element {g}")
-    return _raw_group(rows, generators, label, inv, rows.columns)
+    return _raw_group(rows, generators, label, inv)
 
 
-def _raw_group(mul, generators, label="G", inv=None,
-               action=None) -> FiniteGroup:
-    """The group of the array('H') rows mul, either `Rows` or a table given
-    whole; inv and action, when not given, are read off the rows."""
-    if not isinstance(mul, Rows):
-        mul = tuple(mul)
-    return FiniteGroup(order=len(mul), mul=mul,
-                       inv=tuple(_inverses(mul)) if inv is None else inv,
-                       generators=tuple(generators), label=label,
-                       action=action)
+def _raw_group(rows: Rows, generators, label: str, inv) -> FiniteGroup:
+    """The group of the rows closed by `table_from_action`, with the
+    inverses read on the way; its action is the columns the rows keep."""
+    return FiniteGroup(len(rows), rows, inv, tuple(generators), label,
+                       rows.columns)
 
 
-def validate_group(G: FiniteGroup) -> None:
-    """The one validity check of a table given whole: index 0 is the
-    identity, the listed generators generate (an uncached `_edges` walk, so
-    a rejected table leaves no edge list cached), Light's test passes, and
-    every element has an inverse.
+def validate_group(mul, generators) -> None:
+    """The one validity check of the rows mul of a table given whole, in
+    this order: every element has a right inverse, which in a finite monoid
+    is two-sided; index 0 is the identity; the listed generators generate;
+    and Light's test passes.
 
     Light's test: (x*g)*y = x*(g*y) for all x, y and each listed g, one
     gather of row(x) by row(g) per (x, g).  The g that pass contain the
@@ -356,26 +341,29 @@ def validate_group(G: FiniteGroup) -> None:
     (x*a)*(b*y) = x*(a*(b*y)) = x*((a*b)*y), so once the generators
     generate, every element passes and the table is associative (Clifford
     and Preston, The Algebraic Theory of Semigroups I, 1961)."""
-    n, mul = G.order, G.mul
+    n, rows = len(mul), [tuple(row) for row in mul]
+    for x, row in enumerate(rows):
+        if 0 not in row:
+            raise NoInverse(f"element {x} has no inverse")
     for x in range(n):
-        if mul[0][x] != x or mul[x][0] != x:
+        if rows[0][x] != x or rows[x][0] != x:
             raise NoIdentity(f"index 0 is not an identity at element {x}")
-    _edges.__wrapped__(G)
-    rows = [tuple(row) for row in mul]
+    _span([[row[g] for row in rows] for g in generators], n, generators)
     # the identity passes, and a one-cell row would gather to a bare index
-    for g in filter(None, G.generators):
+    for g in filter(None, generators):
         gather = operator.itemgetter(*rows[g])
         for x, row in enumerate(rows):
             if gather(row) != rows[row[g]]:
                 y = next(y for y in range(n)
                          if rows[row[g]][y] != row[rows[g][y]])
                 raise NonAssociative(f"({x}*{g})*{y} != {x}*({g}*{y})")
-    _inverses(mul)
 
 
 def build_from_table(table, generators=None, label="G") -> FiniteGroup:
     """The group of an N x N index table given whole, the identity
-    relocated to index 0 when necessary, checked by `validate_group`."""
+    relocated to index 0 when necessary, checked by `validate_group` and
+    then closed from its listed generators' columns, so each row read is
+    the given one."""
     n = len(table)
     if n > FULL_GROUP_LIMIT:
         raise SizeLimit(f"order {n} exceeds the full-group limit {FULL_GROUP_LIMIT}")
@@ -403,9 +391,9 @@ def build_from_table(table, generators=None, label="G") -> FiniteGroup:
         generators = find_generators(table)
     elif not generators:
         raise BadParameter("generators must be nonempty")
-    G = _raw_group([array("H", row) for row in table], generators, label)
-    validate_group(G)
-    return G
+    validate_group(table, generators)
+    return group_from_action([[row[g] for g in generators] for row in table],
+                             generators, label)
 
 
 def _action(order: int, columns) -> list[tuple]:

@@ -449,7 +449,7 @@ PROPERTY_SETTINGS = settings(max_examples=50, deadline=None)
 @given(small_groups())
 def test_drawn_groups_satisfy_the_group_axioms(G):
     assert G.order <= 16
-    gr.validate_group(G)
+    gr.validate_group(G.mul, G.generators)
 
 
 @PROPERTY_SETTINGS
@@ -553,7 +553,8 @@ def test_is_cocycle_agrees_with_the_full_delta(name, p):
 
 def test_generators_that_do_not_generate_are_refused():
     V4 = gr.build_vector_group(2, 2)
-    G = gr.FiniteGroup(V4.order, V4.mul, V4.inv, (1,), V4.label)
+    G = gr.FiniteGroup(V4.order, V4.mul, V4.inv, (1,), V4.label,
+                       (V4.mul.column(1),))
     with pytest.raises(GeneratorsDontGenerate):
         cc.complex_data(G, 2).z1_basis
     with pytest.raises(GeneratorsDontGenerate):

@@ -35,7 +35,7 @@ def test_cyclic_basics():
     assert Z6.is_abelian()
     assert Z6.element_order(1) == 6
     assert Z6.involutions() == [3]
-    gr.validate_group(Z6)
+    gr.validate_group(Z6.mul, Z6.generators)
 
 
 def test_vector_group_encoding():
@@ -55,8 +55,8 @@ def test_named_builders():
     S3 = gr.build_symmetric3()
     assert S3.order == 6
     assert len(S3.involutions()) == 3
-    gr.validate_group(Q8)
-    gr.validate_group(S3)
+    gr.validate_group(Q8.mul, Q8.generators)
+    gr.validate_group(S3.mul, S3.generators)
 
 
 def test_semidirect_builder():
@@ -164,10 +164,8 @@ def test_an_element_without_inverse_raises_no_inverse():
     table = [[0, 1], [1, 1]]
     with pytest.raises(NoInverse):
         gr.build_from_table(table)
-    monoid = gr.FiniteGroup(order=2, mul=((0, 1), (1, 1)), inv=(0, 0),
-                            generators=(1,))
     with pytest.raises(NoInverse):
-        gr.validate_group(monoid)
+        gr.validate_group(((0, 1), (1, 1)), (1,))
 
 
 def test_equal_tables_built_by_two_routes_hash_equal():
@@ -179,7 +177,7 @@ def test_equal_tables_built_by_two_routes_hash_equal():
         assert G == H and G.mul is not H.mul
         assert hash(G) == hash(H) == hash((G.order, G.inv))
     assert hash(gr.FiniteGroup(U.order, U.mul, U.inv, U.generators,
-                               "other")) == hash(U)
+                               "other", U.action)) == hash(U)
     assert "_hash" not in repr(U)
 
 
@@ -224,7 +222,7 @@ def test_light_and_the_all_triples_loop_agree_on_the_fixtures():
     groups = [make() for make in FIXTURES.values()] + list(small_products())
     assert max(G.order for G in groups) == 81
     for G in groups:
-        gr.validate_group(G)
+        gr.validate_group(G.mul, G.generators)
         assert all_triples_failure(G.mul) is None
 
 
@@ -237,6 +235,18 @@ def test_light_checks_every_listed_generator():
         gr.build_from_table(table, [1, 2])
     with pytest.raises(NonAssociative):
         gr.build_from_table(table, [2, 1])
+
+
+def test_a_table_that_fails_two_checks_meets_the_first():
+    """The checks run in order: inverses, identity, generation, Light's
+    test.  Row 2 of the first table has no 0 and generator 1 spans {0, 1};
+    generator 1 of the second spans {0, 1} and generator 2 fails Light's
+    test."""
+    with pytest.raises(NoInverse):
+        gr.build_from_table([[0, 1, 2], [1, 1, 0], [2, 2, 2]], [1])
+    with pytest.raises(GeneratorsDontGenerate):
+        gr.build_from_table([[0, 1, 2, 3], [1, 0, 2, 3], [2, 2, 3, 0],
+                             [3, 3, 0, 0]], [1])
 
 
 @st.composite
@@ -287,10 +297,11 @@ def test_a_group_file_is_validated_once(tmp_path, monkeypatch, capsys):
     calls = []
     validate = gr.validate_group
     monkeypatch.setattr(gr, "validate_group",
-                        lambda G: calls.append(G) or validate(G))
+                        lambda *args: calls.append(args) or validate(*args))
     text = gr.format_group_file(Q8)
     G = gr.parse_group_file(text)
-    assert calls == [G]
+    assert [(list(map(list, rows)), tuple(gens)) for rows, gens in calls] \
+        == [(list(map(list, G.mul)), G.generators)]
     path = tmp_path / "q8.tbl"
     path.write_text(text)
     calls.clear()
@@ -498,7 +509,8 @@ def test_edge_list_is_walked_once_per_group():
 
 def with_generators(G, generators):
     """G's table with another generator list."""
-    return gr.FiniteGroup(G.order, G.mul, G.inv, generators, G.label)
+    return gr.FiniteGroup(G.order, G.mul, G.inv, generators, G.label,
+                          tuple(G.mul.column(g) for g in generators))
 
 
 def test_edge_list_refuses_generators_that_do_not_span():
@@ -511,7 +523,7 @@ def test_edge_list_refuses_generators_that_do_not_span():
     with pytest.raises(GeneratorsDontGenerate):
         next(gr.enumerate_homs(short, V4))
     with pytest.raises(GeneratorsDontGenerate):
-        gr.validate_group(with_generators(Q8, (2,)))
+        gr.validate_group(Q8.mul, (2,))
     with pytest.raises(GeneratorsDontGenerate):
         next(gr.enumerate_homs(with_generators(V4, ()), V4))
 
@@ -552,7 +564,7 @@ def table_groups(draw):
 def test_closure_of_the_generators_action_is_the_table(G):
     action = [[G.mul[x][g] for g in G.generators] for x in G.elements()]
     table, inv = gr.table_from_action(action)
-    assert table == list(G.mul) and inv == G.inv
+    assert list(table) == list(G.mul) and inv == G.inv
     assert all(type(row) is array for row in table)
 
 
@@ -712,7 +724,8 @@ def test_closure_refuses_a_non_spanning_or_oversized_action():
         gr.table_from_action([[V4.mul[x][1]] for x in V4.elements()])
     with pytest.raises(GeneratorsDontGenerate):
         gr.table_from_action([[] for _ in Q8.elements()])
-    assert gr.table_from_action([[]]) == ([array("H", [0])], (0,))
+    table, inv = gr.table_from_action([[]])
+    assert (list(table), inv) == ([array("H", [0])], (0,))
     n = gr.CONTAINER_LIMIT + 1
     with pytest.raises(SizeLimit):
         gr.table_from_action([[(x + 1) % n] for x in range(n)])

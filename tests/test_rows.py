@@ -11,6 +11,7 @@ import sys
 from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from masseylab import groups as gr
 from masseylab import unitri as ut
@@ -61,6 +62,27 @@ def rows_built(G) -> int:
     return dict.__len__(G.mul)
 
 
+# order 64 is the group file limit, so SD9 (order 81) has no group file
+FILE_FIXTURES = sorted(name for name, make in FIXTURES.items()
+                       if make().order <= gr.FULL_GROUP_LIMIT)
+GIVEN_FILES = {f"fixture {name}": (lambda name=name: gr.format_group_file(
+    FIXTURES[name]())) for name in FILE_FIXTURES}
+GIVEN_FILES.update({
+    "U_4(2)": lambda: gr.format_group_file(
+        ut.unitri_group(4, 2).as_finite_group()),
+    "D8xZ2": lambda: gr.format_group_file(gr.build_direct_product(
+        gr.build_dihedral(8), gr.build_cyclic(2))),
+    # the files the CLI tests, the CLI workflow and the group tests write
+    "Z2 identity at 1": lambda: "order 2\ngenerators\n1 0\n0 1\n",
+    "V4 identity at 2":
+        lambda: "order 4\ngenerators 0 1\n2 3 0 1\n3 2 1 0\n0 1 2 3\n1 0 3 2\n",
+    "order 1": lambda: "order 1\ngenerators\n0\n",
+    "Z2 generators 0 1": lambda: "order 2\ngenerators 0 1\n0 1\n1 0\n",
+    "V4 generators 1 1 2":
+        lambda: "order 4\ngenerators 1 1 2\n0 1 2 3\n1 0 3 2\n2 3 0 1\n3 2 1 0\n",
+})
+
+
 FIBERS = [(k, m, p) for p, ms in ((2, (2, 3, 4, 5)), (3, (2, 3, 4)), (5, (3,)))
           for m in ms for k in range(1, m)]
 QUOTIENTS = [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 5)]
@@ -94,6 +116,8 @@ CASES.update({f"fiber Q_{k},{m}({p})": (
 CASES.update({f"U_{n + 1}({p})/{kind}": (
     lambda n=n, p=p, i=i: ut.zeta_kappa_targets(n, p)[i][0].group)
     for n, p in QUOTIENTS for i, kind in enumerate("ZP")})
+CASES.update({f"file {name}": (lambda make=make: gr.parse_group_file(make()))
+              for name, make in GIVEN_FILES.items()})
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -268,3 +292,106 @@ def test_an_action_with_misstated_generators_is_refused():
     swapped = [tuple(reversed(a)) for a in action_of(product)]
     with pytest.raises(BadParameter, match="column 0"):
         gr.group_from_action(swapped, product.generators, "Z2xZ3")
+
+
+# -- a table given whole, closed from its generators' columns ------------------
+
+def given_rows(text):
+    """The rows of a group file with its identity e swapped with index 0,
+    the relocation a table given whole goes through."""
+    table = [[int(t) for t in line.split()]
+             for line in text.strip().splitlines()[2:]]
+    n = len(table)
+    e = next(e for e in range(n)
+             if all(table[e][x] == x == table[x][e] for x in range(n)))
+    swap = list(range(n))
+    swap[0], swap[e] = e, 0
+    return [[swap[table[swap[x]][swap[y]]] for y in range(n)]
+            for x in range(n)]
+
+
+def assert_read_back(text, seed):
+    """In index order, in reverse and in a seeded random order, each row of
+    a freshly parsed file is the given row cell for cell, and the inverses
+    are the 0 in each given row."""
+    want = given_rows(text)
+    n = len(want)
+    for order in (range(n), reversed(range(n)),
+                  random.Random(seed).sample(range(n), n)):
+        G = gr.parse_group_file(text)
+        assert type(G.mul) is gr.Rows
+        for x in order:
+            assert G.mul[x].tolist() == want[x]
+        assert G.inv == tuple(row.index(0) for row in want)
+
+
+@pytest.mark.parametrize("name", sorted(GIVEN_FILES))
+def test_a_group_file_closed_from_its_generators_is_the_given_table(name):
+    assert_read_back(GIVEN_FILES[name](), name)
+
+
+def relabelled_file(G, seed):
+    """G's table under a seeded permutation of its elements that moves the
+    identity off index 0, in the group file format."""
+    rng = random.Random(seed)
+    new = rng.sample(range(G.order), G.order)
+    if new[0] == 0:
+        k = rng.randrange(1, G.order)
+        new[0], new[k] = new[k], new[0]
+    old = sorted(range(G.order), key=new.__getitem__)  # new index -> old
+    rows = [" ".join(str(new[G.mul[old[x]][old[y]]]) for y in G.elements())
+            for x in G.elements()]
+    gens = " ".join(str(new[g]) for g in G.generators)
+    return "\n".join([f"order {G.order}", f"generators {gens}", *rows]) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([name for name in FILE_FIXTURES
+                        if FIXTURES[name]().order > 1]),
+       st.integers(0, 2 ** 32 - 1))
+def test_a_relabelled_group_file_is_read_back_as_given(name, seed):
+    G = FIXTURES[name]()
+    text = relabelled_file(G, seed)
+    assert text.splitlines()[2].split() != [str(x) for x in G.elements()]
+    assert_read_back(text, seed)
+
+
+@pytest.mark.parametrize("name", ["U_4(2)", "D8xZ2"])
+def test_a_parsed_group_file_builds_its_rows_on_demand(name):
+    """A parsed file keeps a tree: its element orders, edge list, hom
+    checks and hash read no row but the identity's, a row read builds only
+    its tree path, and that path's columns carry y to y*x.  A table given
+    whole once held every row, and read row -1 as the last one."""
+    text = GIVEN_FILES[name]()
+    G = gr.parse_group_file(text)
+    assert type(G.mul) is gr.Rows
+    orders = [G.element_order(x) for x in G.elements()]
+    assert len(gr._edges(G)) == G.order * len(G.generators)
+    f = next(f for f in gr.enumerate_homs(G, gr.build_cyclic(2))
+             if any(f.images))
+    assert f.is_valid()
+    assert hash(G) == hash(gr.parse_group_file(text))
+    assert rows_built(G) == 1
+    for x in G.elements():
+        H = gr.parse_group_file(text)
+        depth = len(H.mul.path(x))
+        H.mul[x]
+        assert rows_built(H) <= depth + 1
+    for x in G.elements():
+        steps = G.mul.path(x)
+        for y in G.elements():
+            z = y
+            for col in steps:
+                z = col[z]
+            assert z == G.mul[y][x]
+    want = given_rows(text)
+
+    def order(x):
+        k, y = 1, x
+        while y:
+            y, k = want[y][x], k + 1
+        return k
+    assert orders == [order(x) for x in G.elements()]
+    for x in (-1, G.order):
+        with pytest.raises(IndexError):
+            G.mul[x]
