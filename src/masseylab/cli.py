@@ -233,24 +233,28 @@ def cmd_cohomology(args) -> Report:
 
 
 def parse_query_file(text: str):
-    """Query format: `group REF`, `p P`, `n N`, then n lines `a v1 v2 ...`
-    giving each character's values on the group's listed generators."""
+    """Query format: `group REF`, `p P`, `n N`, each once, then n lines
+    `a v1 v2 ...` giving each character's values on the group's listed
+    generators; blank and `#` lines are skipped, and an error names its
+    line as numbered in the file."""
     from . import massey as ms
-    lines = [ln.strip() for ln in text.strip().splitlines()
-             if ln.strip() and not ln.strip().startswith("#")]
     kv = {}
     rows = []
-    for i, ln in enumerate(lines, start=1):
+    for i, ln in enumerate(text.splitlines(), start=1):
         toks = ln.split()
+        if not toks or toks[0].startswith("#"):
+            continue
         if toks[0] == "a":
             try:
                 rows.append([int(t) for t in toks[1:]])
             except ValueError:
                 raise ParseError("bad character row", line=i)
+        elif toks[0] in kv:
+            raise ParseError(f"repeated `{toks[0]}` line", line=i)
         elif toks[0] in ("group", "p", "n") and len(toks) == 2:
             kv[toks[0]] = toks[1]
         else:
-            raise ParseError(f"unrecognized line {ln!r}", line=i)
+            raise ParseError(f"unrecognized line {ln.strip()!r}", line=i)
     for need in ("group", "p", "n"):
         if need not in kv:
             raise ParseError(f"missing `{need}` line")

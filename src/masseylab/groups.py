@@ -6,9 +6,10 @@ each row of a table is an array('H') of indices, 2 bytes a cell.  Every
 group is closed from its generators' right action and builds a row the
 first time something reads it (`Rows`); a table given whole is checked,
 then closed from its generators' columns.
-Full groups built through the public constructors are capped at order 64;
-container groups (direct products, unitriangular groups, quotients) may go
-up to 4096.
+`FULL_GROUP_LIMIT` (64) caps `build_cyclic`, `build_dihedral` and a table
+given whole (`build_from_table`, so every group file); `CONTAINER_LIMIT`
+(4096) caps `build_vector_group`, `build_direct_product`,
+`build_semidirect_cyclic` and every table `table_from_action` closes.
 """
 
 from __future__ import annotations
@@ -195,7 +196,7 @@ def find_generators(mul) -> tuple:
     covered = {0}
     while len(covered) < n:
         gens.append(next(i for i in range(n) if i not in covered))
-        covered = set(_bfs(mul, gens)[0])
+        covered = set(_walk([[row[g] for row in mul] for g in gens], n)[0])
     return tuple(gens)
 
 
@@ -216,17 +217,6 @@ def _walk(columns, n: int) -> tuple[list[int], array, array]:
                 parent[y], step[y] = x, s
                 reached.append(y)
     return reached, parent, step
-
-
-def _bfs(mul, gens) -> tuple[list[int], list[tuple[int, int, int]]]:
-    """Breadth-first walk of a table from the identity over gens: the
-    elements reached, in the order reached, and every edge (x, s,
-    x*gens[s]) with x in that order, so each x is reached before its own
-    edges are listed."""
-    columns = [[row[g] for row in mul] for g in gens]
-    reached = _walk(columns, len(mul))[0]
-    return reached, [(x, s, col[x]) for x in reached
-                     for s, col in enumerate(columns)]
 
 
 def _span(columns, n: int, generators) -> list[int]:
@@ -650,34 +640,36 @@ def parse_group_file(text: str, label="G") -> FiniteGroup:
     """Group file format: line 1 `order N`, line 2 `generators i j ...`,
     then N rows of N indices."""
     lines = [ln.strip() for ln in text.strip().splitlines()]
+    # the file line of `order`, after any blank lines text.strip() dropped
+    first = text[:len(text) - len(text.lstrip())].count("\n") + 1
     if not lines or not lines[0].startswith("order"):
-        raise ParseError("expected `order N`", line=1)
+        raise ParseError("expected `order N`", line=first)
     try:
         n = int(lines[0].split()[1])
     except (IndexError, ValueError):
-        raise ParseError("expected `order N`", line=1)
+        raise ParseError("expected `order N`", line=first)
     if n < 1:
-        raise ParseError(f"order {n} is below 1", line=1)
+        raise ParseError(f"order {n} is below 1", line=first)
     if len(lines) < 2 or not lines[1].startswith("generators"):
-        raise ParseError("expected `generators i j ...`", line=2)
+        raise ParseError("expected `generators i j ...`", line=first + 1)
     try:
         gens = [int(t) for t in lines[1].split()[1:]]
     except ValueError:
-        raise ParseError("bad generator list", line=2)
+        raise ParseError("bad generator list", line=first + 1)
     if len(lines) != 2 + n:
         raise ParseError(f"expected {n} table rows, got {len(lines) - 2}")
     table = []
-    for i, ln in enumerate(lines[2:]):
+    for i, ln in enumerate(lines[2:], start=first + 2):
         try:
             row = [int(t) for t in ln.split()]
         except ValueError:
-            raise ParseError("bad table row", line=3 + i)
+            raise ParseError("bad table row", line=i)
         if len(row) != n:
             raise ParseError(f"row has {len(row)} entries, expected {n}",
-                             line=3 + i)
+                             line=i)
         bad = [v for v in row if not 0 <= v < n]
         if bad:
-            raise ParseError(f"entry {bad[0]} outside 0..{n - 1}", line=3 + i)
+            raise ParseError(f"entry {bad[0]} outside 0..{n - 1}", line=i)
         table.append(row)
     return build_from_table(table, gens or None, label=label)
 

@@ -135,10 +135,6 @@ class UniTriMatrix(Value):
         """Superdiagonal vector (e_12, e_23, ..., e_{n-1,n})."""
         return tuple(self.entry(i, i + 1) for i in range(1, self.n))
 
-    def to_rows(self) -> list[list[int]]:
-        return [[self.entry(i, j) for j in range(1, self.n + 1)]
-                for i in range(1, self.n + 1)]
-
     def is_identity(self) -> bool:
         return not any(self.entries)
 

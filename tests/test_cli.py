@@ -96,6 +96,39 @@ def test_an_entry_outside_the_table_is_a_parse_error_on_its_line(tmp_path,
         "parse error: line 4: entry 5 outside 0..1\n"
 
 
+@pytest.mark.parametrize("argv,text,error", [
+    (["group", "check"], "\n\norder 2\ngenerators 1\n0 1\n1 x\n",
+     "line 6: bad table row"),
+    (["massey"], "# a comment\n\ngroup Z2\np 2\nn 2\na 1\na x\n",
+     "line 7: bad character row"),
+], ids=["group file", "query file"])
+def test_a_parse_error_names_the_line_as_numbered_in_the_file(
+        argv, text, error, tmp_path, capsys):
+    """Both files were once numbered after dropping lines: the group file
+    its leading blank lines (line 4), the query file its blank and `#`
+    lines (line 5)."""
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    assert cli.main([*argv, str(path)]) == cli.EXIT_USAGE == 3
+    assert capsys.readouterr().err == f"parse error: {error}\n"
+
+
+@pytest.mark.parametrize("text,line,key", [
+    ("group V4\ngroup Z2\np 2\nn 2\na 1\na 1\n", 2, "group"),
+    ("group Z2\np 2\n# again\np 2\nn 2\na 1\na 1\n", 4, "p"),
+    ("group Z2\np 2\nn 2\nn 2\na 1\na 1\n", 4, "n"),
+], ids=["group", "p", "n"])
+def test_a_repeated_key_line_in_a_query_file_is_a_parse_error(
+        text, line, key, tmp_path, capsys):
+    """A repeated `group`, `p` or `n` line once kept its last value and
+    ran: `group V4` then `group Z2` ran on Z2 and exited 0."""
+    q = tmp_path / "q.msq"
+    q.write_text(text)
+    assert cli.main(["massey", str(q)]) == cli.EXIT_USAGE == 3
+    assert capsys.readouterr().err == \
+        f"parse error: line {line}: repeated `{key}` line\n"
+
+
 def test_usage_errors(capsys):
     assert cli.main(["group", "show"]) == cli.EXIT_USAGE
     assert cli.main(["bogus"]) == cli.EXIT_USAGE

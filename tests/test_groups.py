@@ -1,11 +1,12 @@
 import functools
 import itertools
-import operator
 from array import array
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+
+import oracles as o
 
 from masseylab import cli
 from masseylab import embedding as em
@@ -194,19 +195,7 @@ def test_generators_must_generate():
         gr.build_from_table([list(r) for r in table], [1])
 
 
-# -- Light's associativity test against the all-triples loop -------------------
-
-def all_triples_failure(mul):
-    """The replaced associativity check, every triple in turn: the first
-    (x, y, z) with (x*y)*z != x*(y*z), or None."""
-    n = len(mul)
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if mul[mul[x][y]][z] != mul[x][mul[y][z]]:
-                    return x, y, z
-    return None
-
+# -- Light's associativity test against the all-triples reference --------------
 
 def small_products():
     """Every direct product of two CLI fixtures of order at most 64."""
@@ -223,14 +212,14 @@ def test_light_and_the_all_triples_loop_agree_on_the_fixtures():
     assert max(G.order for G in groups) == 81
     for G in groups:
         gr.validate_group(G.mul, G.generators)
-        assert all_triples_failure(G.mul) is None
+        assert o.associativity_failure(o.array_of(G.mul)) is None
 
 
 def test_light_checks_every_listed_generator():
     # (x*1)*y = x*(1*y) for every x and y, so a check of element 1 alone
     # passes; element 2 fails at (1*2)*3 = 2*3 = 0 != 1*(2*3) = 1*0 = 1
     table = [[0, 1, 2, 3], [1, 0, 2, 3], [2, 2, 3, 0], [3, 3, 0, 0]]
-    assert all_triples_failure(table) is not None
+    assert o.associativity_failure(table) is not None
     with pytest.raises(NonAssociative):
         gr.build_from_table(table, [1, 2])
     with pytest.raises(NonAssociative):
@@ -261,7 +250,7 @@ def one_cell_corruptions(draw):
     table[x][y] = draw(st.sampled_from(
         [v for v in G.elements() if v != table[x][y]]))
     assume(all(0 in row for row in table))
-    assume(len(gr._bfs(table, G.generators)[0]) == G.order)
+    assume(len(o.span(table, G.generators)) == G.order)
     return table, G.generators
 
 
@@ -269,7 +258,7 @@ def one_cell_corruptions(draw):
 @given(one_cell_corruptions())
 def test_light_refuses_a_corrupted_cell_exactly_when_a_triple_fails(case):
     table, generators = case
-    if all_triples_failure(table) is None:
+    if o.associativity_failure(table) is None:
         gr.build_from_table(table, generators)
     else:
         with pytest.raises(NonAssociative):
@@ -568,24 +557,6 @@ def test_closure_of_the_generators_action_is_the_table(G):
     assert all(type(row) is array for row in table)
 
 
-def column_gather_table(action):
-    """The reference: column y of the table is right multiplication by y,
-    column 0 is the identity map, and on each breadth-first edge
-    (x, s, x*g_s) the column of x*g_s is the column of x followed by g_s."""
-    action = np.asarray(action, dtype=np.uint16)
-    n, d = action.shape
-    _, edges = gr._bfs(action.tolist(), range(d))
-    columns = np.empty((n, n), dtype=np.uint16)
-    columns[0] = np.arange(n)
-    done = [False] * n
-    done[0] = True
-    for x, s, y in edges:
-        if not done[y]:
-            done[y] = True
-            columns[y] = action[:, s][columns[x]]
-    return columns.T
-
-
 GATHER_CASES = (
     [("fixture", name) for name in sorted(FIXTURES)]
     + [("U", c) for c in [(3, 2), (4, 2), (5, 2), (3, 3), (4, 3), (3, 5)]]
@@ -594,62 +565,28 @@ GATHER_CASES = (
     + [("(Z/2)^12", None)])
 
 
-def gather_case_action(kind, arg):
-    """The generators' right action of one case; (Z/2)^12 is stated
-    directly, so that only one 4096 x 4096 table is built."""
-    if kind == "(Z/2)^12":
-        return [[x ^ (1 << i) for i in range(12)] for x in range(4096)]
-    G = FIXTURES[arg]() if kind == "fixture" else \
+def case_group(kind, arg):
+    return FIXTURES[arg]() if kind == "fixture" else \
         unitri_group(*arg).as_finite_group() if kind == "U" else \
-        fiber_quotient(*arg).group
-    return [[G.mul[x][g] for g in G.generators] for x in G.elements()]
+        fiber_quotient(*arg).group if kind == "Q" else \
+        gr.build_vector_group(2, 12)
 
 
 @pytest.mark.parametrize("kind,arg", GATHER_CASES,
                          ids=[f"{k} {a}" if a else k for k, a in GATHER_CASES])
 def test_row_gathers_match_the_column_gather_table(kind, arg):
-    action = gather_case_action(kind, arg)
-    table, _ = gr.table_from_action(action)
-    want = column_gather_table(action)
-    assert len(table) == len(want)
-    assert all(type(row) is array and row.tolist() == col.tolist()
-               for row, col in zip(table, want))
-
-
-def tuple_closure(action):
-    """The replaced closure: every row a tuple, gathered on each
-    breadth-first edge from the row of its source."""
-    n, d = len(action), len(action[0])
-    _, edges = gr._bfs(action, range(d))
-    gathers = []
-    for s in range(d):
-        left = [0] * n
-        left[0] = action[0][s]
-        for x, t, y in edges:
-            left[y] = action[left[x]][t]
-        gathers.append(operator.itemgetter(*left))
-    rows = [None] * n
-    rows[0] = tuple(range(n))
-    for x, s, y in edges:
-        if rows[y] is None:
-            rows[y] = gathers[s](rows[x])
-    return tuple(rows)
-
-
-def scan_inverses(table):
-    """The replaced inverse read: the 0 in each row."""
-    return tuple(row.index(0) for row in table)
-
-
-def coset_quotients(n, p):
-    """U_{n+1}(p) modulo each step of its central series, and, at n = 3,
-    p = 2, the quotients U/Z and U/P."""
-    U = unitri_group(n + 1, p)
-    quots = [CosetQuotient(U.as_finite_group(), U.vanishing_on(zero))
-             for zero in central_series_ker_phi(n)[0]]
-    if (n, p) == (3, 2):
-        quots += [quot for quot, _ in zeta_kappa_targets(n, p)]
-    return quots
+    """A case's generators listed in reverse, so that the tree and the
+    gather of each row differ from its constructor's; for (Z/2)^12 that
+    is x -> x + e_i, i = 1..12.  Read in index order, each row is a 2-byte
+    array equal to the reference's, and the inverses are its inverses."""
+    G = case_group(kind, arg)
+    action = tuple(tuple(reversed(a)) for a in o.action_of(G))
+    table, inv = gr.table_from_action(action)
+    want = o.closure(action)
+    assert inv == o.inverses(want)
+    for x, row in enumerate(table):
+        assert type(row) is array and row.typecode == "H"
+        assert np.array_equal(row, want[x])
 
 
 CLOSURE_CASES = GATHER_CASES + [("coset", c) for c in [(3, 2), (4, 2),
@@ -660,31 +597,24 @@ CLOSURE_CASES = GATHER_CASES + [("coset", c) for c in [(3, 2), (4, 2),
     "kind,arg", CLOSURE_CASES,
     ids=[f"{k} {a}" if a else k for k, a in CLOSURE_CASES])
 def test_closure_matches_the_tuple_closure_and_the_inverse_scan(kind, arg):
-    """Row for row, the 2-byte table is the tuple closure, its inverses are
-    the scanned ones, and the group it makes equals the one built by its
-    own constructor, hash included."""
+    """The group closed from a case's action is the one its own
+    constructor built, hash included, with the same generators and the
+    reference's inverses; a coset case is U_{n+1}(p) modulo each step of
+    its central series, and, at n = 3, p = 2, U/Z and U/P."""
     if kind == "coset":
-        groups = [quot.group for quot in coset_quotients(*arg)]
-    elif kind == "(Z/2)^12":
-        groups = [None]
+        n, p = arg
+        U = unitri_group(n + 1, p)
+        groups = [CosetQuotient(U.as_finite_group(), U.vanishing_on(zero)).group
+                  for zero in central_series_ker_phi(n)[0]]
+        if arg == (3, 2):
+            groups += [quot.group for quot, _ in zeta_kappa_targets(n, p)]
     else:
-        groups = [FIXTURES[arg]() if kind == "fixture" else
-                  unitri_group(*arg).as_finite_group() if kind == "U" else
-                  fiber_quotient(*arg).group]
+        groups = [case_group(kind, arg)]
     for G in groups:
-        action = gather_case_action(kind, arg) if G is None else \
-            [[G.mul[x][g] for g in G.generators] for x in G.elements()]
-        table, inv = gr.table_from_action(action)
-        old = tuple_closure(action)
-        assert all(type(row) is array and row.typecode == "H"
-                   for row in table)
-        assert tuple(map(tuple, table)) == old
-        assert inv == scan_inverses(old)
-        if G is None:
-            continue
+        action = o.action_of(G)
         H = gr.group_from_action(action, G.generators, G.label)
         assert H == G and hash(H) == hash(G)
-        assert H.inv == scan_inverses(old)
+        assert H.inv == G.inv == o.inverses(o.closure(action))
         assert H.generators == G.generators
 
 
@@ -697,8 +627,11 @@ def test_coset_quotient_projects_and_induces_maps(n, p):
     induces nothing."""
     U = unitri_group(n + 1, p)
     G, phi = U.as_finite_group(), U.phi_hom()
-    steps = len(central_series_ker_phi(n)[0])
-    quots = coset_quotients(n, p)
+    quots = [CosetQuotient(G, U.vanishing_on(zero))
+             for zero in central_series_ker_phi(n)[0]]
+    steps = len(quots)
+    if (n, p) == (3, 2):
+        quots += [quot for quot, _ in zeta_kappa_targets(n, p)]
     identity = gr.GroupHom(G, G, tuple(G.elements()))
     for t, quot in enumerate(quots):
         proj = quot.project()

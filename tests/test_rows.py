@@ -1,61 +1,23 @@
 """Rows on demand: a table closed from its generators' action builds each
-row the first time it is read.  The eager closure it replaced is kept here
-as the oracle, and every row read on demand, in any order, must equal it."""
+row the first time it is read, and every row read on demand, in any order,
+must equal the reference closure built whole (`oracles.closure`)."""
 
-import operator
 import os
 import random
-import struct
 import subprocess
 import sys
 from array import array
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import oracles as o
 
 from masseylab import groups as gr
 from masseylab import unitri as ut
 from masseylab.cli import FIXTURES
 from masseylab.errors import BadParameter
-
-
-def eager_table_from_action(action):
-    """The replaced closure: every row built by one walk of the
-    breadth-first edges, with the inverses read on the way."""
-    n = len(action)
-    d = len(action[0]) if n else 0
-    reached, edges = gr._bfs(action, range(d))
-    assert len(reached) == n
-    gathers, left_inverses = [], []
-    for s in range(d):
-        left = [0] * n
-        left[0] = action[0][s]
-        for x, t, y in edges:
-            left[y] = action[left[x]][t]
-        gathers.append(operator.itemgetter(*left))
-        inverse = [0] * n
-        for z, w in enumerate(left):
-            inverse[w] = z
-        left_inverses.append(inverse)
-    pack, blank = struct.Struct(f"{n}H").pack, array("H", [0]) * n
-    rows = [None] * n
-    rows[0] = tuple(range(n))
-    inv = [0] * n
-    for x in reached:
-        row, ix = rows[x], inv[x]
-        for s, y in enumerate(action[x]):
-            if rows[y] is None:
-                rows[y] = gathers[s](row)
-                inv[y] = left_inverses[s][ix]
-        rows[x] = blank[:]
-        memoryview(rows[x]).cast("B")[:] = pack(*row)
-    return rows, tuple(inv)
-
-
-def action_of(G):
-    """G's generators' right action, x -> (x*g_0, x*g_1, ...), read off
-    its stored columns."""
-    return [[col[x] for col in G.action] for x in G.elements()]
 
 
 def rows_built(G) -> int:
@@ -81,6 +43,13 @@ GIVEN_FILES.update({
     "V4 generators 1 1 2":
         lambda: "order 4\ngenerators 1 1 2\n0 1 2 3\n1 0 3 2\n2 3 0 1\n3 2 1 0\n",
 })
+
+
+def central_quotient(n, p, t):
+    """U_{n+1}(p) modulo step t of the central series of Ker(phi)."""
+    U = ut.unitri_group(n + 1, p)
+    zero = ut.central_series_ker_phi(n)[0][t]
+    return gr.CosetQuotient(U.as_finite_group(), U.vanishing_on(zero)).group
 
 
 FIBERS = [(k, m, p) for p, ms in ((2, (2, 3, 4, 5)), (3, (2, 3, 4)), (5, (3,)))
@@ -118,16 +87,22 @@ CASES.update({f"U_{n + 1}({p})/{kind}": (
     for n, p in QUOTIENTS for i, kind in enumerate("ZP")})
 CASES.update({f"file {name}": (lambda make=make: gr.parse_group_file(make()))
               for name, make in GIVEN_FILES.items()})
+CASES.update({f"U_{n + 1}({p})/N_{t}": (
+    lambda n=n, p=p, t=t: central_quotient(n, p, t))
+    for n, p in ((3, 2), (4, 2), (3, 3))
+    for t in range(len(ut.central_series_ker_phi(n)[0]))})
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_rows_read_on_demand_match_the_eager_closure(name):
     """In index order, in reverse and in a seeded random order, each row
-    read on demand is the eager closure's row, and the inverses are its
-    inverses; the group's own rows are the same table."""
+    read on demand is the row of the reference closure, built whole, and
+    the inverses are its inverses; the group's own rows are the same
+    table."""
     G = CASES[name]()
-    action = action_of(G)
-    want, want_inv = eager_table_from_action(action)
+    action = o.action_of(G)
+    want = o.closure(action)
+    want_inv = o.inverses(want)
     orders = [list(G.elements()), list(reversed(G.elements())),
               random.Random(name).sample(G.elements(), G.order)]
     for order in orders:
@@ -136,49 +111,27 @@ def test_rows_read_on_demand_match_the_eager_closure(name):
         for x in order:
             row = rows[x]
             assert type(row) is array and row.typecode == "H"
-            assert row == want[x]
+            assert np.array_equal(row, want[x])
         assert dict.__len__(rows) == G.order
-    assert list(G.mul) == want and G.inv == want_inv
+    assert np.array_equal(o.array_of(G.mul), want) and G.inv == want_inv
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_columns_and_element_orders_are_read_without_building_rows(name):
     """A fresh group from the same action: each generator's column, each
     element's order and the group's equality, hash and edge list agree
-    with the eager table, and no row but the identity's is built."""
+    with the reference table, and no row but the identity's is built."""
     G = CASES[name]()
-    want, _ = eager_table_from_action(action_of(G))
-    H = gr.group_from_action(action_of(G), G.generators, G.label)
+    want = o.closure(o.action_of(G))
+    H = gr.group_from_action(o.action_of(G), G.generators, G.label)
     for g, col in zip(H.generators, H.action):
-        assert H.mul.column(g) == col == array("H", [row[g] for row in want])
-
-    def order(x):
-        k, y = 1, x
-        while y:
-            y, k = want[y][x], k + 1
-        return k
+        assert H.mul.column(g) == col
+        assert np.array_equal(col, want[:, g])
     assert [H.element_order(x) for x in H.elements()] == \
-        [order(x) for x in G.elements()]
+        [o.element_order(want, x) for x in G.elements()]
     assert H == G and hash(H) == hash(G)
     assert len(gr._edges(H)) == H.order * len(H.generators)
     assert rows_built(H) == 1
-
-
-def old_coset_quotient(parent, normal):
-    """The replaced coset read: each coset x N from row x, and the action
-    of each generator coset from the row of each representative."""
-    normal = sorted(set(normal))
-    coset_of = [-1] * parent.order
-    reps = []
-    for x in parent.elements():
-        if coset_of[x] < 0:
-            members = sorted(parent.mul[x][s] for s in normal)
-            for mmb in members:
-                coset_of[mmb] = len(reps)
-            reps.append(members[0])
-    gens = tuple(sorted({coset_of[g] for g in parent.generators} - {0}))
-    action = [[coset_of[parent.mul[r][reps[c]]] for c in gens] for r in reps]
-    return tuple(reps), tuple(coset_of), gens, action
 
 
 def normal_subgroups(n, p):
@@ -193,24 +146,26 @@ def normal_subgroups(n, p):
 @pytest.mark.parametrize("n,p", QUOTIENTS)
 def test_coset_quotient_from_normal_rows_and_generator_columns(n, p):
     """Cosets read off the rows of N and the action read off the parent's
-    generator columns give the representatives, coset map, generators and
-    table that the row-by-row read gave."""
+    generator columns give the representatives, coset map, generators,
+    table and inverses of the reference quotient."""
     U, normals = normal_subgroups(n, p)
     for normal in normals:
         quot = gr.CosetQuotient(U.as_finite_group(), normal)
-        reps, coset_of, gens, action = old_coset_quotient(
-            U.as_finite_group(), normal)
+        reps, coset_of, gens, table = o.coset_quotient(n + 1, p,
+                                                       tuple(normal))
         assert (quot.reps, quot.coset_of, quot.group.generators) == \
             (reps, coset_of, gens)
-        want, want_inv = eager_table_from_action(action)
-        assert list(quot.group.mul) == want and quot.group.inv == want_inv
+        assert all(type(row) is array and row.typecode == "H"
+                   for row in quot.group.mul)
+        assert np.array_equal(o.array_of(quot.group.mul), table)
+        assert quot.group.inv == o.inverses(table)
 
 
 def test_a_coset_quotient_reads_only_the_rows_of_its_normal_subgroup():
     """The rows built are those of N's elements and of their tree
     ancestors, each gathered from its parent's row."""
     U = ut.unitri_group(5, 2)
-    G = gr.group_from_action(action_of(U.as_finite_group()),
+    G = gr.group_from_action(o.action_of(U.as_finite_group()),
                              U.as_finite_group().generators, "U5(2)")
     normal = U.vanishing_on(ut.zero_positions(5, "P"))
     gr.CosetQuotient(G, normal)
@@ -225,7 +180,7 @@ def test_a_coset_quotient_reads_only_the_rows_of_its_normal_subgroup():
 
 def test_comparing_hashing_and_walking_a_group_build_no_row():
     U = ut.unitri_group(5, 2).as_finite_group()
-    fresh = [gr.group_from_action(action_of(U), U.generators, U.label)
+    fresh = [gr.group_from_action(o.action_of(U), U.generators, U.label)
              for _ in range(2)]
     G, H = fresh
     assert G == H and not G != H and G == U and G != gr.build_cyclic(2)
@@ -289,7 +244,7 @@ def test_an_action_with_misstated_generators_is_refused():
         gr.group_from_action(list(zip(times_r_inverse, times_s)), (1, n), "D5")
     G, H = gr.build_cyclic(2), gr.build_cyclic(3)
     product = gr.build_direct_product(G, H)
-    swapped = [tuple(reversed(a)) for a in action_of(product)]
+    swapped = [tuple(reversed(a)) for a in o.action_of(product)]
     with pytest.raises(BadParameter, match="column 0"):
         gr.group_from_action(swapped, product.generators, "Z2xZ3")
 
@@ -322,7 +277,7 @@ def assert_read_back(text, seed):
         assert type(G.mul) is gr.Rows
         for x in order:
             assert G.mul[x].tolist() == want[x]
-        assert G.inv == tuple(row.index(0) for row in want)
+        assert G.inv == o.inverses(want)
 
 
 @pytest.mark.parametrize("name", sorted(GIVEN_FILES))
@@ -385,13 +340,7 @@ def test_a_parsed_group_file_builds_its_rows_on_demand(name):
                 z = col[z]
             assert z == G.mul[y][x]
     want = given_rows(text)
-
-    def order(x):
-        k, y = 1, x
-        while y:
-            y, k = want[y][x], k + 1
-        return k
-    assert orders == [order(x) for x in G.elements()]
+    assert orders == [o.element_order(want, x) for x in G.elements()]
     for x in (-1, G.order):
         with pytest.raises(IndexError):
             G.mul[x]

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles as o
+
 from masseylab import unitri as ut
 from masseylab.errors import (
     BadParameter,
     NotInKernel,
     SizeLimit,
 )
-from masseylab.groups import CosetQuotient
 
 
 def test_matrices_and_subgroups_built_twice_are_equal_values():
@@ -175,44 +176,18 @@ def elementary(n, p, i, j, v=1):
     return ut.from_rows(rows.tolist(), p)
 
 
-def superdiagonal_indices(n, p):
-    """The indices of the I + e_{i,i+1}, read off their packed entries."""
-    return tuple(ut.vec_to_index(p, elementary(n, p, i, i + 1).entries)
-                 for i in range(1, n))
-
-
-def matmul(A, B):
-    """The product of two elements through full integer matrices."""
-    rows = (np.array(A.to_rows()) @ np.array(B.to_rows())) % A.p
-    return ut.from_rows(rows.tolist(), A.p)
-
-
-def old_table(n, p):
-    """The replaced table route: one 3-D matmul per row, products looked
-    up by the bytes of their packed entries."""
-    elems = old_elements(n, p)
-    mats = np.array([m.to_rows() for m in elems], dtype=np.int64)
-    iu = np.triu_indices(n, 1)
-    index = {mats[i][iu].tobytes(): i for i in range(len(elems))}
-    table = []
-    for x in range(len(elems)):
-        packed = ((mats[x] @ mats) % p)[:, iu[0], iu[1]]
-        table.append(tuple(index[row.tobytes()] for row in packed))
-    return tuple(table)
-
-
 @pytest.mark.parametrize("n,p", [(3, 2), (3, 3), (4, 2), (3, 5)])
 def test_table_and_indices_match_the_matrix_route(n, p):
+    """The table's cells are ints, and each index names the matrix, the
+    entries and the elementary matrices that `old_elements` numbers."""
     U = ut.unitri_group(n, p)
     G = U.as_finite_group()
-    assert tuple(map(tuple, G.mul)) == old_table(n, p)
     assert all(type(c) is int for row in G.mul for c in row)
     for i, mat in enumerate(old_elements(n, p)):
         assert U.matrix_of(i) == mat and ut.vec_to_index(p, mat.entries) == i
         for (a, b) in positions(n):
             e = U.entry_of(i, a, b)
             assert type(e) is int and e == mat.entry(a, b)
-    assert G.generators == superdiagonal_indices(n, p)
     for (a, b) in positions(n):
         for v in range(-1, p + 1):
             assert U.elementary_index(a, b, v) == \
@@ -228,7 +203,7 @@ def test_table_cells_match_matrix_products(size, data):
     A, B = U.matrix_of(x), U.matrix_of(y)
     mul = U.as_finite_group().mul
     assert mul[x][y] == ut.vec_to_index(p, A.mul(B).entries) == \
-        ut.vec_to_index(p, matmul(A, B).entries)
+        o.unitri_table(n, p)[x][y]
     assert type(mul[x]) is array and mul[x].itemsize == 2
 
 
@@ -281,46 +256,6 @@ def test_central_series_matches_entrywise_support(n, p):
         assert set(U.vanishing_on(zero)) == want
 
 
-def block(mat, a, off):
-    """The a-block of a matrix with top-left corner (off + 1, off + 1)."""
-    return ut.UniTriMatrix(a, mat.p, tuple(mat.entry(off + i, off + j)
-                                           for (i, j) in positions(a)))
-
-
-class OldFiber:
-    """Q_{k,m}(p) built from pairs of matrix objects."""
-
-    def __init__(self, k, m, p):
-        self.k, self.m, self.p = k, m, p
-        overlap = m - k
-        self.pairs = [(A, B) for A in old_elements(m - 1, p)
-                      for B in old_elements(m + 1 - k, p)
-                      if block(A, overlap, k - 1) == block(B, overlap, 0)]
-        self.index = {(A.entries, B.entries): i
-                      for i, (A, B) in enumerate(self.pairs)}
-        self.table = tuple(
-            tuple(self.index[(Ax.mul(Ay).entries, Bx.mul(By).entries)]
-                  for (Ay, By) in self.pairs) for (Ax, Bx) in self.pairs)
-        self.gens = tuple(sorted({self.from_parent(elementary(m, p, i, i + 1))
-                                  for i in range(1, m)} - {0}))
-
-    def from_parent(self, mat):
-        return self.index[(block(mat, self.m - 1, 0).entries,
-                           block(mat, self.m + 1 - self.k, self.k - 1).entries)]
-
-
-def fiber_pairs(k, m, p):
-    """The element indices (a, b) of U_{m-1}(p) x U_{m+1-k}(p) that agree
-    on the overlapping (m-k)-block, a-major, b ascending: the numbering of
-    Q_{k,m} that the kept digits replace."""
-    left, right = ut.unitri_group(m - 1, p), ut.unitri_group(m + 1 - k, p)
-    over_right = {}
-    for b in right.elements():
-        over_right.setdefault(right.upper_left(b, m - k), []).append(b)
-    return [(a, b) for a in left.elements()
-            for b in over_right[left.lower_right(a, m - k)]]
-
-
 FIBERS = [(k, m, p) for p, ms in ((2, (2, 3, 4, 5)), (3, (2, 3, 4)), (5, (3,)))
           for m in ms for k in range(1, m)]
 
@@ -330,7 +265,7 @@ def test_kept_digits_number_the_fiber_pairs(k, m, p):
     fq, U = ut.fiber_quotient(k, m, p), ut.unitri_group(m, p)
     on_m = [t for t in range(U.num_entries)
             if t not in ut.zero_positions(m, "M", k)]
-    pairs = fiber_pairs(k, m, p)
+    pairs = o.fiber_pairs(k, m, p)
     assert fq.order == len(pairs)
     for x, (a, b) in enumerate(pairs):
         y = fq.lift(x)
@@ -388,93 +323,43 @@ def test_fiber_quotient_refuses_its_order_past_the_bound():
         ut.fiber_quotient(2, 7, 2)
 
 
-def coset_blocks(fq, x):
-    """The two blocks of x's lift to U_m(p), as matrices."""
-    A = ut.unitri_group(fq.m, fq.p).matrix_of(fq.lift(x))
-    return block(A, fq.m - 1, 0), block(A, fq.m + 1 - fq.k, fq.k - 1)
-
-
 @pytest.mark.parametrize("k,m,p", [(2, 4, 2), (1, 4, 2), (2, 4, 3)])
 def test_fiber_quotient_matches_the_matrix_pairs(k, m, p):
-    fq, old = ut.fiber_quotient(k, m, p), OldFiber(k, m, p)
-    assert [coset_blocks(fq, x) for x in range(fq.order)] == old.pairs
-    assert tuple(map(tuple, fq.group.mul)) == old.table
-    assert fq.group.generators == old.gens
-    assert fq.parent_quotient_hom().images == \
-        tuple(old.from_parent(mat) for mat in old_elements(m, p))
-    tgt = OldFiber(k + 1, m, p)
+    """The quotient map from U_m(p), rho, iota and every entry of each
+    coset's lift agree with the reference pairs of block matrices."""
+    fq = ut.fiber_quotient(k, m, p)
+    pairs = o.fiber_pairs(k, m, p)
+    left, right = o.unitri_matrices(m - 1, p), o.unitri_matrices(m + 1 - k, p)
+    assert fq.parent_quotient_hom().images == o.fiber_projection(k, m, p)
+    rho = {pair: x for x, pair in enumerate(o.fiber_pairs(k + 1, m, p))}
     assert fq.rho_hom().images == tuple(
-        tgt.index[(A.entries, block(B, m - k, 1).entries)]
-        for A, B in old.pairs)
+        rho[a, o.matrix_index(right[b][1:, 1:], p)] for a, b in pairs)
     for x in fq.kernel_of_rho():
-        A, B = old.pairs[x]
-        assert A.is_identity() and fq.iota(x) == B.entry(1, m + 1 - k)
+        a, b = pairs[x]
+        assert a == 0 and fq.iota(x) == right[b][0, m - k]
         assert fq.iota_inv(fq.iota(x)) == x
-    for x in range(fq.order):
+    for x, (a, b) in enumerate(pairs):
         for (i, j) in positions(m):
             if j < m or i >= k:
-                A, B = old.pairs[x]
-                want = A.entry(i, j) if j < m else \
-                    B.entry(i - k + 1, j - k + 1)
+                want = left[a][i - 1, j - 1] if j < m else \
+                    right[b][i - k, j - k]
                 assert fq.parent.entry_of(fq.lift(x), i, j) == want
 
 
 def test_drop_to_matches_the_lower_right_blocks():
     fq = ut.fiber_quotient(3, 5, 2)
     tgt, lam = fq.drop_to(2)
-    for x in range(fq.order):
-        A, B = coset_blocks(fq, x)
-        assert coset_blocks(tgt, lam(x)) == (block(A, 3, 1), B)
+    left = o.unitri_matrices(4, 2)
+    dropped = o.fiber_pairs(2, 4, 2)
+    for x, (a, b) in enumerate(o.fiber_pairs(3, 5, 2)):
+        assert dropped[lam(x)] == (o.matrix_index(left[a][1:, 1:], 2), b)
 
 
-# -- the table closure against the all-pairs builders it replaced -------------
-
-def two_sided_inverses(table):
-    """The replaced inverse scan: the y with x*y = y*x = 1, for each x."""
-    n = len(table)
-    return tuple(next(y for y in range(n) if table[x][y] == 0 == table[y][x])
-                 for x in range(n))
-
-
-def per_row_unitri_table(n, p):
-    """The replaced U_n(p) builder: the product rule once per row, on the
-    columns of every element's packed entries."""
-    U = ut.unitri_group(n, p)
-    digits = np.arange(U.order)[:, None] // np.array(U.weights) % p
-    columns = list(digits.T)
-    plan = ut._product_plan(n)
-    table = []
-    for row in digits.tolist():
-        idx = np.zeros(U.order, dtype=np.int64)
-        for v in ut._product(row, columns, plan, p):
-            idx = idx * p + v
-        table.append(tuple(idx.tolist()))
-    return tuple(table)
-
-
-def all_pairs_fiber_table(fq):
-    """The replaced Q_{k,m} builder: the pair product of every two pairs."""
-    pairs = fiber_pairs(fq.k, fq.m, fq.p)
-    left = ut.unitri_group(fq.m - 1, fq.p)
-    right = ut.unitri_group(fq.m + 1 - fq.k, fq.p)
-    mats = [(left.matrix_of(a), right.matrix_of(b)) for a, b in pairs]
-    index = {pair: i for i, pair in enumerate(pairs)}
-    return tuple(
-        tuple(index[(ut.vec_to_index(fq.p, Ax.mul(Ay).entries),
-                     ut.vec_to_index(fq.p, Bx.mul(By).entries))]
-              for Ay, By in mats) for Ax, Bx in mats)
-
-
-def all_pairs_coset_table(quot):
-    """The replaced coset builder: the coset of every product of two
-    representatives."""
-    mul, reps, coset_of = quot.parent.mul, quot.reps, quot.coset_of
-    return tuple(tuple(coset_of[mul[a][b]] for b in reps) for a in reps)
-
+# -- the tables against their references in tests/oracles.py -------------------
 
 def assert_group_is(G, table, gens):
-    assert tuple(map(tuple, G.mul)) == table
-    assert G.inv == two_sided_inverses(table)
+    assert np.array_equal(o.array_of(G.mul), table)
+    assert G.inv == o.inverses(table)
     assert G.generators == gens
     assert all(type(row) is array and row.typecode == "H" for row in G.mul)
 
@@ -482,35 +367,31 @@ def assert_group_is(G, table, gens):
 @pytest.mark.parametrize("n,p", [(3, 2), (4, 2), (5, 2), (3, 3), (4, 3),
                                  (3, 5)])
 def test_unitri_closure_matches_the_per_row_table(n, p):
+    """The table is the reference's matrix products, one row at a time,
+    and the generators are the I + e_{i,i+1}."""
     U = ut.unitri_group(n, p)
-    assert_group_is(U.as_finite_group(), per_row_unitri_table(n, p),
-                    superdiagonal_indices(n, p))
+    assert_group_is(U.as_finite_group(), o.unitri_table(n, p),
+                    o.superdiagonal(n, p))
 
 
-@pytest.mark.parametrize("k,m,p", [(1, 3, 2), (2, 4, 2), (1, 4, 3),
-                                   (2, 4, 3), (2, 5, 2), (3, 5, 2)])
+@pytest.mark.parametrize("k,m,p", [(1, 3, 2), (2, 4, 2), (1, 4, 2),
+                                   (1, 4, 3), (2, 4, 3), (2, 5, 2),
+                                   (3, 5, 2)])
 def test_fiber_closure_matches_the_all_pairs_table(k, m, p):
+    """The table is the reference's pairs multiplied block by block, and
+    the generators are the images of the I + e_{i,i+1} of U_m(p)."""
     fq = ut.fiber_quotient(k, m, p)
-    gens = set(map(fq.from_parent, superdiagonal_indices(m, p)))
-    assert_group_is(fq.group, all_pairs_fiber_table(fq),
+    project = o.fiber_projection(k, m, p)
+    gens = {project[g] for g in o.superdiagonal(m, p)}
+    assert_group_is(fq.group, o.fiber_table(k, m, p),
                     tuple(sorted(gens - {0})))
-
-
-def assert_coset_group_is_the_all_pairs_table(quot):
-    gens = {quot.coset_of[g] for g in quot.parent.generators}
-    assert_group_is(quot.group, all_pairs_coset_table(quot),
-                    tuple(sorted(gens - {0})))
-
-
-@pytest.mark.parametrize("n,p", [(4, 2), (3, 3)])
-def test_coset_closure_matches_the_all_pairs_table(n, p):
-    U = ut.unitri_group(n + 1, p)
-    chain, _ = ut.central_series_ker_phi(n)
-    for zero in chain:
-        assert_coset_group_is_the_all_pairs_table(
-            CosetQuotient(U.as_finite_group(), U.vanishing_on(zero)))
 
 
 def test_zeta_kappa_closure_matches_the_all_pairs_table():
+    """U_4(2)/Z and U_4(2)/P, as `zeta_kappa_targets` keeps them: the
+    reference quotient's representatives, coset map, table, inverses and
+    generators."""
     for quot, _ in ut.zeta_kappa_targets(3, 2):
-        assert_coset_group_is_the_all_pairs_table(quot)
+        reps, coset_of, gens, table = o.coset_quotient(4, 2, quot.normal)
+        assert (quot.reps, quot.coset_of) == (reps, coset_of)
+        assert_group_is(quot.group, table, gens)
