@@ -13,7 +13,6 @@ from .cochains import Cochain, CohomologyClass
 from .errors import (
     BadParameter,
     KernelNotOrderP,
-    NotAHomomorphism,
     NotCentral,
     SizeLimit,
     TargetMismatch,
@@ -201,16 +200,17 @@ def solvable_iff_obstruction_zero(E: EmbeddingProblem) -> dict:
 # -- twisting ------------------------------------------------------------------
 
 def twist(psi: GroupHom, chi: GroupHom) -> GroupHom:
-    """Pointwise product g -> psi(g) chi(g); valid when chi lands in a
-    central subgroup of psi's codomain."""
+    """Pointwise product g -> psi(g) chi(g) of two homomorphisms, itself
+    one when chi lands in the centre of psi's codomain B: NotCentral
+    unless each image of chi commutes with B's listed generators."""
     if psi.codomain != chi.codomain or psi.domain != chi.domain:
         raise TargetMismatch("twist factors must share domain and codomain")
     B = psi.codomain
+    for z, b in itertools.product(set(chi.images), B.generators):
+        if B.mul[z][b] != B.mul[b][z]:
+            raise NotCentral(f"image {z} of chi does not centralize {b}")
     images = tuple(B.mul[psi(g)][chi(g)] for g in psi.domain.elements())
-    out = GroupHom(psi.domain, B, images)
-    if not out.is_valid():
-        raise NotAHomomorphism("twisted map is not a homomorphism")
-    return out
+    return GroupHom(psi.domain, B, images)
 
 
 def embed_char_in_rho_kernel(fq: FiberQuotient, chi: Cochain) -> GroupHom:

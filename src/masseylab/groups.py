@@ -5,11 +5,10 @@ Conventions: elements are the indices 0..N-1, index 0 is the identity, and
 each row of a table is an array('H') of indices, 2 bytes a cell.  Every
 group is closed from its generators' right action and builds a row the
 first time something reads it (`Rows`); a table given whole is checked,
-then closed from its generators' columns.
-`FULL_GROUP_LIMIT` (64) caps `build_cyclic`, `build_dihedral` and a table
-given whole (`build_from_table`, so every group file); `CONTAINER_LIMIT`
-(4096) caps `build_vector_group`, `build_direct_product`,
-`build_semidirect_cyclic` and every table `table_from_action` closes.
+then closed from its generators' columns.  An action is one column per
+listed generator, columns[s][x] = x*g_s.  `FULL_GROUP_LIMIT` (64) caps a
+table given whole, and `CONTAINER_LIMIT` (4096) every group closed from an
+action.
 """
 
 from __future__ import annotations
@@ -74,7 +73,8 @@ class FiniteGroup(Value):
     def element_order(self, x: int) -> int:
         """The order of x, found once per element: its powers are read off
         row x when that row is built, and otherwise each power is the last
-        one multiplied on the right along x's tree path."""
+        one multiplied on the right along x's tree path.  Raises NoInverse
+        when none of the first `order` powers is the identity."""
         if not 0 <= x < self.order:
             raise IndexOutOfRange(f"element {x} not in group of order {self.order}")
         k = self._orders.get(x)
@@ -83,6 +83,8 @@ class FiniteGroup(Value):
             steps = [mul[x]] if x in mul else mul.path(x)
             k, y = 1, x
             while y != 0:
+                if k == self.order:
+                    raise NoInverse(f"no power of element {x} is the identity")
                 for step in steps:
                     y = step[y]
                 k += 1
@@ -191,12 +193,11 @@ class Rows(dict):
 def find_generators(mul) -> tuple:
     """Greedy minimal generating set: repeatedly adjoin the first element
     outside the current closure. Deterministic."""
-    n = len(mul)
-    gens: list[int] = []
-    covered = {0}
+    n, gens, columns, covered = len(mul), [], [], {0}
     while len(covered) < n:
         gens.append(next(i for i in range(n) if i not in covered))
-        covered = set(_walk([[row[g] for row in mul] for g in gens], n)[0])
+        columns.append([row[gens[-1]] for row in mul])
+        covered = set(_walk(columns, n)[0])
     return tuple(gens)
 
 
@@ -256,13 +257,12 @@ def _extend(edges, hmul, gen_images, order) -> Optional[tuple]:
     return tuple(f)
 
 
-def table_from_action(action) -> tuple[Rows, tuple[int, ...]]:
-    """The multiplication table of a group from its generators' right
-    action, action[x][s] = x*g_s, with index 0 the identity, and the
-    inverse of each element.  The table's rows are built on demand
-    (`Rows`); the walk keeps the action as one array('H') column per
-    generator, the breadth-first tree, and left multiplication by each
-    generator.
+def table_from_action(columns, order: int) -> tuple[Rows, tuple[int, ...]]:
+    """The multiplication table of a group of the given order from its
+    generators' right action, columns[s][x] = x*g_s, with index 0 the
+    identity, and the inverse of each element.  The table's rows are built
+    on demand (`Rows`); the walk keeps the columns as array('H')s, the
+    breadth-first tree, and left multiplication by each generator.
 
     Row x of the table is left multiplication by x, and row(x*g) is row(x)
     read at g*y for each y.  One pass over the breadth-first edges per
@@ -270,21 +270,23 @@ def table_from_action(action) -> tuple[Rows, tuple[int, ...]]:
     edge (x, t, x*g_t), g_s*(x*g_t) = (g_s*x)*g_t.  On the tree edge
     (x, s, x*g_s) the inverse g_s^-1 * x^-1 of x*g_s is x^-1 read through
     the inverse of that permutation.  Raises GeneratorsDontGenerate unless
-    the walk reaches every element."""
-    n = len(action)
+    the walk reaches every element, and BadParameter unless every column
+    has `order` entries."""
+    n = order
     if n > CONTAINER_LIMIT:
         raise SizeLimit(f"order {n} exceeds {CONTAINER_LIMIT}")
-    columns = tuple(array("H", col) for col in zip(*action))
-    d = len(columns)
+    columns = tuple(array("H", col) for col in columns)
+    if any(len(col) != n for col in columns):
+        raise BadParameter(f"a column of the action does not have {n} entries")
     reached, parent, step = _walk(columns, n)
     if len(reached) != n:
         raise GeneratorsDontGenerate(
-            f"the action of {d} generators spans only {len(reached)} of "
-            f"{n} elements")
+            f"the action of {len(columns)} generators spans only "
+            f"{len(reached)} of {n} elements")
     lefts = []
-    for s in range(d):
+    for first in columns:
         left = array("H", [0]) * n
-        left[0] = columns[s][0]
+        left[0] = first[0]
         for x in reached:
             for col in columns:
                 left[col[x]] = col[left[x]]
@@ -299,12 +301,13 @@ def table_from_action(action) -> tuple[Rows, tuple[int, ...]]:
     return Rows(columns, parent, step, lefts), tuple(inv)
 
 
-def group_from_action(action, generators, label: str) -> FiniteGroup:
+def group_from_action(columns, order: int, generators,
+                      label: str) -> FiniteGroup:
     """The group whose listed generators g_s act on the right by
-    action[x][s] = x*g_s, its table closed by `table_from_action`.  Raises
+    columns[s][x] = x*g_s, its table closed by `table_from_action`.  Raises
     BadParameter unless each generator's column of that table is its
     stated action, each read off the tree without building a row."""
-    rows, inv = table_from_action(action)
+    rows, inv = table_from_action(columns, order)
     for s, g in enumerate(generators):
         if rows.column(g) != rows.columns[s]:
             raise BadParameter(f"column {s} of the action is not right "
@@ -319,11 +322,11 @@ def _raw_group(rows: Rows, generators, label: str, inv) -> FiniteGroup:
                        rows.columns)
 
 
-def validate_group(mul, generators) -> None:
+def validate_group(mul, generators) -> list[list[int]]:
     """The one validity check of the rows mul of a table given whole, in
     this order: every element has a right inverse, which in a finite monoid
     is two-sided; index 0 is the identity; the listed generators generate;
-    and Light's test passes.
+    and Light's test passes.  Returns the listed generators' columns.
 
     Light's test: (x*g)*y = x*(g*y) for all x, y and each listed g, one
     gather of row(x) by row(g) per (x, g).  The g that pass contain the
@@ -338,7 +341,8 @@ def validate_group(mul, generators) -> None:
     for x in range(n):
         if rows[0][x] != x or rows[x][0] != x:
             raise NoIdentity(f"index 0 is not an identity at element {x}")
-    _span([[row[g] for row in rows] for g in generators], n, generators)
+    columns = [[row[g] for row in rows] for g in generators]
+    _span(columns, n, generators)
     # the identity passes, and a one-cell row would gather to a bare index
     for g in filter(None, generators):
         gather = operator.itemgetter(*rows[g])
@@ -347,6 +351,7 @@ def validate_group(mul, generators) -> None:
                 y = next(y for y in range(n)
                          if rows[row[g]][y] != row[rows[g][y]])
                 raise NonAssociative(f"({x}*{g})*{y} != {x}*({g}*{y})")
+    return columns
 
 
 def build_from_table(table, generators=None, label="G") -> FiniteGroup:
@@ -381,22 +386,16 @@ def build_from_table(table, generators=None, label="G") -> FiniteGroup:
         generators = find_generators(table)
     elif not generators:
         raise BadParameter("generators must be nonempty")
-    validate_group(table, generators)
-    return group_from_action([[row[g] for g in generators] for row in table],
+    return group_from_action(validate_group(table, generators), n,
                              generators, label)
 
 
-def _action(order: int, columns) -> list[tuple]:
-    """The action rows (x*g_0, x*g_1, ...) from the columns x -> x*g_s."""
-    return list(zip(*columns)) if columns else [()] * order
-
-
 def build_cyclic(n: int, label: Optional[str] = None) -> FiniteGroup:
-    if not 1 <= n <= FULL_GROUP_LIMIT:
-        raise SizeLimit(f"cyclic order {n} out of range 1..{FULL_GROUP_LIMIT}")
+    if not 1 <= n <= CONTAINER_LIMIT:
+        raise SizeLimit(f"cyclic order {n} out of range 1..{CONTAINER_LIMIT}")
     gens = (1,) if n > 1 else ()
     columns = [[(x + 1) % n for x in range(n)]] if n > 1 else []
-    return group_from_action(_action(n, columns), gens, label or f"Z{n}")
+    return group_from_action(columns, n, gens, label or f"Z{n}")
 
 
 def build_direct_product(G: FiniteGroup, H: FiniteGroup,
@@ -412,8 +411,7 @@ def build_direct_product(G: FiniteGroup, H: FiniteGroup,
                for g in G.generators] + \
         [[a * hn + H.mul[b][h] for a, b in pairs] for h in H.generators]
     gens = [g * hn for g in G.generators] + list(H.generators)
-    return group_from_action(_action(n, columns), gens,
-                             label or f"{G.label}x{H.label}")
+    return group_from_action(columns, n, gens, label or f"{G.label}x{H.label}")
 
 
 @functools.cache
@@ -426,7 +424,7 @@ def build_vector_group(p: int, n: int) -> FiniteGroup:
     # the i-th unit vector adds 1 to digit i, which wraps p - 1 to 0
     columns = [[x + w * (1 - p if x // w % p == p - 1 else 1)
                 for x in range(order)] for w in gens]
-    return group_from_action(_action(order, columns), gens, f"(Z/{p})^{n}")
+    return group_from_action(columns, order, gens, f"(Z/{p})^{n}")
 
 
 def vec_to_index(p: int, vec: Sequence[int]) -> int:
@@ -462,22 +460,21 @@ def build_semidirect_cyclic(l: int, k: int, p: int) -> FiniteGroup:
     pairs = [divmod(x, m) for x in range(m * m)]
     columns = [[(a + pow(p, b, m)) % m * m + b for a, b in pairs],  # (1, 0)
                [a * m + (b + 1) % m for a, b in pairs]]            # (0, 1)
-    return group_from_action(_action(m * m, columns), (m, 1),
-                             f"Z{m}:Z{m}(p={p})")
+    return group_from_action(columns, m * m, (m, 1), f"Z{m}:Z{m}(p={p})")
 
 
 def build_dihedral(n: int) -> FiniteGroup:
     """Dihedral group of order 2n: r^i s^e has index i + n*e, and
     (r^i s^e) r = r^(i +- 1) s^e, (r^i s^e) s = r^i s^(1-e)."""
     order = 2 * n
-    if order > FULL_GROUP_LIMIT:
-        raise SizeLimit(f"order {order} exceeds {FULL_GROUP_LIMIT}")
+    if order > CONTAINER_LIMIT:
+        raise SizeLimit(f"order {order} exceeds {CONTAINER_LIMIT}")
     pairs = [divmod(x, n) for x in range(order)]
     times_r = [(i + 1 - 2 * e) % n + n * e for e, i in pairs]
     times_s = [i + n * (1 - e) for e, i in pairs]
     gens, columns = ((1, n), [times_r, times_s]) if n > 1 else \
         ((1,), [times_s])
-    return group_from_action(_action(order, columns), gens, f"D{n}")
+    return group_from_action(columns, order, gens, f"D{n}")
 
 
 def build_quaternion8() -> FiniteGroup:
@@ -485,7 +482,7 @@ def build_quaternion8() -> FiniteGroup:
     index order, generated by i and j."""
     times_i = [2, 3, 1, 0, 7, 6, 4, 5]  # x*i = i, -i, -1, 1, -k, k, j, -j
     times_j = [4, 5, 6, 7, 1, 0, 3, 2]  # x*j = j, -j, k, -k, -1, 1, -i, i
-    return group_from_action(_action(8, [times_i, times_j]), (2, 4), "Q8")
+    return group_from_action([times_i, times_j], 8, (2, 4), "Q8")
 
 
 def build_symmetric3() -> FiniteGroup:
@@ -496,7 +493,7 @@ def build_symmetric3() -> FiniteGroup:
     index = {q: i for i, q in enumerate(perms)}
     columns = [[index[tuple(a[i] for i in perms[g])] for a in perms]
                for g in (1, 2)]
-    return group_from_action(_action(6, columns), (1, 2), "S3")
+    return group_from_action(columns, 6, (1, 2), "S3")
 
 
 # -- homomorphisms ------------------------------------------------------------
@@ -571,8 +568,9 @@ class CosetQuotient:
             columns.setdefault(coset_of[g], col)
         columns.pop(0, None)
         gens = tuple(sorted(columns))
-        action = [[coset_of[columns[c][r]] for c in gens] for r in reps]
-        self.group = group_from_action(action, gens, label)
+        self.group = group_from_action(
+            [[coset_of[columns[c][r]] for r in reps] for c in gens],
+            len(reps), gens, label)
 
     def project(self) -> GroupHom:
         return GroupHom(self.parent, self.group, self.coset_of)

@@ -11,6 +11,7 @@ entries are stored packed in row-major order.
 from __future__ import annotations
 
 import functools
+from array import array
 from typing import Callable, Optional, Sequence
 
 from .errors import (
@@ -73,7 +74,7 @@ def position_quotient(n: int, p: int, kept: Sequence[int],
     position reads only kept positions, exactly when reading the kept
     digits is a homomorphism.  By the product rule x*(I + e_q) differs
     from x by 1 at q, and by x_s at each t whose plan terms include the
-    pair (s, q), mod p."""
+    pair (s, q), mod p.  Each generator's column is one array('H')."""
     plan = _product_plan(n)
     place = {t: p ** (len(kept) - 1 - d) for d, t in enumerate(kept)}
     if any(s not in place or u not in place for t in kept for s, u in plan[t]):
@@ -88,10 +89,10 @@ def position_quotient(n: int, p: int, kept: Sequence[int],
     steps = [[(None, place[q])] + [(place[s], place[t]) for t in kept
                                    for s, u in plan[t] if u == q]
              for q in own]
-    action = [[x + sum(((x // dst + (x // src if src else 1)) % p
-                        - x // dst % p) * dst for src, dst in step)
-               for step in steps] for x in range(order)]
-    return group_from_action(action, tuple(place[q] for q in own), label)
+    columns = [array("H", (x + sum(((x // dst + (x // src if src else 1)) % p
+                                    - x // dst % p) * dst for src, dst in step)
+                           for x in range(order))) for step in steps]
+    return group_from_action(columns, order, [place[q] for q in own], label)
 
 
 @functools.cache
@@ -293,8 +294,8 @@ class FiberQuotient:
     upper-left (m-1)-block's and then (k, m), ..., (m-1, m), read as base-p
     digits, which numbers the fiber product of U_{m-1}(p) and U_{m+1-k}(p)
     a-major; obtain it through `fiber_quotient`, which builds one instance
-    per (k, m, p).  The table is closed from the right action of the images
-    of U_m(p)'s superdiagonal generators, each step one matrix product."""
+    per (k, m, p).  Its table is closed from one column per image of a
+    superdiagonal generator of U_m(p), each cell one matrix product."""
 
     def __init__(self, k: int, m: int, p: int):
         if not 1 <= k <= m - 1:
@@ -309,11 +310,11 @@ class FiberQuotient:
         # generators: images of U_m's superdiagonal elementaries
         gens = tuple(sorted({self.from_parent(Um.weights[q])
                              for q in _superdiagonal(m)} - {0}))
-        gen_mats = [Um.matrix_of(self.lift(g)) for g in gens]
-        action = [[self.from_parent(vec_to_index(p, X.mul(A).entries))
-                   for A in gen_mats]
-                  for X in map(Um.matrix_of, map(self.lift, range(self.order)))]
-        self.group = group_from_action(action, gens, f"Q({k},{m};{p})")
+        mats = [Um.matrix_of(self.lift(x)) for x in range(self.order)]
+        columns = [[self.from_parent(vec_to_index(p, X.mul(mats[g]).entries))
+                    for X in mats] for g in gens]
+        self.group = group_from_action(columns, self.order, gens,
+                                       f"Q({k},{m};{p})")
 
     def from_parent(self, idx: int) -> int:
         """The quotient map U_m(p) -> Q_{k,m} on element indices."""

@@ -2,9 +2,9 @@
 plainest definition of what a fast path computes and none calling
 `masseylab`: a table closes by composing generator columns, U_n(p)
 multiplies matrices, Q_{k,m}(p) pairs of blocks, and a coset quotient its
-representatives.  A table is a read-only numpy array, table[x][y] = x*y,
-built once per session (`functools.cache`); a check of a given table
-reads only that table.
+representatives.  A table is a read-only numpy array, table[x][y] = x*y;
+each matrix table is built once per session (`functools.cache`), and a
+check of a given table reads only that table.
 """
 
 import functools
@@ -21,12 +21,6 @@ def array_of(rows):
     """A table's rows, each an array('H') or a sequence of indices, as one
     2-D numpy array."""
     return np.array([np.asarray(row) for row in rows], dtype=np.int64)
-
-
-def action_of(G):
-    """A group's right action x -> (x*g_0, x*g_1, ...), read off the
-    columns it stores, as the tuple of tuples `closure` takes."""
-    return tuple(tuple(col[x] for col in G.action) for x in G.elements())
 
 
 # -- checks of a given table ----------------------------------------------------
@@ -69,15 +63,13 @@ def element_order(table, x):
 
 # -- a group from its generators' right action ----------------------------------
 
-@functools.cache
-def closure(action):
-    """The table of the group whose listed generators act on the right by
-    action[x][s] = x*g_s, index 0 the identity.  Column y of the table is
-    right multiplication by y: when y = z*g_s, it is column z followed by
-    g_s, so each column is the generators' columns composed along a word
-    for y.  `action` is a tuple of tuples."""
-    n = len(action)
-    generators = np.array(action, dtype=np.uint16).reshape(n, -1).T
+def closure(columns, n):
+    """The table of the group of order n whose listed generators act on
+    the right by columns[s][x] = x*g_s, index 0 the identity.  Column y of
+    the table is right multiplication by y: when y = z*g_s, it is column z
+    followed by g_s, so each column is the generators' columns composed
+    along a word for y."""
+    generators = np.array(columns, dtype=np.uint16).reshape(-1, n)
     right = {0: np.arange(n, dtype=np.uint16)}  # right[y][x] = x*y
     found = [0]
     for z in found:

@@ -156,6 +156,6 @@ def test_an_action_that_disagrees_with_its_generators_is_refused():
     x = np.arange(6)
     # right multiplication by 5 = -1 in Z6, listed as generator 1
     with pytest.raises(BadParameter):
-        gr.group_from_action(np.stack([(x - 1) % 6], axis=1), (1,), "Z6")
-    assert gr.group_from_action(np.stack([(x - 1) % 6], axis=1), (5,),
+        gr.group_from_action([(x - 1) % 6], 6, (1,), "Z6")
+    assert gr.group_from_action([(x - 1) % 6], 6, (5,),
                                 "Z6").mul == gr.build_cyclic(6).mul

@@ -228,6 +228,16 @@ def test_twist_trivial_and_mismatch():
         em.twist(psi, other)
 
 
+def test_twist_refuses_a_chi_outside_the_centre():
+    """psi chi is chi, a homomorphism, so only the centre check refuses
+    it: the transposition 1 of S3 does not commute with the generator 2."""
+    Z2, S3 = gr.build_cyclic(2), gr.build_symmetric3()
+    psi, chi = gr.GroupHom(Z2, S3, (0, 0)), gr.GroupHom(Z2, S3, (0, 1))
+    assert chi.is_valid()
+    with pytest.raises(NotCentral, match="image 1 of chi .* centralize 2"):
+        em.twist(psi, chi)
+
+
 def test_verify_twisting_exhaustive_v4():
     recs = em.verify_twisting(V4, 2, 3, 2)
     assert len(recs) > 0
@@ -315,6 +325,7 @@ def test_cached_obstructions_match_on_every_twisting_pair():
     for psi in gr.enumerate_homs(V4, tgt.group):
         for chi in chis:
             psix = em.twist(psi, em.embed_char_in_rho_kernel(tgt, chi))
+            assert psix.is_valid()
             for f in (psi, psix):
                 assert_cached_path_matches_oracle(
                     em.rho_step_problem(f, k, m, p), ident=src.iota)

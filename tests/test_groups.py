@@ -103,8 +103,13 @@ def test_a_rejected_table_leaves_no_edge_list_cached():
 
 
 def test_size_limit():
+    """CONTAINER_LIMIT caps every group closed from an action, so cyclic
+    and dihedral groups pass the group-file limit of 64."""
     with pytest.raises(SizeLimit):
-        gr.build_cyclic(65)
+        gr.build_cyclic(gr.CONTAINER_LIMIT + 1)
+    assert gr.build_cyclic(1024).element_order(1) == 1024
+    D = gr.build_dihedral(512)
+    assert D.order == 1024 and D.element_order(1) == 512
 
 
 def test_hom_validity_and_kernel():
@@ -528,35 +533,6 @@ def test_find_generators_spans_with_a_greedy_set():
 
 # -- the table closure against the tables the constructors build ---------------
 
-SEMIDIRECT = [(2, 1, 3), (3, 1, 4), (3, 1, 7), (2, 2, 3), (2, 2, 5),
-              (4, 1, 3), (3, 2, 4)]
-
-
-@st.composite
-def table_groups(draw):
-    """A CLI fixture, a direct product of two of them of order <= 256, or a
-    build_semidirect_cyclic group."""
-    kind = draw(st.sampled_from(["fixture", "product", "semidirect"]))
-    if kind == "semidirect":
-        return gr.build_semidirect_cyclic(*draw(st.sampled_from(SEMIDIRECT)))
-    left = draw(st.sampled_from(sorted(FIXTURES)))
-    if kind == "fixture":
-        return FIXTURES[left]()
-    G = FIXTURES[left]()
-    right = draw(st.sampled_from(
-        [n for n in sorted(FIXTURES) if FIXTURES[n]().order * G.order <= 256]))
-    return gr.build_direct_product(G, FIXTURES[right]())
-
-
-@settings(max_examples=60, deadline=None)
-@given(table_groups())
-def test_closure_of_the_generators_action_is_the_table(G):
-    action = [[G.mul[x][g] for g in G.generators] for x in G.elements()]
-    table, inv = gr.table_from_action(action)
-    assert list(table) == list(G.mul) and inv == G.inv
-    assert all(type(row) is array for row in table)
-
-
 GATHER_CASES = (
     [("fixture", name) for name in sorted(FIXTURES)]
     + [("U", c) for c in [(3, 2), (4, 2), (5, 2), (3, 3), (4, 3), (3, 5)]]
@@ -580,9 +556,8 @@ def test_row_gathers_match_the_column_gather_table(kind, arg):
     is x -> x + e_i, i = 1..12.  Read in index order, each row is a 2-byte
     array equal to the reference's, and the inverses are its inverses."""
     G = case_group(kind, arg)
-    action = tuple(tuple(reversed(a)) for a in o.action_of(G))
-    table, inv = gr.table_from_action(action)
-    want = o.closure(action)
+    table, inv = gr.table_from_action(G.action[::-1], G.order)
+    want = o.closure(G.action[::-1], G.order)
     assert inv == o.inverses(want)
     for x, row in enumerate(table):
         assert type(row) is array and row.typecode == "H"
@@ -611,10 +586,9 @@ def test_closure_matches_the_tuple_closure_and_the_inverse_scan(kind, arg):
     else:
         groups = [case_group(kind, arg)]
     for G in groups:
-        action = o.action_of(G)
-        H = gr.group_from_action(action, G.generators, G.label)
+        H = gr.group_from_action(G.action, G.order, G.generators, G.label)
         assert H == G and hash(H) == hash(G)
-        assert H.inv == G.inv == o.inverses(o.closure(action))
+        assert H.inv == G.inv == o.inverses(o.closure(G.action, G.order))
         assert H.generators == G.generators
 
 
@@ -654,11 +628,17 @@ def test_coset_quotient_projects_and_induces_maps(n, p):
 
 def test_closure_refuses_a_non_spanning_or_oversized_action():
     with pytest.raises(GeneratorsDontGenerate):
-        gr.table_from_action([[V4.mul[x][1]] for x in V4.elements()])
+        gr.table_from_action([V4.mul.column(1)], 4)
     with pytest.raises(GeneratorsDontGenerate):
-        gr.table_from_action([[] for _ in Q8.elements()])
-    table, inv = gr.table_from_action([[]])
+        gr.table_from_action([], 8)
+    table, inv = gr.table_from_action([], 1)
     assert (list(table), inv) == ([array("H", [0])], (0,))
     n = gr.CONTAINER_LIMIT + 1
     with pytest.raises(SizeLimit):
-        gr.table_from_action([[(x + 1) % n] for x in range(n)])
+        gr.table_from_action([[*range(1, n), 0]], n)
+
+
+def test_closure_refuses_a_column_of_the_wrong_length():
+    for columns in ([[1, 0], [0]], [[1]], [[1, 0, 0]]):
+        with pytest.raises(BadParameter, match="does not have 2 entries"):
+            gr.table_from_action(columns, 2)

@@ -4,6 +4,7 @@ must equal the reference closure built whole (`oracles.closure`)."""
 
 import os
 import random
+import signal
 import subprocess
 import sys
 from array import array
@@ -17,7 +18,7 @@ import oracles as o
 from masseylab import groups as gr
 from masseylab import unitri as ut
 from masseylab.cli import FIXTURES
-from masseylab.errors import BadParameter
+from masseylab.errors import BadParameter, NoInverse
 
 
 def rows_built(G) -> int:
@@ -100,13 +101,12 @@ def test_rows_read_on_demand_match_the_eager_closure(name):
     the inverses are its inverses; the group's own rows are the same
     table."""
     G = CASES[name]()
-    action = o.action_of(G)
-    want = o.closure(action)
+    want = o.closure(G.action, G.order)
     want_inv = o.inverses(want)
     orders = [list(G.elements()), list(reversed(G.elements())),
               random.Random(name).sample(G.elements(), G.order)]
     for order in orders:
-        rows, inv = gr.table_from_action(action)
+        rows, inv = gr.table_from_action(G.action, G.order)
         assert inv == want_inv
         for x in order:
             row = rows[x]
@@ -122,8 +122,8 @@ def test_columns_and_element_orders_are_read_without_building_rows(name):
     element's order and the group's equality, hash and edge list agree
     with the reference table, and no row but the identity's is built."""
     G = CASES[name]()
-    want = o.closure(o.action_of(G))
-    H = gr.group_from_action(o.action_of(G), G.generators, G.label)
+    want = o.closure(G.action, G.order)
+    H = gr.group_from_action(G.action, G.order, G.generators, G.label)
     for g, col in zip(H.generators, H.action):
         assert H.mul.column(g) == col
         assert np.array_equal(col, want[:, g])
@@ -165,7 +165,7 @@ def test_a_coset_quotient_reads_only_the_rows_of_its_normal_subgroup():
     """The rows built are those of N's elements and of their tree
     ancestors, each gathered from its parent's row."""
     U = ut.unitri_group(5, 2)
-    G = gr.group_from_action(o.action_of(U.as_finite_group()),
+    G = gr.group_from_action(U.as_finite_group().action, U.order,
                              U.as_finite_group().generators, "U5(2)")
     normal = U.vanishing_on(ut.zero_positions(5, "P"))
     gr.CosetQuotient(G, normal)
@@ -180,7 +180,7 @@ def test_a_coset_quotient_reads_only_the_rows_of_its_normal_subgroup():
 
 def test_comparing_hashing_and_walking_a_group_build_no_row():
     U = ut.unitri_group(5, 2).as_finite_group()
-    fresh = [gr.group_from_action(o.action_of(U), U.generators, U.label)
+    fresh = [gr.group_from_action(U.action, U.order, U.generators, U.label)
              for _ in range(2)]
     G, H = fresh
     assert G == H and not G != H and G == U and G != gr.build_cyclic(2)
@@ -192,7 +192,7 @@ def test_comparing_hashing_and_walking_a_group_build_no_row():
     assert [rows_built(K) for K in fresh] == [1, 1]
     # same order, generator indices and label, another table
     S3 = gr.build_symmetric3()
-    Z6 = gr.group_from_action([[(x + 1) % 6, (x + 2) % 6] for x in range(6)],
+    Z6 = gr.group_from_action([[1, 2, 3, 4, 5, 0], [2, 3, 4, 5, 0, 1]], 6,
                               S3.generators, S3.label)
     assert Z6 != S3 and hash(Z6) != hash(S3)
     assert rows_built(Z6) == 1
@@ -231,6 +231,23 @@ def test_the_z2_dwyer_sweep_at_n4_reads_few_rows_of_u52():
     assert built < 128
 
 
+def test_an_element_whose_powers_miss_the_identity_has_no_inverse():
+    """Rows whose tree path for 1 is the column 0 -> 1 -> 2 -> 1: the
+    powers of 1 cycle through 1 and 2, never 0.  Its order was once
+    sought without end, so an alarm stops the call if it runs on."""
+    col = array("H", [1, 2, 1])
+    rows = gr.Rows((col,), array("H", [0, 0, 1]), array("H", [0, 0, 0]),
+                   [col])
+    G = gr.FiniteGroup(3, rows, (0, 2, 1), (1,), "bad", rows.columns)
+    signal.signal(signal.SIGALRM, lambda *_: pytest.fail("no bound"))
+    signal.alarm(5)
+    try:
+        with pytest.raises(NoInverse, match="element 1"):
+            G.element_order(1)
+    finally:
+        signal.alarm(0)
+
+
 def test_an_action_with_misstated_generators_is_refused():
     """The dihedral action with the rotation's sign reversed is right
     multiplication by r^-1, and the product action with the factors'
@@ -241,12 +258,11 @@ def test_an_action_with_misstated_generators_is_refused():
     times_r_inverse = [(i - 1 + 2 * e) % n + n * e for e, i in pairs]
     times_s = [i + n * (1 - e) for e, i in pairs]
     with pytest.raises(BadParameter, match="column 0"):
-        gr.group_from_action(list(zip(times_r_inverse, times_s)), (1, n), "D5")
-    G, H = gr.build_cyclic(2), gr.build_cyclic(3)
-    product = gr.build_direct_product(G, H)
-    swapped = [tuple(reversed(a)) for a in o.action_of(product)]
+        gr.group_from_action([times_r_inverse, times_s], 2 * n, (1, n), "D5")
+    product = gr.build_direct_product(gr.build_cyclic(2), gr.build_cyclic(3))
     with pytest.raises(BadParameter, match="column 0"):
-        gr.group_from_action(swapped, product.generators, "Z2xZ3")
+        gr.group_from_action(product.action[::-1], 6, product.generators,
+                             "Z2xZ3")
 
 
 # -- a table given whole, closed from its generators' columns ------------------
