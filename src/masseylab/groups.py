@@ -3,12 +3,12 @@ the homomorphism search engine used by every embedding-problem solver.
 
 Conventions: elements are the indices 0..N-1, index 0 is the identity, and
 each row of a table is an array('H') of indices, 2 bytes a cell.  Every
-group is closed from its generators' right action and builds a row the
-first time something reads it (`Rows`); a table given whole is checked,
-then closed from its generators' columns.  An action is one column per
-listed generator, columns[s][x] = x*g_s.  `FULL_GROUP_LIMIT` (64) caps a
-table given whole, and `CONTAINER_LIMIT` (4096) every group closed from an
-action.
+group is closed from its generators' right action, accepted exactly when
+it is a group's right regular action, and builds a row the first time
+something reads it (`Rows`); a table given whole is checked, then closed
+from its generators' columns.  An action is one column per listed
+generator, columns[s][x] = x*g_s.  `FULL_GROUP_LIMIT` (64) caps a table
+given whole, and `CONTAINER_LIMIT` (4096) every group closed from an action.
 """
 
 from __future__ import annotations
@@ -164,19 +164,6 @@ class Rows(dict):
         steps.reverse()
         return steps
 
-    def column(self, g: int) -> array:
-        """x*g for every x, read off x's tree path without building a row:
-        x = g_s1 ... g_sk gives x*g = g_s1*(...(g_sk*g))."""
-        out = array("H", [g]) * self.order
-        left, parent, step = self.left, self.parent, self.step
-        for x in range(1, self.order):
-            z, y = g, x
-            while y:
-                z = left[step[y]][z]
-                y = parent[y]
-            out[x] = z
-        return out
-
     def __iter__(self):
         return map(self.__getitem__, range(self.order))
 
@@ -260,24 +247,30 @@ def _extend(edges, hmul, gen_images, order) -> Optional[tuple]:
 def table_from_action(columns, order: int) -> tuple[Rows, tuple[int, ...]]:
     """The multiplication table of a group of the given order from its
     generators' right action, columns[s][x] = x*g_s, with index 0 the
-    identity, and the inverse of each element.  The table's rows are built
-    on demand (`Rows`); the walk keeps the columns as array('H')s, the
-    breadth-first tree, and left multiplication by each generator.
+    identity, and the inverse of each element.  The rows are built on
+    demand (`Rows`) from the breadth-first tree and left multiplication by
+    each generator: row x is left multiplication by x, and row(x*g) is
+    row(x) read at g*y for each y.
 
-    Row x of the table is left multiplication by x, and row(x*g) is row(x)
-    read at g*y for each y.  One pass over the breadth-first edges per
-    generator gives left multiplication by g_s: g_s*1 = g_s, and on an
-    edge (x, t, x*g_t), g_s*(x*g_t) = (g_s*x)*g_t.  On the tree edge
-    (x, s, x*g_s) the inverse g_s^-1 * x^-1 of x*g_s is x^-1 read through
-    the inverse of that permutation.  Raises GeneratorsDontGenerate unless
-    the walk reaches every element, and BadParameter unless every column
-    has `order` entries."""
+    Left multiplication by g_s is read along the tree, g_s*1 = g_s and
+    g_s*(x*g_t) = (g_s*x)*g_t, and must commute with every column, one
+    C-level gather of each composite per pair.  That accepts exactly the
+    right regular actions of groups: a map that commutes with a transitive
+    permutation group lies in its centralizer, which is semiregular; the
+    rows these maps compose send 1 to every element, so the centralizer is
+    regular, and then so is the columns' group (Dixon and Mortimer,
+    Permutation Groups, GTM 163, Thm 4.2A).  The inverse of x*g_s,
+    g_s^-1 * x^-1, is x^-1 read through the inverse of left multiplication
+    by g_s.  Raises BadParameter unless each column is a permutation of
+    0..order-1 and commutes with each left multiplication, and
+    GeneratorsDontGenerate unless the walk reaches every element."""
     n = order
     if n > CONTAINER_LIMIT:
         raise SizeLimit(f"order {n} exceeds {CONTAINER_LIMIT}")
     columns = tuple(array("H", col) for col in columns)
-    if any(len(col) != n for col in columns):
-        raise BadParameter(f"a column of the action does not have {n} entries")
+    if any(sorted(col) != list(range(n)) for col in columns):
+        raise BadParameter(f"a column of the action does not have {n} "
+                           f"entries, 0..{n - 1} each once")
     reached, parent, step = _walk(columns, n)
     if len(reached) != n:
         raise GeneratorsDontGenerate(
@@ -285,31 +278,32 @@ def table_from_action(columns, order: int) -> tuple[Rows, tuple[int, ...]]:
             f"{len(reached)} of {n} elements")
     lefts = []
     for first in columns:
-        left = array("H", [0]) * n
-        left[0] = first[0]
-        for x in reached:
-            for col in columns:
-                left[col[x]] = col[left[x]]
+        left = array("H", [first[0]]) * n
+        for y in itertools.islice(reached, 1, None):
+            left[y] = columns[step[y]][left[parent[y]]]
         lefts.append(left)
-    left_inverses = [array("H", [0]) * n for _ in lefts]
-    for left, inverse in zip(lefts, left_inverses):
-        for z, w in enumerate(left):
-            inverse[w] = z
+    rows = Rows(columns, parent, step, lefts)
+    reads = [operator.itemgetter(*col) for col in columns]
+    for left, gather in zip(lefts, rows._gathers):
+        if any(read(left) != gather(col) for read, col in zip(reads, columns)):
+            raise BadParameter("the action is not a group's regular action")
+    left_inverses = [sorted(range(n), key=left.__getitem__) for left in lefts]
     inv = [0] * n
     for y in itertools.islice(reached, 1, None):
         inv[y] = left_inverses[step[y]][inv[parent[y]]]
-    return Rows(columns, parent, step, lefts), tuple(inv)
+    return rows, tuple(inv)
 
 
 def group_from_action(columns, order: int, generators,
                       label: str) -> FiniteGroup:
     """The group whose listed generators g_s act on the right by
     columns[s][x] = x*g_s, its table closed by `table_from_action`.  Raises
-    BadParameter unless each generator's column of that table is its
-    stated action, each read off the tree without building a row."""
+    BadParameter unless 1*g_s, the first cell of each column, is g_s: the
+    table's rows commute with the columns, so column s is then right
+    multiplication by g_s."""
     rows, inv = table_from_action(columns, order)
     for s, g in enumerate(generators):
-        if rows.column(g) != rows.columns[s]:
+        if rows.columns[s][0] != g:
             raise BadParameter(f"column {s} of the action is not right "
                                f"multiplication by element {g}")
     return _raw_group(rows, generators, label, inv)
@@ -536,10 +530,10 @@ class GroupHom(Value):
 
 class CosetQuotient:
     """Quotient of a group by a normal subgroup N, with coset
-    representatives of smallest element index.  Each coset xN = Nx is read
-    off the rows of N's elements alone, and the table is closed from the
-    right action of the images of the parent's generators, read off their
-    columns."""
+    representatives of smallest element index.  Each coset Nx is read off
+    the rows of N's elements alone, BadParameter unless it is xN at each
+    generator x, and the table is closed from the right action of the
+    images of the parent's generators, read off their columns."""
 
     def __init__(self, parent: FiniteGroup, normal: Sequence[int],
                  label: str = "Q"):
@@ -547,6 +541,9 @@ class CosetQuotient:
         if 0 not in normal:
             raise BadParameter("normal subgroup must contain the identity")
         rows = [parent.mul[z] for z in normal]
+        for left in parent.mul.left:  # left[z] = g*z, with g = left[0]
+            if {row[left[0]] for row in rows} != {left[z] for z in normal}:
+                raise BadParameter(f"not normal: N*{left[0]} != {left[0]}*N")
         coset_of = [-1] * parent.order
         reps: list[int] = []
         for x in parent.elements():

@@ -1,10 +1,11 @@
 """The references tier-1 compares the group-table builders with, each the
 plainest definition of what a fast path computes and none calling
-`masseylab`: a table closes by composing generator columns, U_n(p)
-multiplies matrices, Q_{k,m}(p) pairs of blocks, and a coset quotient its
-representatives.  A table is a read-only numpy array, table[x][y] = x*y;
-each matrix table is built once per session (`functools.cache`), and a
-check of a given table reads only that table.
+`masseylab`: a table closes by composing generator columns, a permutation
+group by composing permutations, U_n(p) multiplies matrices, Q_{k,m}(p)
+pairs of blocks, and a coset quotient its representatives.  A table is a
+read-only numpy array, table[x][y] = x*y; each matrix table is built once
+per session (`functools.cache`), and a check of a given table reads only
+that table.
 """
 
 import functools
@@ -80,6 +81,21 @@ def closure(columns, n):
                 found.append(y)
     assert len(found) == n, "the generators do not generate"
     return _frozen(np.array([right[y] for y in range(n)]).T.copy())
+
+
+def permutation_group(columns, n):
+    """The order of the group of permutations of range(n) that the columns
+    generate, each element a tuple found by composing them in plain
+    Python, and whether that group is transitive."""
+    found = {tuple(range(n))}
+    queue = list(found)
+    for perm in queue:
+        for col in columns:
+            composed = tuple(col[x] for x in perm)
+            if composed not in found:
+                found.add(composed)
+                queue.append(composed)
+    return len(found), len({perm[0] for perm in found}) == n
 
 
 # -- U_n(p), its fiber products and its coset quotients -------------------------

@@ -554,7 +554,7 @@ def test_is_cocycle_agrees_with_the_full_delta(name, p):
 def test_generators_that_do_not_generate_are_refused():
     V4 = gr.build_vector_group(2, 2)
     G = gr.FiniteGroup(V4.order, V4.mul, V4.inv, (1,), V4.label,
-                       (V4.mul.column(1),))
+                       ([row[1] for row in V4.mul],))
     with pytest.raises(GeneratorsDontGenerate):
         cc.complex_data(G, 2).z1_basis
     with pytest.raises(GeneratorsDontGenerate):

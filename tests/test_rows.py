@@ -2,6 +2,8 @@
 row the first time it is read, and every row read on demand, in any order,
 must equal the reference closure built whole (`oracles.closure`)."""
 
+import functools
+import math
 import os
 import random
 import signal
@@ -18,7 +20,7 @@ import oracles as o
 from masseylab import groups as gr
 from masseylab import unitri as ut
 from masseylab.cli import FIXTURES
-from masseylab.errors import BadParameter, NoInverse
+from masseylab.errors import BadParameter, GeneratorsDontGenerate, NoInverse
 
 
 def rows_built(G) -> int:
@@ -125,7 +127,6 @@ def test_columns_and_element_orders_are_read_without_building_rows(name):
     want = o.closure(G.action, G.order)
     H = gr.group_from_action(G.action, G.order, G.generators, G.label)
     for g, col in zip(H.generators, H.action):
-        assert H.mul.column(g) == col
         assert np.array_equal(col, want[:, g])
     assert [H.element_order(x) for x in H.elements()] == \
         [o.element_order(want, x) for x in G.elements()]
@@ -263,6 +264,124 @@ def test_an_action_with_misstated_generators_is_refused():
     with pytest.raises(BadParameter, match="column 0"):
         gr.group_from_action(product.action[::-1], 6, product.generators,
                              "Z2xZ3")
+
+
+SMALL_GROUPS = [functools.partial(gr.build_cyclic, n) for n in range(1, 8)] + [
+    functools.partial(gr.build_vector_group, 2, 2),
+    functools.partial(gr.build_vector_group, 2, 3), gr.build_symmetric3,
+    functools.partial(gr.build_dihedral, 4), gr.build_quaternion8,
+    lambda: gr.build_direct_product(gr.build_cyclic(2), gr.build_cyclic(4))]
+
+
+@st.composite
+def actions(draw):
+    """(n, columns): d <= 3 random permutations of range(n), n <= 7, or the
+    right multiplications of d random elements of a small group relabelled
+    by a random permutation that fixes 0."""
+    d = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 7))
+        return n, [draw(st.permutations(range(n))) for _ in range(d)]
+    G = draw(st.sampled_from(SMALL_GROUPS))()
+    relabel = [0] + draw(st.permutations(range(1, G.order)))
+    columns = []
+    for g in draw(st.lists(st.sampled_from(G.elements()),
+                           min_size=d, max_size=d)):
+        col = [0] * G.order
+        for x, row in enumerate(G.mul):
+            col[relabel[x]] = relabel[row[g]]
+        columns.append(col)
+    return G.order, columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(actions())
+def test_an_action_is_closed_exactly_when_it_is_a_groups_regular_action(
+        action):
+    """The stated generators are the first cells of the columns, so
+    closing succeeds exactly when the columns generate a transitive group
+    of order n, and then its table is the reference closure."""
+    n, columns = action
+    order, transitive = o.permutation_group(columns, n)
+    args = columns, n, [col[0] for col in columns], "X"
+    if not transitive:
+        with pytest.raises(GeneratorsDontGenerate):
+            gr.group_from_action(*args)
+    elif order != n:
+        with pytest.raises(BadParameter, match="not a group's regular"):
+            gr.group_from_action(*args)
+    else:
+        G = gr.group_from_action(*args)
+        assert np.array_equal(o.array_of(G.mul), o.closure(columns, n))
+
+
+def test_a_transitive_action_that_is_not_regular_is_refused():
+    """Both columns are involutions of six points, the second with two
+    fixed points, and they generate a dihedral group of order 12; without
+    the commutation check they close to a table whose row 1 is
+    1 2 5 5 3 2, with 48 non-associative triples.  A column that is not a
+    permutation is refused as well."""
+    columns = [[5, 2, 1, 4, 3, 0], [3, 5, 2, 0, 4, 1]]
+    assert o.permutation_group(columns, 6) == (12, True)
+    with pytest.raises(BadParameter, match="not a group's regular"):
+        gr.group_from_action(columns, 6, (5, 3), "X")
+    with pytest.raises(BadParameter, match="0..1 each once"):
+        gr.group_from_action([[1, 1]], 2, (1,), "X")
+
+
+def test_a_quotient_by_a_subgroup_that_is_not_normal_is_refused():
+    """<s> in D4 and <e_13> in U_4(2) have order 2 and are not normal:
+    N*r != r*N, and e_34 moves e_13 to e_13 e_14."""
+    with pytest.raises(BadParameter, match=r"N\*1 != 1\*N"):
+        gr.CosetQuotient(gr.build_dihedral(4), [0, 4])
+    U = ut.unitri_group(4, 2)
+    e13, e34 = U.elementary_index(1, 3), U.elementary_index(3, 4)
+    with pytest.raises(BadParameter, match=rf"N\*{e34} != {e34}\*N"):
+        gr.CosetQuotient(U.as_finite_group(), [0, e13])
+
+
+def test_groups_at_the_cap_close_from_the_identity_row_alone():
+    """Z_4096, D_2048 and U_3(13), of order 2197, each close building only
+    the identity row, and the inverses, sampled rows and their elements'
+    orders match closed forms."""
+    n, m, p = gr.CONTAINER_LIMIT, gr.CONTAINER_LIMIT // 2, 13
+
+    def dihedral(x, y):  # r^i s^e has index i + m*e
+        (e, i), (f, j) = divmod(x, m), divmod(y, m)
+        return (i + (1 - 2 * e) * j) % m + m * ((e + f) % 2)
+
+    def digits(x):  # (x_12, x_13, x_23), base p, first most significant
+        return x // (p * p), x // p % p, x % p
+
+    def index(a, b, c):
+        return a % p * p * p + b % p * p + c % p
+
+    def unitri(x, y):
+        (a, b, c), (u, v, w) = digits(x), digits(y)
+        return index(a + u, b + v + a * w, c + w)
+
+    def unitri_inverse(x):
+        a, b, c = digits(x)
+        return index(-a, a * c - b, -c)
+
+    cases = [
+        (gr.build_cyclic(n), lambda x, y: (x + y) % n,
+         lambda x: -x % n, lambda x: n // math.gcd(x, n)),
+        (gr.build_dihedral(m), dihedral,
+         lambda x: -x % m if x < m else x,
+         lambda x: m // math.gcd(x, m) if x < m else 2),
+        (ut.position_quotient(3, p, range(3), "U3(13)"), unitri,
+         unitri_inverse, lambda x: p if x else 1),
+    ]
+    rng = random.Random(13)
+    for G, mul, inverse, order in cases:
+        assert rows_built(G) == 1
+        assert G.inv == tuple(map(inverse, G.elements()))
+        # row x builds each row on x's tree path, so the sampled rows are
+        # those of elements below 64, at most 63 steps from the identity
+        for x in [1] + rng.sample(range(2, 64), 5):
+            assert G.mul[x].tolist() == [mul(x, y) for y in G.elements()]
+            assert G.element_order(x) == order(x)
 
 
 # -- a table given whole, closed from its generators' columns ------------------
