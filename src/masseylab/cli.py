@@ -61,13 +61,16 @@ FIXTURES = {
 }
 
 
-def get_group(ref: str) -> gr.FiniteGroup:
+def get_group(ref: str, line=None) -> gr.FiniteGroup:
+    """A fixture by name, or the group file at path `ref`; `line` is the
+    query-file line that names it."""
     if ref in FIXTURES:
         return FIXTURES[ref]()
     if os.path.exists(ref):
         with open(ref) as fh:
             return gr.parse_group_file(fh.read(), label=os.path.basename(ref))
-    raise ParseError(f"unknown group {ref!r} (not a fixture, not a file)")
+    raise ParseError(f"unknown group {ref!r} (not a fixture, not a file)",
+                     line=line)
 
 
 # -- report plumbing -----------------------------------------------------------
@@ -238,36 +241,38 @@ def parse_query_file(text: str):
     generators; blank and `#` lines are skipped, and an error names its
     line as numbered in the file."""
     from . import massey as ms
-    kv = {}
-    rows = []
-    for i, ln in enumerate(text.splitlines(), start=1):
-        toks = ln.split()
-        if not toks or toks[0].startswith("#"):
-            continue
+    lines, end = gr.numbered_lines(text)
+    kv, at, rows = {}, {}, []
+    for i, toks in lines:
         if toks[0] == "a":
             try:
-                rows.append([int(t) for t in toks[1:]])
+                rows.append((i, [int(t) for t in toks[1:]]))
             except ValueError:
                 raise ParseError("bad character row", line=i)
         elif toks[0] in kv:
             raise ParseError(f"repeated `{toks[0]}` line", line=i)
         elif toks[0] in ("group", "p", "n") and len(toks) == 2:
-            kv[toks[0]] = toks[1]
+            kv[toks[0]], at[toks[0]] = toks[1], i
         else:
-            raise ParseError(f"unrecognized line {ln.strip()!r}", line=i)
+            raise ParseError(f"unrecognized line "
+                             f"{text.splitlines()[i - 1].strip()!r}", line=i)
     for need in ("group", "p", "n"):
         if need not in kv:
-            raise ParseError(f"missing `{need}` line")
-    G = get_group(kv["group"])
-    try:
-        p, n = int(kv["p"]), int(kv["n"])
-    except ValueError:
-        raise ParseError(f"`p` and `n` must be integers, got {kv['p']!r} "
-                         f"and {kv['n']!r}")
+            raise ParseError(f"missing `{need}` line", line=end)
+    G = get_group(kv["group"], line=at["group"])
+    ints = {}
+    for key in ("p", "n"):
+        try:
+            ints[key] = int(kv[key])
+        except ValueError:
+            raise ParseError(f"`p` and `n` must be integers, got {kv['p']!r} "
+                             f"and {kv['n']!r}", line=at[key])
+    p, n = ints["p"], ints["n"]
     _check_massey_length(n)
     if len(rows) != n:
-        raise ParseError(f"expected {n} character rows, got {len(rows)}")
-    chars = tuple(_char_from_gen_values(G, p, row) for row in rows)
+        raise ParseError(f"expected {n} character rows, got {len(rows)}",
+                         line=rows[n][0] if len(rows) > n else end)
+    chars = tuple(_char_from_gen_values(G, p, row, line=i) for i, row in rows)
     return ms.query(G, p, chars), kv["group"]
 
 
@@ -276,18 +281,21 @@ def _check_massey_length(n: int) -> None:
         raise BadParameter(f"a Massey product needs n >= 2, got {n}")
 
 
-def _char_from_gen_values(G: gr.FiniteGroup, p: int, row) -> cc.Cochain:
-    """The character with the given values (mod p) on G's generators."""
+def _char_from_gen_values(G: gr.FiniteGroup, p: int, row,
+                          line=None) -> cc.Cochain:
+    """The character with the given values (mod p) on G's generators; a
+    ParseError names `line`, the query-file line of the row."""
     chars = cc.characters(G, p)
     gens = G.generators
     if len(row) != len(gens):
         raise ParseError(f"character row has {len(row)} values for "
-                         f"{len(gens)} generators")
+                         f"{len(gens)} generators", line=line)
     row = [v % p for v in row]
     for a in chars:
         if [a.value(g) for g in gens] == row:
             return a
-    raise ParseError("generator values do not extend to a character")
+    raise ParseError("generator values do not extend to a character",
+                     line=line)
 
 
 def cmd_massey(args) -> Report:

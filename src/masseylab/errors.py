@@ -98,10 +98,8 @@ class FormDegenerate(MasseyLabError):
 
 
 class ParseError(MasseyLabError):
-    def __init__(self, message, line=None, column=None):
+    def __init__(self, message, line=None):
         if line is not None:
-            message = f"line {line}: {message}" if column is None else \
-                f"line {line}, col {column}: {message}"
+            message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
-        self.column = column

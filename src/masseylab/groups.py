@@ -531,9 +531,10 @@ class GroupHom(Value):
 class CosetQuotient:
     """Quotient of a group by a normal subgroup N, with coset
     representatives of smallest element index.  Each coset Nx is read off
-    the rows of N's elements alone, BadParameter unless it is xN at each
-    generator x, and the table is closed from the right action of the
-    images of the parent's generators, read off their columns."""
+    the rows of N's elements alone, BadParameter unless those rows keep N
+    closed and Nx is xN at each generator x, and the table is closed from
+    the right action of the images of the parent's generators, read off
+    their columns."""
 
     def __init__(self, parent: FiniteGroup, normal: Sequence[int],
                  label: str = "Q"):
@@ -541,6 +542,12 @@ class CosetQuotient:
         if 0 not in normal:
             raise BadParameter("normal subgroup must contain the identity")
         rows = [parent.mul[z] for z in normal]
+        members = set(normal)
+        for z, row in zip(normal, rows):
+            out = next((w for w in normal if row[w] not in members), None)
+            if out is not None:
+                raise BadParameter(f"{normal} is not a subgroup: "
+                                   f"{z}*{out} = {row[out]} is outside it")
         for left in parent.mul.left:  # left[z] = g*z, with g = left[0]
             if {row[left[0]] for row in rows} != {left[z] for z in normal}:
                 raise BadParameter(f"not normal: N*{left[0]} != {left[0]}*N")
@@ -631,41 +638,57 @@ def enumerate_homs(G: FiniteGroup, H: FiniteGroup, *,
 
 # -- group table file format ----------------------------------------------------
 
+def numbered_lines(text: str) -> tuple[list[tuple[int, list[str]]], int]:
+    """The one reader of group and query files: the (line number, tokens)
+    of each line that is neither blank nor a `#` comment, numbered as in
+    the file, and the file's last line (1 for an empty file), which an
+    error about a missing line names."""
+    numbered = list(enumerate(text.splitlines(), start=1))
+    return ([(i, toks) for i, ln in numbered
+             if (toks := ln.split()) and not toks[0].startswith("#")],
+            len(numbered) or 1)
+
+
 def parse_group_file(text: str, label="G") -> FiniteGroup:
-    """Group file format: line 1 `order N`, line 2 `generators i j ...`,
-    then N rows of N indices."""
-    lines = [ln.strip() for ln in text.strip().splitlines()]
-    # the file line of `order`, after any blank lines text.strip() dropped
-    first = text[:len(text) - len(text.lstrip())].count("\n") + 1
-    if not lines or not lines[0].startswith("order"):
-        raise ParseError("expected `order N`", line=first)
+    """Group file format: `order N`, `generators i j ...`, then N rows of N
+    indices, read by `numbered_lines`."""
+    lines, end = numbered_lines(text)
+    line, toks = lines[0] if lines else (end, [])
+    if toks[:1] != ["order"]:
+        raise ParseError("expected `order N`", line=line)
     try:
-        n = int(lines[0].split()[1])
+        n = int(toks[1])
     except (IndexError, ValueError):
-        raise ParseError("expected `order N`", line=first)
+        raise ParseError("expected `order N`", line=line)
     if n < 1:
-        raise ParseError(f"order {n} is below 1", line=first)
-    if len(lines) < 2 or not lines[1].startswith("generators"):
-        raise ParseError("expected `generators i j ...`", line=first + 1)
+        raise ParseError(f"order {n} is below 1", line=line)
+    gen_line, toks = lines[1] if len(lines) > 1 else (end, [])
+    if toks[:1] != ["generators"]:
+        raise ParseError("expected `generators i j ...`", line=gen_line)
     try:
-        gens = [int(t) for t in lines[1].split()[1:]]
+        gens = [int(t) for t in toks[1:]]
     except ValueError:
-        raise ParseError("bad generator list", line=first + 1)
-    if len(lines) != 2 + n:
-        raise ParseError(f"expected {n} table rows, got {len(lines) - 2}")
+        raise ParseError("bad generator list", line=gen_line)
+    rows = lines[2:]
+    if len(rows) != n:
+        raise ParseError(f"expected {n} table rows, got {len(rows)}",
+                         line=rows[n][0] if len(rows) > n else end)
     table = []
-    for i, ln in enumerate(lines[2:], start=first + 2):
+    for line, toks in rows:
         try:
-            row = [int(t) for t in ln.split()]
+            row = [int(t) for t in toks]
         except ValueError:
-            raise ParseError("bad table row", line=i)
+            raise ParseError("bad table row", line=line)
         if len(row) != n:
             raise ParseError(f"row has {len(row)} entries, expected {n}",
-                             line=i)
+                             line=line)
         bad = [v for v in row if not 0 <= v < n]
         if bad:
-            raise ParseError(f"entry {bad[0]} outside 0..{n - 1}", line=i)
+            raise ParseError(f"entry {bad[0]} outside 0..{n - 1}", line=line)
         table.append(row)
+    if any(not 0 <= g < n for g in gens):
+        raise ParseError(f"generators {gens} not all in 0..{n - 1}",
+                         line=gen_line)
     return build_from_table(table, gens or None, label=label)
 
 

@@ -17,7 +17,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from masseylab import cli
 from masseylab import cochains as cc
 from masseylab import gfp
-from masseylab.errors import ParseError
+from masseylab import groups as gr
+from masseylab.errors import MasseyLabError, ParseError
 
 
 @pytest.fixture(autouse=True)
@@ -101,16 +102,138 @@ def test_an_entry_outside_the_table_is_a_parse_error_on_its_line(tmp_path,
      "line 6: bad table row"),
     (["massey"], "# a comment\n\ngroup Z2\np 2\nn 2\na 1\na x\n",
      "line 7: bad character row"),
-], ids=["group file", "query file"])
+    (["group", "check"], "order 2\ngenerators 5\n0 1\n1 0\n",
+     "line 2: generators [5] not all in 0..1"),
+    (["group", "check"], "order 2\ngenerators 1\n0 1\n1 0\n1 0\n",
+     "line 5: expected 2 table rows, got 3"),
+    (["group", "check"], "order 2\ngenerators 1\n0 1\n# end\n",
+     "line 4: expected 2 table rows, got 1"),
+    (["group", "check"], "order 2\n",
+     "line 1: expected `generators i j ...`"),
+    (["group", "check"], "orders 2\ngenerators 1\n0 1\n1 0\n",
+     "line 1: expected `order N`"),
+    (["massey"], "group V4\np 2\nn 2\na 1 0\na 0 1\na 1 1\n",
+     "line 6: expected 2 character rows, got 3"),
+    (["massey"], "group V4\np 2\nn 2\na 1 0\n\n",
+     "line 5: expected 2 character rows, got 1"),
+    (["massey"], "group V4\np 2\nn 2\na 1 0 1\na 0 1\n",
+     "line 4: character row has 3 values for 2 generators"),
+    (["massey"], "group S3\np 3\nn 2\na 0 0\na 1 0\n",
+     "line 5: generator values do not extend to a character"),
+    (["massey"], "group V4\np two\nn 2\na 1 0\na 0 1\n",
+     "line 2: `p` and `n` must be integers, got 'two' and '2'"),
+    (["massey"], "group V4\np 2\nn x\na 1 0\na 0 1\n",
+     "line 3: `p` and `n` must be integers, got '2' and 'x'"),
+    (["massey"], "group NoSuchGroup\np 2\nn 2\na 1 0\na 0 1\n",
+     "line 1: unknown group 'NoSuchGroup' (not a fixture, not a file)"),
+    (["massey"], "p 2\nn 2\na 1 0\na 0 1\n",
+     "line 4: missing `group` line"),
+    (["massey"], "", "line 1: missing `group` line"),
+], ids=["group file", "query file", "generator out of range",
+        "extra table row", "missing table row", "missing generators line",
+        "keyword prefix", "extra character row", "missing character row",
+        "character row too long", "values with no character", "p not integer",
+        "n not integer", "unknown group", "missing group line", "empty query"])
 def test_a_parse_error_names_the_line_as_numbered_in_the_file(
         argv, text, error, tmp_path, capsys):
     """Both files were once numbered after dropping lines: the group file
     its leading blank lines (line 4), the query file its blank and `#`
-    lines (line 5)."""
+    lines (line 5). Errors found after the reading loop once named no line;
+    one about a missing line names the file's last line, and a missing
+    `generators` line was once put on line 2 of a one-line file. A keyword
+    is a whole token: `orders 2` was once read as `order 2`."""
     path = tmp_path / "input.txt"
     path.write_text(text)
     assert cli.main([*argv, str(path)]) == cli.EXIT_USAGE == 3
     assert capsys.readouterr().err == f"parse error: {error}\n"
+
+
+def test_blank_and_comment_lines_among_table_rows_are_skipped(tmp_path,
+                                                              capsys):
+    """A blank line among the rows was once counted as a third table row,
+    and a `#` line read as a bad one."""
+    tbl = tmp_path / "g.tbl"
+    tbl.write_text("# Z2\norder 2\ngenerators 1\n0 1\n\n# row 1\n1 0\n")
+    assert cli.main(["group", "check", str(tbl)]) == cli.EXIT_OK
+    capsys.readouterr()
+
+
+# the files the mutations start from: fixture group files (V4 with its
+# identity at index 2 as well) and valid query files
+PARSE_CASES = [(gr.parse_group_file, gr.format_group_file(cli.FIXTURES[name]()))
+               for name in ("Z2", "Z3", "V4", "S3", "Q8")] + [
+    (gr.parse_group_file,
+     "order 4\ngenerators 0 1\n2 3 0 1\n3 2 1 0\n0 1 2 3\n1 0 3 2\n"),
+    (cli.parse_query_file, "group V4\np 2\nn 3\na 1 0\na 0 1\na 1 1\n"),
+    (cli.parse_query_file, "# Z3 at p = 3\ngroup Z3\np 3\nn 2\na 1\na 2\n"),
+    (cli.parse_query_file, "group S3\np 2\nn 2\na 1 1\na 1 1\n"),
+]
+# no token names a file, so a query's group is a fixture or unknown
+TOKENS = ["0", "1", "2", "3", "5", "-1", "x", "#", "a", "p", "n", "group",
+          "order", "orders", "generators", "V4", "Z2", "NoSuchGroup"]
+LINES = ["order 2", "generators 1", "0 1", "1 0", "a 1 0", "a 1",
+         "group Z2", "p 2", "n 3", "x y"]
+QUIET = ["", "   ", "# a comment", "  #x 1 2"]
+
+
+@st.composite
+def edited_files(draw, edits):
+    """A file of PARSE_CASES with up to four edits drawn from `edits`, and
+    its parser."""
+    parse, text = draw(st.sampled_from(PARSE_CASES))
+    lines = text.splitlines()
+    for edit in draw(st.lists(st.sampled_from(edits), max_size=4)):
+        at = draw(st.integers(0, len(lines)))
+        if edit in ("insert", "quiet"):
+            lines.insert(at, draw(st.sampled_from(
+                LINES if edit == "insert" else QUIET)))
+        elif at == len(lines):
+            continue
+        elif edit == "delete":
+            del lines[at]
+        elif edit == "duplicate":
+            lines.insert(at, lines[at])
+        elif toks := lines[at].split():
+            j = draw(st.integers(0, len(toks) - 1))
+            toks[j] = draw(st.sampled_from(TOKENS) if edit == "token"
+                           else st.integers(-1, 9).map(str))
+            lines[at] = " ".join(toks)
+    return parse, text, "".join(ln + "\n" for ln in lines)
+
+
+def _parsed(parse, text):
+    """What a parse gives, compared as its group or query and name."""
+    out = parse(text)
+    if isinstance(out, gr.FiniteGroup):
+        return hash(out), out.generators, [list(row) for row in out.mul]
+    return out
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edited_files(["token", "cell", "insert", "delete", "duplicate",
+                     "quiet"]))
+def test_every_parse_error_names_a_line_of_the_file(case):
+    """Mutated group and query files parse or raise a typed error, and a
+    ParseError names a line of the file. A blank line among a table's rows
+    was once counted as a row, and the row-count error named no line."""
+    parse, _, text = case
+    try:
+        parse(text)
+    except ParseError as e:
+        assert 1 <= e.line <= max(1, len(text.splitlines()))
+    except MasseyLabError:
+        pass
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edited_files(["quiet"]))
+def test_blank_and_comment_lines_do_not_change_a_parse(case):
+    """Blank and `#` lines anywhere give the same group, generators and
+    rows, or the same query; a group file once refused them."""
+    parse, text, edited = case
+    assert _parsed(parse, edited) == _parsed(parse, text)
 
 
 @pytest.mark.parametrize("text,line,key", [

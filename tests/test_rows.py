@@ -6,6 +6,7 @@ import functools
 import math
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -338,6 +339,20 @@ def test_a_quotient_by_a_subgroup_that_is_not_normal_is_refused():
     e13, e34 = U.elementary_index(1, 3), U.elementary_index(3, 4)
     with pytest.raises(BadParameter, match=rf"N\*{e34} != {e34}\*N"):
         gr.CosetQuotient(U.as_finite_group(), [0, e13])
+
+
+@pytest.mark.parametrize("n,normal,witness", [
+    (8, [0, 2, 3], "2*2 = 4"),
+    (4, [0, 1], "1*1 = 2"),
+])
+def test_a_quotient_by_a_set_that_is_not_a_subgroup_is_refused(n, normal,
+                                                               witness):
+    """Both sets pass the normality test in an abelian group, and once
+    failed later: {0, 2, 3} in Z8 with `a column of the action does not
+    have 4 entries`, {0, 1} in Z4 with GeneratorsDontGenerate."""
+    with pytest.raises(BadParameter, match=re.escape(
+            f"{normal} is not a subgroup: {witness} is outside it")):
+        gr.CosetQuotient(gr.build_cyclic(n), normal)
 
 
 def test_groups_at_the_cap_close_from_the_identity_row_alone():
