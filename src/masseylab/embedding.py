@@ -65,11 +65,10 @@ def is_real(E: EmbeddingProblem):
 
 # -- Dwyer problems ------------------------------------------------------------
 
-def build_dwyer_problem(q: MasseyQuery, target: str = "U") -> EmbeddingProblem:
+def build_dwyer_problem(q: MasseyQuery) -> EmbeddingProblem:
     """The lifting problem for -a_1 x ... x -a_n through the superdiagonal
-    map, with B = U_{n+1}(p) (or its quotient by Z / by P); its solutions
-    are `q.lifts(target)`."""
-    return EmbeddingProblem(q.dwyer_map(target), q.forced_hom)
+    map, with B = U_{n+1}(p); its solutions are `q.lifts()`."""
+    return EmbeddingProblem(q.dwyer_map(), q.forced_hom)
 
 
 def find_order2_preimage(pattern) -> Optional[UniTriMatrix]:

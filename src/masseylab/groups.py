@@ -654,11 +654,11 @@ def parse_group_file(text: str, label="G") -> FiniteGroup:
     indices, read by `numbered_lines`."""
     lines, end = numbered_lines(text)
     line, toks = lines[0] if lines else (end, [])
-    if toks[:1] != ["order"]:
+    if len(toks) != 2 or toks[0] != "order":
         raise ParseError("expected `order N`", line=line)
     try:
         n = int(toks[1])
-    except (IndexError, ValueError):
+    except ValueError:
         raise ParseError("expected `order N`", line=line)
     if n < 1:
         raise ParseError(f"order {n} is below 1", line=line)

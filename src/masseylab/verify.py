@@ -385,7 +385,7 @@ def massey_strong_z2_sweep(n_values) -> list[dict]:
             pattern = SignPattern(bits)
             chars = tuple(a if b else zero for b in bits)
             q = ms.MasseyQuery(Z2, 2, chars)
-            ccz = ms.consecutive_cups_zero(q, cross_check=False)
+            ccz = ms.consecutive_cups_zero(q)
             adjacent = pattern.has_adjacent_ones()
             ok = ccz == (not adjacent)
             solvable, witness = real_check_z2(pattern)

@@ -112,6 +112,8 @@ def test_an_entry_outside_the_table_is_a_parse_error_on_its_line(tmp_path,
      "line 1: expected `generators i j ...`"),
     (["group", "check"], "orders 2\ngenerators 1\n0 1\n1 0\n",
      "line 1: expected `order N`"),
+    (["group", "check"], "order 2 7\ngenerators 1\n0 1\n1 0\n",
+     "line 1: expected `order N`"),
     (["massey"], "group V4\np 2\nn 2\na 1 0\na 0 1\na 1 1\n",
      "line 6: expected 2 character rows, got 3"),
     (["massey"], "group V4\np 2\nn 2\na 1 0\n\n",
@@ -131,9 +133,10 @@ def test_an_entry_outside_the_table_is_a_parse_error_on_its_line(tmp_path,
     (["massey"], "", "line 1: missing `group` line"),
 ], ids=["group file", "query file", "generator out of range",
         "extra table row", "missing table row", "missing generators line",
-        "keyword prefix", "extra character row", "missing character row",
-        "character row too long", "values with no character", "p not integer",
-        "n not integer", "unknown group", "missing group line", "empty query"])
+        "keyword prefix", "extra order token", "extra character row",
+        "missing character row", "character row too long",
+        "values with no character", "p not integer", "n not integer",
+        "unknown group", "missing group line", "empty query"])
 def test_a_parse_error_names_the_line_as_numbered_in_the_file(
         argv, text, error, tmp_path, capsys):
     """Both files were once numbered after dropping lines: the group file
@@ -141,11 +144,33 @@ def test_a_parse_error_names_the_line_as_numbered_in_the_file(
     lines (line 5). Errors found after the reading loop once named no line;
     one about a missing line names the file's last line, and a missing
     `generators` line was once put on line 2 of a one-line file. A keyword
-    is a whole token: `orders 2` was once read as `order 2`."""
+    is a whole token: `orders 2` was once read as `order 2`, and a keyword
+    line has exactly its tokens: `order 2 7` was once read as `order 2`."""
     path = tmp_path / "input.txt"
     path.write_text(text)
     assert cli.main([*argv, str(path)]) == cli.EXIT_USAGE == 3
     assert capsys.readouterr().err == f"parse error: {error}\n"
+
+
+def test_a_group_file_named_by_a_query_file_is_named_in_its_errors(
+        tmp_path, monkeypatch, capsys):
+    """A bad row of a query's group file was once reported by its line
+    alone, with nothing to say that the line is not the query file's. The
+    group file's own commands keep the line-only message."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.tbl").write_text("order 2\ngenerators 1\n0 1\n1 x\n")
+    (tmp_path / "q.msq").write_text("group bad.tbl\np 2\nn 2\na 1\na 1\n")
+    assert cli.main(["massey", "q.msq"]) == cli.EXIT_USAGE == 3
+    assert capsys.readouterr().err == \
+        "parse error: bad.tbl: line 4: bad table row\n"
+    with pytest.raises(ParseError) as e:
+        cli.parse_query_file((tmp_path / "q.msq").read_text())
+    assert e.value.line == 4
+    for argv in (["group", "check", "bad.tbl"],
+                 ["cohomology", "--group", "bad.tbl", "--p", "2"]):
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == \
+            "parse error: line 4: bad table row\n"
 
 
 def test_blank_and_comment_lines_among_table_rows_are_skipped(tmp_path,
@@ -330,6 +355,32 @@ def test_verify_deterministic_and_cache_transparent(capsys):
     _, out2 = run(argv, capsys)          # cache hit
     _, out3 = run(argv + ["--no-cache"], capsys)
     assert out1 == out2 == out3
+
+
+def test_verify_dwyer_reports_a_cups_route_disagreement_as_a_record(
+        monkeypatch, capsys):
+    """When the U/P lift and the cochain route disagree on one tuple's
+    consecutive cups, that tuple fails and every record prints. The
+    disagreement was once raised, so the run printed no record and named
+    no tuple."""
+    from masseylab import massey as ms
+    lifts = ms.MasseyQuery.lifts
+
+    def no_u_p_lift_for_the_zero_tuple(q, target="U"):
+        if target == "U/P" and not any(any(a.values) for a in q.chars):
+            return iter(())
+        return lifts(q, target)
+    monkeypatch.setattr(ms.MasseyQuery, "lifts",
+                        no_u_p_lift_for_the_zero_tuple)
+    code, out = run(["verify", "dwyer", "--group", "V4", "--p", "2",
+                     "--n", "3", "--format", "records", "--no-cache"], capsys)
+    assert code == cli.EXIT_FAIL == 1
+    recs = records(out)
+    body = recs[1:-1]
+    assert len(body) == 64
+    assert body[0]["tuple"] == [[0, 0, 0]] * 3 and body[0]["cups_zero"]
+    assert [r["verdict"] for r in body] == ["fails"] + ["holds"] * 63
+    assert recs[-1] == {"summary": {"fails": 1, "holds": 63}}
 
 
 def _text_without_timing(out):

@@ -111,10 +111,11 @@ def test_dwyer_problem_targets():
     q = ms.MasseyQuery(Z2, 2, (cc.h1(Z2, 2)[0], cc.zero_cochain(Z2, 2, 1),
                                cc.h1(Z2, 2)[0]))
     for target in ("U", "U/Z", "U/P"):
-        E = em.build_dwyer_problem(q, target)
+        E = em.EmbeddingProblem(q.dwyer_map(target), q.forced_hom)
         assert E.alpha.is_surjective()
+    assert em.build_dwyer_problem(q).alpha == q.dwyer_map("U")
     with pytest.raises(BadParameter):
-        em.build_dwyer_problem(q, "bogus")
+        q.dwyer_map("bogus")
 
 
 def test_dwyer_solvable_small_vs_pattern():

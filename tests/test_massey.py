@@ -120,13 +120,15 @@ def test_strategies_agree_v4_sets():
             ms.massey_product_set(q, "hom-lift")
 
 
-def test_consecutive_cups_cross_check():
+def test_consecutive_cups_zero_and_the_u_p_lift():
     a, b = cc.h1(V4, 2)
     zero = cc.zero_cochain(V4, 2, 1)
     # in H^*((Z/2)^2) = F_2[x, y] no product of nonzero classes vanishes
-    assert not ms.consecutive_cups_zero(ms.MasseyQuery(V4, 2, (a, a, b)))
-    assert not ms.consecutive_cups_zero(ms.MasseyQuery(V4, 2, (a, b, a)))
-    assert ms.consecutive_cups_zero(ms.MasseyQuery(V4, 2, (a, zero, b)))
+    for chars, zero_cups in (((a, a, b), False), ((a, b, a), False),
+                             ((a, zero, b), True)):
+        q = ms.MasseyQuery(V4, 2, chars)
+        assert ms.consecutive_cups_zero(q) == zero_cups
+        assert (next(q.lifts("U/P"), None) is not None) == zero_cups
 
 
 def test_exhaustive_size_limit():
@@ -171,8 +173,8 @@ def test_strong_vanishing_budget():
 def test_routes_agree_on_every_triple(name, p):
     """The criterion 02/03 agreement at n = 3 on fixtures the acceptance
     sweep does not cover: exhaustive vs hom-lift vs Dwyer lift for
-    vanishing, both strategies for definedness, and the U/P cross-check of
-    the consecutive cups (which raises on disagreement)."""
+    vanishing, both strategies for definedness, and the cochain route vs
+    the U/P lift for the consecutive cups."""
     G = FIXTURES[name]()
     count = 0
     for chars in ms.h1_tuples(G, p, 3):
@@ -182,5 +184,6 @@ def test_routes_agree_on_every_triple(name, p):
             ms.massey_vanishes(q, "hom-lift") == em.dwyer_solvable(q)
         assert ms.massey_defined(q, "exhaustive") == \
             ms.massey_defined(q, "hom-lift")
-        ms.consecutive_cups_zero(q, cross_check=True)
+        assert ms.consecutive_cups_zero(q) == \
+            (next(q.lifts("U/P"), None) is not None)
     assert count == p ** (3 * len(cc.h1(G, p))) > 1
