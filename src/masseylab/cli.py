@@ -160,6 +160,9 @@ def _cache_key(args, command: str, G: gr.FiniteGroup, params):
 
 
 def cache_get(key):
+    """The records stored under key, or None. Every command emits at least
+    one record, so an entry that is not a non-empty list of JSON objects
+    is a miss, and the run stores its own records over it."""
     if key is None:
         return None
     path = os.path.join(_cache_dir(), key + ".json")
@@ -167,9 +170,13 @@ def cache_get(key):
         return None
     try:
         with open(path) as fh:
-            return json.load(fh)
+            hit = json.load(fh)
     except (OSError, json.JSONDecodeError):
         return None
+    if isinstance(hit, list) and hit and \
+            all(isinstance(r, dict) for r in hit):
+        return hit
+    return None
 
 
 def cache_put(key, blob: str):

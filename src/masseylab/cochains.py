@@ -389,30 +389,16 @@ def h2_coordinate(z: Cochain) -> int:
     return t
 
 
-class CupForm:
-    __slots__ = ("group", "p", "basis", "gram")
-
-    def __init__(self, group, p, basis, gram):
-        self.group, self.p = group, p
-        self.basis = basis          # H^1 basis cochains
-        self.gram = gram            # Gram matrix of the pairing, in Z/p
-
-    def is_nondegenerate(self) -> bool:
-        n = len(self.basis)
-        if n == 0:
-            return False
-        S = gfp.space(n, self.p)
-        return gfp.rank([S.pack(row) for row in self.gram], self.p) == n
-
-
-def cup_form(G: FiniteGroup, p: int) -> CupForm:
+def cup_form(G: FiniteGroup, p: int) -> list[int]:
+    """The Gram rows of the cup pairing H^1 x H^1 -> H^2 on the basis
+    `h1(G, p)`, packed over F_p: entry b of row a is the H^2 coordinate
+    of a cup b. NotApplicable unless dim H^2 = 1."""
     dim2, _ = complex_data(G, p).h2_data()
     if dim2 != 1:
         raise NotApplicable(f"dim H^2 = {dim2}, cup form needs 1")
-    basis = tuple(h1(G, p))
-    gram = tuple(tuple(h2_coordinate(cup(a, b)) for b in basis)
-                 for a in basis)
-    return CupForm(G, p, basis, gram)
+    basis = h1(G, p)
+    S = gfp.space(len(basis), p)
+    return [S.pack([h2_coordinate(cup(a, b)) for b in basis]) for a in basis]
 
 
 def demushkin_check(G: FiniteGroup, p: int) -> dict:
@@ -423,6 +409,6 @@ def demushkin_check(G: FiniteGroup, p: int) -> dict:
     if dim2 != 1:
         return {"dim_h1": dim1, "dim_h2": dim2,
                 "nondegenerate": None, "verdict": False}
-    nondeg = cup_form(G, p).is_nondegenerate()
+    nondeg = dim1 > 0 and gfp.rank(cup_form(G, p), p) == dim1
     return {"dim_h1": dim1, "dim_h2": dim2,
-            "nondegenerate": nondeg, "verdict": bool(nondeg)}
+            "nondegenerate": nondeg, "verdict": nondeg}

@@ -384,16 +384,15 @@ def build_from_table(table, generators=None, label="G") -> FiniteGroup:
                              generators, label)
 
 
-def build_cyclic(n: int, label: Optional[str] = None) -> FiniteGroup:
+def build_cyclic(n: int) -> FiniteGroup:
     if not 1 <= n <= CONTAINER_LIMIT:
         raise SizeLimit(f"cyclic order {n} out of range 1..{CONTAINER_LIMIT}")
     gens = (1,) if n > 1 else ()
     columns = [[(x + 1) % n for x in range(n)]] if n > 1 else []
-    return group_from_action(columns, n, gens, label or f"Z{n}")
+    return group_from_action(columns, n, gens, f"Z{n}")
 
 
-def build_direct_product(G: FiniteGroup, H: FiniteGroup,
-                         label: Optional[str] = None) -> FiniteGroup:
+def build_direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     """The pair (a, b) has index a*|H| + b; the generators are those of G,
     then those of H, each paired with the identity."""
     n = G.order * H.order
@@ -405,7 +404,7 @@ def build_direct_product(G: FiniteGroup, H: FiniteGroup,
                for g in G.generators] + \
         [[a * hn + H.mul[b][h] for a, b in pairs] for h in H.generators]
     gens = [g * hn for g in G.generators] + list(H.generators)
-    return group_from_action(columns, n, gens, label or f"{G.label}x{H.label}")
+    return group_from_action(columns, n, gens, f"{G.label}x{H.label}")
 
 
 @functools.cache

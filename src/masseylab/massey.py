@@ -19,7 +19,6 @@ from .errors import (
     BadParameter,
     MasseyLabError,
     NotADefiningSystem,
-    NotAHomomorphism,
     ShapeMismatch,
     SizeLimit,
 )
@@ -96,9 +95,6 @@ class DefiningSystem:
         # (i, j) -> Cochain, 1 <= i < j <= n+1, (i,j) != (1, n+1)
         self.entries = entries
 
-    def entry(self, i: int, j: int) -> Cochain:
-        return self.entries[(i, j)]
-
 
 def system_positions(n: int) -> list[tuple[int, int]]:
     """All (i, j) slots of a defining system, smallest span first."""
@@ -135,10 +131,9 @@ def defining_system_from_hom(psi: GroupHom, n: int, p: int,
                              entry_reader: Callable[[int, int, int], int]
                              ) -> DefiningSystem:
     """Extract the system a_ij(g) = -e_ij(psi(g)) from a homomorphism into
-    U_{n+1}(p) or one of its entry-readable quotients."""
-    if not psi.is_valid():
-        raise NotAHomomorphism("psi is not a homomorphism")
-    G = psi.domain
+    U_{n+1}(p) or one of its entry-readable quotients; NotAHomomorphism
+    unless psi is one."""
+    G = psi.check().domain
     entries = {}
     for (i, j) in system_positions(n):
         entries[(i, j)] = cc.cochain(

@@ -118,13 +118,8 @@ class UniTriMatrix(Value):
         return self.n, self.p, self.entries
 
     def entry(self, i: int, j: int) -> int:
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise IndexOutOfRange(f"({i},{j}) outside a {self.n}x{self.n} matrix")
-        if i == j:
-            return 1
-        if i > j:
-            return 0
-        return self.entries[_pos_index(self.n)[(i, j)]]
+        return unitri_group(self.n, self.p).entry_of(
+            vec_to_index(self.p, self.entries), i, j)
 
     def mul(self, other: "UniTriMatrix") -> "UniTriMatrix":
         if (self.n, self.p) != (other.n, other.p):

@@ -5,6 +5,7 @@ central-step obstruction audits, and the descending-induction solver."""
 from __future__ import annotations
 
 import functools
+import itertools
 
 from . import cochains as cc
 from . import embedding as em
@@ -18,6 +19,7 @@ from .errors import (
     HypothesisViolated,
     MasseyLabError,
     NotApplicable,
+    SizeLimit,
     SizeMismatch,
 )
 from .groups import FiniteGroup, GroupHom, build_cyclic, enumerate_homs, \
@@ -155,14 +157,12 @@ def easy_vanishing_drill(G: FiniteGroup, p: int, n: int) -> dict:
                     "steps": steps,
                     "obstructions_zero": True, "verified": True,
                     "mode": "trivial-map"}
-        from .errors import SizeLimit
         raise SizeLimit(f"U_{n + 1}({p}) not materializable")
     tower = _tower(n, p)
     tuples = 0
     for chars in ms.h1_tuples(G, p, n):
         q = ms.MasseyQuery(G, p, chars)
-        forced = q.forced_hom
-        psi = GroupHom(G, tower.groups[-1], forced.images)
+        psi = GroupHom(G, tower.groups[-1], q.forced_hom.images)
         for t in reversed(range(len(tower.alphas))):
             E = EmbeddingProblem(tower.alphas[t], psi)
             o = em.obstruction(E)
@@ -174,8 +174,7 @@ def easy_vanishing_drill(G: FiniteGroup, p: int, n: int) -> dict:
             if psi is None:
                 raise MasseyLabError(
                     "zero obstruction but no lift found (implementation fault)")
-        phi = tower.U.phi_hom()
-        if any(phi(psi(g)) != forced(g) for g in G.elements()):
+        if not em.is_solution(em.build_dwyer_problem(q), psi):
             raise MasseyLabError("final lift does not project correctly")
         tuples += 1
     return {"group": G.label, "p": p, "n": n, "tuples": tuples,
@@ -326,11 +325,9 @@ def demushkin_descent(G: FiniteGroup, p: int, chars) -> GroupHom:
         if a.is_zero():
             raise HypothesisViolated("a zero class must be handled by "
                                      "splicing, not descent")
-    for i in range(n - 1):
-        if not cc.is_coboundary(cc.cup(chars[i], chars[i + 1])):
-            raise HypothesisViolated(
-                f"a_{i + 1} cup a_{i + 2} is not zero in H^2")
     q = ms.MasseyQuery(G, p, chars)
+    if not ms.consecutive_cups_zero(q):
+        raise HypothesisViolated("a consecutive cup is not zero in H^2")
     if n == 2:
         sol = em.solve(em.build_dwyer_problem(q))
         if sol is None:
@@ -357,13 +354,10 @@ def demushkin_descent(G: FiniteGroup, p: int, chars) -> GroupHom:
             raise MasseyLabError("zero obstruction but no lift found")
     # psi now lands in Q_{1,m} = U_m: M_{1,m} is trivial, so the lift of an
     # element is the element itself
-    Um = unitri_group(m, p)
+    E = em.build_dwyer_problem(q)
     fq1 = fiber_quotient(1, m, p)
-    sol = GroupHom(G, Um.as_finite_group(),
-                   tuple(fq1.lift(psi(g)) for g in G.elements())).check()
-    forced = q.forced_hom
-    phi = Um.phi_hom()
-    if any(phi(sol(g)) != forced(g) for g in G.elements()):
+    sol = GroupHom(G, E.B, tuple(fq1.lift(psi(g)) for g in G.elements()))
+    if not em.is_solution(E, sol):
         raise MasseyLabError("descent output is not a lift of the characters")
     return sol
 
@@ -374,7 +368,6 @@ def massey_strong_z2_sweep(n_values) -> list[dict]:
     """For G = Z/2, p = 2: consecutive-cups-zero tuples are exactly the
     no-adjacent-ones patterns; those lift by an involution (block lift and
     complete search agree), and adjacent-ones patterns have no real lift."""
-    import itertools
     Z2 = build_cyclic(2)
     a = cc.h1(Z2, 2)[0]
     zero = cc.zero_cochain(Z2, 2, 1)

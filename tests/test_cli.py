@@ -531,6 +531,23 @@ def test_a_cache_entry_that_cannot_be_replaced_leaves_no_temp_file(
     assert list((tmp_path / "cache").iterdir()) == [entry]
 
 
+@pytest.mark.parametrize("entry", ['[1, "x"]', '{"a": 1}', '[]', '[{}, 2]'])
+def test_a_cache_entry_that_is_not_records_is_a_miss(entry, tmp_path, capsys):
+    """An entry that is not a non-empty list of JSON objects is never
+    printed: the run prints what --no-cache prints and stores its own
+    records over the entry."""
+    argv = ["cohomology", "--group", "Z2", "--p", "2", "--format", "records"]
+    fresh = run(argv + ["--no-cache"], capsys)
+    run(argv, capsys)
+    (path,) = (tmp_path / "cache").iterdir()
+    stored = path.read_text()
+    path.write_text(entry)
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (*fresh, "")
+    assert path.read_text() == stored
+
+
 def test_memoised_state_does_not_change_output(capsys):
     dwyer = ["verify", "dwyer", "--group", "V4", "--p", "2", "--n", "2",
              "--format", "records"]

@@ -153,6 +153,26 @@ def test_demushkin_odd_and_trivial():
     assert cc.demushkin_check(gr.build_cyclic(1), 2)["verdict"] is False
 
 
+def alternating_group_4():
+    """A4 from the table of its 12 even permutations of 0..3, composed
+    left to right."""
+    perms = [s for s in itertools.permutations(range(4))
+             if sum(a > b for a, b in itertools.combinations(s, 2)) % 2 == 0]
+    index = {s: i for i, s in enumerate(perms)}
+    return gr.build_from_table(
+        [[index[tuple(t[s[x]] for x in range(4))] for t in perms]
+         for s in perms], label="A4")
+
+
+@pytest.mark.parametrize("p,dims", [(2, (0, 1)), (3, (1, 1))])
+def test_demushkin_check_on_a4_is_degenerate(p, dims):
+    """At p = 2, H^1 = 0 under a one-dimensional H^2, the branch where no
+    form is nondegenerate; at p = 3, a cup a = 0 for odd p."""
+    report = cc.demushkin_check(alternating_group_4(), p)
+    assert (report["dim_h1"], report["dim_h2"]) == dims
+    assert report["nondegenerate"] is False and report["verdict"] is False
+
+
 def test_cup_form_not_applicable():
     with pytest.raises(NotApplicable):
         cc.cup_form(GROUPS["V4"], 2)  # dim H^2 = 3
@@ -212,7 +232,9 @@ def test_h2_coordinate_and_cup_form_match_the_replaced_arithmetic(name, p):
     for a, b in itertools.product(basis, repeat=2):
         z = cc.cup(a, b)
         assert cc.h2_coordinate(z) == old_h2_coordinate(cc.class_of(z), gen)
-    assert cc.cup_form(G, p).gram == old_cup_form_gram(G, p)
+    S = gfp.space(len(basis), p)
+    assert tuple(tuple(S.unpack(row)) for row in cc.cup_form(G, p)) == \
+        old_cup_form_gram(G, p)
 
 
 def test_h2_coordinate_needs_a_degree_2_class_and_a_one_dimensional_h2():

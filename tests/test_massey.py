@@ -9,6 +9,7 @@ from masseylab import massey as ms
 from masseylab.errors import (
     MasseyLabError,
     NotADefiningSystem,
+    NotAHomomorphism,
     ShapeMismatch,
     SizeLimit,
 )
@@ -61,6 +62,16 @@ def test_sign_convention_p3():
     assert not ok_plus and witness is not None
 
 
+def test_defining_system_from_hom_refuses_a_non_homomorphism():
+    # Z/2 -> U_3(2) sending the generator to an element of order 4
+    U = unitri_group(3, 2)
+    G = U.as_finite_group()
+    x = next(x for x in G.elements() if G.element_order(x) == 4)
+    psi = gr.GroupHom(Z2, G, (0, x))
+    with pytest.raises(NotAHomomorphism):
+        ms.defining_system_from_hom(psi, 2, 2, U.entry_of)
+
+
 def test_massey_value_rejects_broken_system():
     a, b = cc.h1(V4, 2)
     zero = cc.zero_cochain(V4, 2, 1)
@@ -70,7 +81,7 @@ def test_massey_value_rejects_broken_system():
     f = cc.cochain(V4, 2, 1, (1, 0, 0))
     assert not cc.is_cocycle(f)
     entries = dict(ds.entries)
-    entries[(1, 3)] = ds.entry(1, 3) + f
+    entries[(1, 3)] = ds.entries[(1, 3)] + f
     bad = ms.DefiningSystem(V4, 2, 3, entries)
     ok, witness = ms.is_defining_system(bad)
     assert not ok and witness is not None

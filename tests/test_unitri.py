@@ -11,6 +11,7 @@ import oracles as o
 from masseylab import unitri as ut
 from masseylab.errors import (
     BadParameter,
+    IndexOutOfRange,
     NotInKernel,
     SizeLimit,
 )
@@ -23,6 +24,26 @@ def test_matrices_and_subgroups_built_twice_are_equal_values():
         assert x is not y and x == y and hash(x) == hash(y)
     assert ut.UniTriMatrix(3, 2, (1, 0, 1)) != ut.UniTriMatrix(3, 3, (1, 0, 1))
     assert ut.zero_positions(4, "M", 2) != ut.zero_positions(4, "M", 1)
+
+
+@pytest.mark.parametrize("n,p", [(1, 2), (3, 2), (4, 3)])
+def test_matrix_entries_are_the_group_entry_rule(n, p):
+    """UniTriMatrix.entry and UniTriGroup.entry_of agree at every (i, j),
+    1 on the diagonal and 0 below it, and both refuse an index outside
+    1..n."""
+    U = ut.unitri_group(n, p)
+    for idx in range(U.order):
+        mat = U.matrix_of(idx)
+        for i, j in itertools.product(range(1, n + 1), repeat=2):
+            e = U.entry_of(idx, i, j)
+            assert mat.entry(i, j) == e
+            if i >= j:
+                assert e == (i == j)
+        for i, j in [(0, 1), (1, 0), (n + 1, n), (n, n + 1)]:
+            with pytest.raises(IndexOutOfRange):
+                mat.entry(i, j)
+            with pytest.raises(IndexOutOfRange):
+                U.entry_of(idx, i, j)
 
 
 @pytest.mark.parametrize("kind,k", [("M", None), ("M", 0), ("M", 4),

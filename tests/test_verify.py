@@ -5,12 +5,14 @@ import pytest
 from masseylab import cochains as cc
 from masseylab import embedding as em
 from masseylab import groups as gr
+from masseylab import massey as ms
 from masseylab import verify as vf
 from masseylab.errors import (
     AdjacentOnes,
     BadParameter,
     FormDegenerate,
     HypothesisViolated,
+    MasseyLabError,
     NotApplicable,
     SizeMismatch,
 )
@@ -110,6 +112,13 @@ def test_easy_vanishing_drill(G, p):
     assert rec["verified"] and rec["obstructions_zero"]
     assert rec["mode"] == "filtration"
     assert rec["steps"] == 3
+
+
+def test_easy_vanishing_drill_refuses_a_final_map_that_is_not_a_lift(
+        monkeypatch):
+    monkeypatch.setattr(em, "is_solution", lambda E, psi: False)
+    with pytest.raises(MasseyLabError):
+        vf.easy_vanishing_drill(gr.build_cyclic(3), 2, 3)
 
 
 def coset_quotient_tower(n, p):
@@ -218,6 +227,25 @@ def test_demushkin_descent_error_paths():
     x, y = cc.h1(V4, 2)
     with pytest.raises(HypothesisViolated):
         vf.demushkin_descent(V4, 2, (x, y, x))  # dim H^2 = 3
+
+
+def nondegenerate_report(G, p):
+    return {"dim_h1": 1, "dim_h2": 1, "nondegenerate": True,
+            "verdict": True}
+
+
+def test_demushkin_descent_checks_its_output_as_a_lift(monkeypatch):
+    """Z/4 at p = 2 has b cup b = 0 but a degenerate form; reported
+    nondegenerate, the descent of (b, b, b) runs to its final check."""
+    Z4 = gr.build_cyclic(4)
+    (b,) = cc.h1(Z4, 2)
+    monkeypatch.setattr(cc, "demushkin_check", nondegenerate_report)
+    q = ms.MasseyQuery(Z4, 2, (b, b, b))
+    sol = vf.demushkin_descent(Z4, 2, (b, b, b))
+    assert em.is_solution(em.build_dwyer_problem(q), sol)
+    monkeypatch.setattr(em, "is_solution", lambda E, psi: False)
+    with pytest.raises(MasseyLabError, match="not a lift"):
+        vf.demushkin_descent(Z4, 2, (b, b, b))
 
 
 def test_demushkin_descent_base_case():
